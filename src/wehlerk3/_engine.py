@@ -21,6 +21,8 @@ PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
+# Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3, and
+# gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35.
 _ENUM_P_CAP = 2048
 
 
@@ -41,10 +43,9 @@ class PlaneTable:
         pts.extend((0, 1, z) for z in range(p))
         pts.extend((1, y, z) for y in range(p) for z in range(p))
         self.pts = np.array(pts, dtype=np.int64)
-        self.keys = self.pack(self.pts)  # strictly increasing by construction?
-        order = np.argsort(self.keys, kind="stable")
-        self.pts = self.pts[order]
-        self.keys = self.keys[order]
+        # pts are listed in lexicographic order and pack is monotone in it, so
+        # keys are strictly increasing, which index_of's searchsorted needs.
+        self.keys = self.pack(self.pts)
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
         self.mon6 = self._monomials(self.pts)
@@ -112,22 +113,42 @@ def quad_eval(qc: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
     return acc
 
 
+def gh_formula(L, q):
+    """The fiber quadratics' coefficients: (G_0, G_1, G_2) and {(i, j): H_ij}.
+
+    G_k = L_j^2 Q_ii - L_i L_j Q_ij + L_i^2 Q_jj with {i, j, k} = {0, 1, 2},
+    H_ij = 2 L_i L_j Q_kk - L_i L_k Q_jk - L_j L_k Q_ik + L_k^2 Q_ij for
+    (i, j, k) in SWAP_PAIRS.  L holds the 3 linear coefficients and q(i, j)
+    returns the quadratic coefficient of x_i x_j in either index order.  Any
+    ring works: SparsePoly, FieldElement, Fraction or int64 columns.  The H
+    dict is keyed (0, 1), (0, 2), (1, 2), in SWAP_PAIRS order.
+    """
+    g = []
+    for k in range(3):
+        i, j = [t for t in range(3) if t != k]
+        g.append(L[j] * L[j] * q(i, i) - L[i] * L[j] * q(i, j) + L[i] * L[i] * q(j, j))
+    h = {
+        (i, j): 2 * L[i] * L[j] * q(k, k) - L[i] * L[k] * q(j, k)
+        - L[j] * L[k] * q(i, k) + L[k] * L[k] * q(i, j)
+        for (i, j, k) in SWAP_PAIRS
+    }
+    return tuple(g), h
+
+
+def pair_getter(coeffs):
+    """q(i, j) reading 6 coefficients stored in PAIRS order."""
+    return lambda i, j: coeffs[PAIR_INDEX[(min(i, j), max(i, j))]]
+
+
 def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
     """G_k and H_kl values from evaluated L (n,3) and Q (n,6) coefficients.
 
     Columns of H follow SWAP_PAIRS order: H01, H02, H12.
     """
-    L0, L1, L2 = lc[:, 0] % p, lc[:, 1] % p, lc[:, 2] % p
-    Q00, Q01, Q02, Q11, Q12, Q22 = (qc[:, n] % p for n in range(6))
-    L00, L11, L22 = L0 * L0 % p, L1 * L1 % p, L2 * L2 % p
-    L01, L02, L12 = L0 * L1 % p, L0 * L2 % p, L1 * L2 % p
-    G0 = (L22 * Q11 - L12 * Q12 + L11 * Q22) % p
-    G1 = (L22 * Q00 - L02 * Q02 + L00 * Q22) % p
-    G2 = (L11 * Q00 - L01 * Q01 + L00 * Q11) % p
-    H01 = (2 * L01 * Q22 - L02 * Q12 - L12 * Q02 + L22 * Q01) % p
-    H02 = (2 * L02 * Q11 - L01 * Q12 - L12 * Q01 + L11 * Q02) % p
-    H12 = (2 * L12 * Q00 - L01 * Q02 - L02 * Q01 + L00 * Q12) % p
-    return np.stack([G0, G1, G2], axis=1), np.stack([H01, H02, H12], axis=1)
+    L = [lc[:, n] % p for n in range(3)]
+    cols = [qc[:, n] % p for n in range(6)]
+    g, h = gh_formula(L, pair_getter(cols))
+    return np.stack(g, axis=1) % p, np.stack(list(h.values()), axis=1) % p
 
 
 def binary_other_root(A, B, C, alpha, beta, p: int):

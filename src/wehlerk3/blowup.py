@@ -17,6 +17,7 @@ from __future__ import annotations
 
 from dataclasses import dataclass
 
+from ._engine import SWAP_PAIRS
 from .errors import (
     AmbiguousS,
     InexactQuotient,
@@ -37,7 +38,6 @@ from .surface import (
 )
 
 SWVARS = ("s0", "s1", "w")
-_PAIR_ORDER = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 
 # -- binary forms in (s0, s1) -------------------------------------------------
@@ -74,12 +74,19 @@ class BinaryForm:
         """Multiplicity of the root (s0, s1); degree + 1 for the zero form."""
         if self.is_zero():
             return self.degree + 1
+        return self._divide_out(s0, s1)[0]
+
+    def _divide_out(self, s0: int, s1: int) -> tuple[int, "BinaryForm"]:
+        """(m, f / ell^m) with m maximal, ell the linear form vanishing at (s0, s1).
+
+        The form must be nonzero.
+        """
         f = self
         m = 0
         while True:
             q = f.divide_root(s0, s1)
             if q is None:
-                return m
+                return m, f
             f = q
             m += 1
 
@@ -129,14 +136,7 @@ class BinaryForm:
         """(k, f / s0^k) with k maximal; the zero form is returned unchanged."""
         if self.is_zero():
             return 0, self
-        f = self
-        k = 0
-        while True:
-            q = f.divide_root(0, 1)
-            if q is None:
-                return k, f
-            f = q
-            k += 1
+        return self._divide_out(0, 1)
 
     def rational_roots(self) -> list[tuple[ProjectivePoint1, int]]:
         """Roots in P^1(F_p) with multiplicities."""
@@ -335,7 +335,7 @@ class BlowupChart:
         """
         p = self.p
         mv = [int(c) for c in moving]
-        for (k, l, _m) in _PAIR_ORDER:
+        for (k, l, _m) in SWAP_PAIRS:
             triple = self.pair_triple((k, l), s)
             if triple is None:
                 continue
@@ -374,7 +374,7 @@ class BlowupChart:
         field = self.surface.domain
         seen: dict[tuple, object] = {}
         any_pair = False
-        for (k, l, m) in _PAIR_ORDER:
+        for (k, l, m) in SWAP_PAIRS:
             triple = self.pair_triple((k, l), s)
             if triple is None:
                 continue
@@ -437,7 +437,7 @@ class BlowupChart:
             consider(out)
             if found:
                 return list(found.values())
-        for (k2, l2, m2) in _PAIR_ORDER:
+        for (k2, l2, m2) in SWAP_PAIRS:
             if (k2, l2) == (k, l):
                 continue
             triple = self.pair_triple((k2, l2), s)
@@ -648,12 +648,12 @@ def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     p = chart.p
     lk = {m: _extract(chart.lp, chart.moving_vars[m]) for m in range(3)}
     nums = {}
-    for (i, j, m) in _PAIR_ORDER:
+    for (i, j, m) in SWAP_PAIRS:
         h = chart.hp[(i, j)]
         nums[m] = h * h - 4 * chart.gp[i] * chart.gp[j]
     quotient = None
     used_pair = None
-    for (i, j, m) in _PAIR_ORDER:
+    for (i, j, m) in SWAP_PAIRS:
         if lk[m].is_zero():
             continue
         den = lk[m] * lk[m]
@@ -667,7 +667,7 @@ def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     if quotient is None:
         raise InexactQuotient("all L' coefficients vanish on the chart")
     # Cross-check pair independence: num_m * den_m' == num_m' * den_m.
-    ms = [m for (_, _, m) in _PAIR_ORDER]
+    ms = [m for (_, _, m) in SWAP_PAIRS]
     for m1 in ms:
         for m2 in ms:
             if m1 >= m2:

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s
+from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
 from .errors import NonBijective, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
@@ -72,22 +72,13 @@ class PhasePoint:
 
 
 class _Context:
-    """Degenerate centers and charts of one surface, shared by all steps."""
+    """Degenerate centers of one surface, shared by all steps."""
 
     def __init__(self, s: WehlerSurface):
-        self.surface = s
-        self.p = s.domain.p
         self.centers = {}
-        self.charts = {}
         for side in ("x", "y"):
             infos = degenerate_fibers(s, side)
             self.centers[side] = {info.base.raw: info for info in infos}
-
-    def chart(self, side: str, center: ProjectivePoint2):
-        key = (side, center.raw)
-        if key not in self.charts:
-            self.charts[key] = chart_for(self.surface, side, center)
-        return self.charts[key]
 
     def is_center(self, side: str, raw: tuple) -> bool:
         return raw in self.centers[side]
@@ -115,9 +106,9 @@ def lift_pair(s: WehlerSurface, a, b) -> PhasePoint:
     ctx = _context(s)
     sx = sy = None
     if ctx.is_center("x", a.raw):
-        sx = resolve_s(ctx.chart("x", a), b)
+        sx = resolve_s(chart_for(s, "x", a), b)
     if ctx.is_center("y", b.raw):
-        sy = resolve_s(ctx.chart("y", b), a)
+        sy = resolve_s(chart_for(s, "y", b), a)
     return PhasePoint(a, b, sx, sy)
 
 
@@ -126,9 +117,8 @@ def phase_step(s: WehlerSurface, P: PhasePoint, side: str) -> PhasePoint:
     ctx = _context(s)
     if side == "x":
         if P.sx is not None:
-            chart = ctx.chart("x", P.a)
             bp = BoundaryPoint("x", P.a, P.sx, P.b)
-            moved = chart_swap(chart, bp)
+            moved = sigma_extended(chart_for(s, "x", P.a), bp)
             return _reattach(s, ctx, P.a, moved.moving, kept=P.sx,
                              old_moving=P.b, old_other=P.sy, changed="b")
         partner = _cor1_partner(s, "x", P.a.coords, P.b.coords)
@@ -137,9 +127,8 @@ def phase_step(s: WehlerSurface, P: PhasePoint, side: str) -> PhasePoint:
                          old_moving=P.b, old_other=P.sy, changed="b")
     if side == "y":
         if P.sy is not None:
-            chart = ctx.chart("y", P.b)
             bp = BoundaryPoint("y", P.b, P.sy, P.a)
-            moved = chart_swap(chart, bp)
+            moved = sigma_extended(chart_for(s, "y", P.b), bp)
             return _reattach(s, ctx, moved.moving, P.b, kept=P.sy,
                              old_moving=P.a, old_other=P.sx, changed="a")
         partner = _cor1_partner(s, "y", P.b.coords, P.a.coords)
@@ -160,22 +149,17 @@ def _reattach(s, ctx, a, b, kept, old_moving, old_other, changed):
         if b == old_moving:
             new_sy = old_other
         elif ctx.is_center("y", b.raw):
-            new_sy = resolve_s(ctx.chart("y", b), a)
+            new_sy = resolve_s(chart_for(s, "y", b), a)
         else:
             new_sy = None
         return PhasePoint(a, b, kept, new_sy)
     if a == old_moving:
         new_sx = old_other
     elif ctx.is_center("x", a.raw):
-        new_sx = resolve_s(ctx.chart("x", a), b)
+        new_sx = resolve_s(chart_for(s, "x", a), b)
     else:
         new_sx = None
     return PhasePoint(a, b, new_sx, kept)
-
-
-def chart_swap(chart, bp: BoundaryPoint) -> BoundaryPoint:
-    from .blowup import sigma_extended
-    return sigma_extended(chart, bp)
 
 
 def phi_step(s: WehlerSurface, P: PhasePoint) -> PhasePoint:
@@ -218,32 +202,24 @@ class PhaseSpace:
         s = self.surface
         p = self.p
         pairs = surface_pairs(s)
-        xc = {raw for raw in self.ctx.centers["x"]}
-        yc = {raw for raw in self.ctx.centers["y"]}
-        self._xc_keys = {self._pack3(c) for c in xc}
-        self._yc_keys = {self._pack3(c) for c in yc}
-
-        akeys = self._pack_rows(pairs[:, :3])
-        bkeys = self._pack_rows(pairs[:, 3:])
-        a_deg = np.isin(akeys, np.fromiter(self._xc_keys, dtype=np.int64))
-        b_deg = np.isin(bkeys, np.fromiter(self._yc_keys, dtype=np.int64))
-        if not self._xc_keys:
-            a_deg = np.zeros(len(pairs), dtype=bool)
-        if not self._yc_keys:
-            b_deg = np.zeros(len(pairs), dtype=bool)
+        xc = self.ctx.centers["x"]
+        yc = self.ctx.centers["y"]
+        pack = s.engine().table.pack
+        xc_keys = pack(np.array(list(xc), dtype=np.int64).reshape(-1, 3))
+        yc_keys = pack(np.array(list(yc), dtype=np.int64).reshape(-1, 3))
+        a_deg = np.isin(pack(pairs[:, :3]), xc_keys)
+        b_deg = np.isin(pack(pairs[:, 3:]), yc_keys)
         regular = pairs[~a_deg & ~b_deg]
 
         # Boundary atoms from every chart on both sides.
         x_atoms: dict[tuple, list[tuple]] = {}
         y_atoms: dict[tuple, list[tuple]] = {}
         for raw in sorted(xc):
-            chart = self.ctx.chart("x", point2(s.domain, *raw))
-            for bp in exceptional_points(chart):
+            for bp in exceptional_points(chart_for(s, "x", point2(s.domain, *raw))):
                 key = (raw, bp.moving.raw)
                 x_atoms.setdefault(key, []).append(bp.s.raw)
         for raw in sorted(yc):
-            chart = self.ctx.chart("y", point2(s.domain, *raw))
-            for bp in exceptional_points(chart):
+            for bp in exceptional_points(chart_for(s, "y", point2(s.domain, *raw))):
                 key = (bp.moving.raw, raw)
                 y_atoms.setdefault(key, []).append(bp.s.raw)
 
@@ -287,14 +263,6 @@ class PhaseSpace:
         self._by_ab: dict[tuple, list[int]] = {}
         for i, row in enumerate(self.records):
             self._by_ab.setdefault(tuple(int(v) for v in row[:6]), []).append(i)
-
-    def _pack3(self, raw: tuple) -> int:
-        p = self.p
-        return (int(raw[0]) * p + int(raw[1])) * p + int(raw[2])
-
-    def _pack_rows(self, rows: np.ndarray) -> np.ndarray:
-        p = self.p
-        return (rows[:, 0] * p + rows[:, 1]) * p + rows[:, 2]
 
     def _scode(self, s_raw: tuple) -> int:
         s0, s1 = int(s_raw[0]), int(s_raw[1])
@@ -402,9 +370,8 @@ class PhaseSpace:
             center = point2(dom, *[int(v) for v in row[base_cols]])
             moving = point2(dom, *[int(v) for v in row[mov_cols]])
             s_param = self._sdecode(int(row[swap_col]))
-            chart = self.ctx.chart(side, center)
             bp = BoundaryPoint(side, center, s_param, moving)
-            moved = chart_swap(chart, bp)
+            moved = sigma_extended(chart_for(s, side, center), bp)
             new = moved.moving.raw
             if side == "x":
                 tgt = self._lookup_target(

@@ -41,10 +41,6 @@ class ZeroForm(WehlerError):
     """The (1,1) or (2,2) form of a surface is identically zero."""
 
 
-class DegenerateBase(WehlerError):
-    """All fiber quadratics vanish at the base point (degenerate fiber)."""
-
-
 class InexactQuotient(WehlerError):
     """A ramification quotient that must be exact was not."""
 
@@ -75,10 +71,6 @@ class NoRationalS(WehlerError):
 
 class AmbiguousS(WehlerError):
     """More than one line parameter matches the fiber point."""
-
-
-class IdenticallyZeroQuadratic(WehlerError):
-    """All chart quadratics vanish identically at a line parameter."""
 
 
 # -- dynamics -------------------------------------------------------------

@@ -100,13 +100,6 @@ class PrimeField:
             return None if r < 0 else r
         return _tonelli(a, self.p)
 
-    def legendre(self, a: int) -> int:
-        """1 for nonzero squares, -1 for non-squares, 0 for 0."""
-        a %= self.p
-        if a == 0:
-            return 0
-        return 1 if pow(a, (self.p - 1) // 2, self.p) == 1 else -1
-
     def sqrt_table(self):
         """Array of smallest roots (-1 for non-residues); built on first use."""
         if self._sqrt_table is None:

@@ -10,7 +10,7 @@ from __future__ import annotations
 from dataclasses import dataclass
 from fractions import Fraction
 
-from .field import QQ, FieldElement, PrimeField
+from .field import QQ, FieldElement
 
 
 def _normalize(coords: tuple, domain) -> tuple:
@@ -86,32 +86,3 @@ def point2(domain, c0, c1, c2) -> ProjectivePoint2:
 
 def point1(domain, c0, c1) -> ProjectivePoint1:
     return ProjectivePoint1.make(domain, c0, c1)
-
-
-def plane_points(field: PrimeField):
-    """All canonical points of P^2(F_p) as raw int triples, lex sorted.
-
-    The canonical representatives are (0,0,1), (0,1,z) and (1,y,z); listing
-    them in lexicographic order keeps every enumeration deterministic.
-    """
-    p = field.p
-    pts = [(0, 0, 1)]
-    pts.extend((0, 1, z) for z in range(p))
-    pts.extend((1, y, z) for y in range(p) for z in range(p))
-    return pts
-
-
-def line_points(field: PrimeField):
-    """All canonical points of P^1(F_p): (0,1) then (1, t)."""
-    return [(0, 1)] + [(1, t) for t in range(field.p)]
-
-
-def normalize_raw(coords: tuple[int, ...], p: int, inv_table) -> tuple[int, ...]:
-    """Canonicalize a raw residue tuple without building field elements."""
-    for v in coords:
-        if v:
-            if v == 1:
-                return coords
-            s = inv_table[v]
-            return tuple(c * s % p for c in coords)
-    raise ValueError("zero vector")

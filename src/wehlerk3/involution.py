@@ -15,7 +15,7 @@ from ._engine import SWAP_PAIRS
 from .errors import DegenerateFiber, NotOnSurface
 from .field import QQ
 from .geometry import ProjectivePoint2, point2
-from .surface import PAIRS, WehlerSurface, gh_values
+from .surface import WehlerSurface, _fiber_restriction, gh_values, gh_vanishes, quad_at
 
 log = logging.getLogger(__name__)
 
@@ -45,7 +45,7 @@ def _cor1_partner(s: WehlerSurface, side: str, base, moving):
     """
     zero = s.domain.zero
     g, h = gh_values(s, side, base)
-    if all(v == zero for v in g) and all(v == zero for v in h.values()):
+    if gh_vanishes(g, h):
         raise DegenerateFiber(f"degenerate {side}-fiber over {base}")
     lc = s.line_values(side, base)
     for (k, l, m) in SWAP_PAIRS:
@@ -121,35 +121,17 @@ def fiber_points(s: WehlerSurface, side: str, base):
     """All rational points of the fiber over `base`, by direct solve."""
     if not s.is_finite():
         raise ValueError("fiber enumeration needs a finite field")
-    zero = s.domain.zero
-    one = s.domain.one
-    lc = s.line_values(side, base)
+    dom = s.domain
     qv = s.quad_values(side, base)
-
-    def q_at(w):
-        return sum((qv[K] * w[k] * w[l] for K, (k, l) in enumerate(PAIRS)), zero)
-
-    p = s.domain.p
-    sols = []
-    if all(c == zero for c in lc):
+    _, basis = _fiber_restriction(s, side, base)
+    if basis is None:
         # L vanishes identically: the fiber is the conic Q = 0 (or the plane).
-        for t in _plane_iter(s):
-            if q_at(t) == zero:
-                sols.append(point2(s.domain, *t))
-        return sols
-    c0, c1, c2 = lc
-    if c2 != zero:
-        u, v = (c2, zero, -c0), (zero, c2, -c1)
-    elif c1 != zero:
-        u, v = (c1, -c0, zero), (zero, zero, one)
+        candidates = _plane_iter(s)
     else:
-        u, v = (zero, one, zero), (zero, zero, one)
-    params = [(one, s.domain.element(t)) for t in range(p)] + [(zero, one)]
-    for (t0, t1) in params:
-        w = tuple(t0 * x + t1 * y for x, y in zip(u, v))
-        if q_at(w) == zero:
-            sols.append(point2(s.domain, *w))
-    return sols
+        u, v = basis
+        params = [(dom.one, dom.element(t)) for t in range(dom.p)] + [(dom.zero, dom.one)]
+        candidates = (tuple(t0 * x + t1 * y for x, y in zip(u, v)) for (t0, t1) in params)
+    return [point2(dom, *w) for w in candidates if quad_at(qv, w, dom.zero) == dom.zero]
 
 
 def _plane_iter(s: WehlerSurface):

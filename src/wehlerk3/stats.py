@@ -24,9 +24,12 @@ from dataclasses import dataclass, field as dc_field
 
 from .dynamics import CycleCensus, cycle_decomposition
 from .errors import (
+    AmbiguousS,
     BadDomain,
     EmptyPhaseSpace,
+    ExhaustedAttempts,
     NegativeX,
+    NoRationalS,
     NoSymmetricCycles,
     ZeroFixedPoints,
 )
@@ -347,7 +350,9 @@ def _surface_job(args) -> SurfaceSummary:
             s = random_surface(p, seed_ij, mode=mode)
             census = cycle_decomposition(s)
             break
-        except Exception as exc:  # ExhaustedAttempts, NonBijective, AmbiguousS
+        except (ExhaustedAttempts, NoRationalS, AmbiguousS) as exc:
+            # A surface the sampler or its charts cannot serve is re-seeded and
+            # noted; internal errors such as NonBijective propagate.
             notes.append(f"p={p} seed={seed_ij}: {type(exc).__name__}: {exc}")
             if bump < 3:
                 bump += 1

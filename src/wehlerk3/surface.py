@@ -17,10 +17,10 @@ from fractions import Fraction
 
 import numpy as np
 
-from ._engine import PAIR_INDEX, PAIRS, SurfaceEngine
+from ._engine import PAIR_INDEX, PAIRS, SWAP_PAIRS, SurfaceEngine, gh_formula, pair_getter
 from .errors import (
     BadModulus,
-    DegenerateBase,
+    DegenerateFiber,
     ExhaustedAttempts,
     InexactQuotient,
     ParseError,
@@ -173,13 +173,15 @@ class WehlerSurface:
 
     def contains(self, a, b) -> bool:
         """Whether (a, b) satisfies L = Q = 0."""
+        zero = self.domain.zero
         lv = self.line_values("x", a)
-        lval = sum((lv[j] * list(b)[j] for j in range(3)), self.domain.zero)
-        qv = self.quad_values("x", a)
-        bc = list(b)
-        qval = sum((qv[K] * bc[k] * bc[l] for K, (k, l) in enumerate(PAIRS)),
-                   self.domain.zero)
-        return lval == self.domain.zero and qval == self.domain.zero
+        lval = sum((lv[j] * b[j] for j in range(3)), zero)
+        return lval == zero and quad_at(self.quad_values("x", a), b, zero) == zero
+
+
+def quad_at(qv, w, zero):
+    """Value at the point w of the quadratic form with coefficients qv (PAIRS order)."""
+    return sum((qv[K] * w[k] * w[l] for K, (k, l) in enumerate(PAIRS)), zero)
 
 
 # -- file format ---------------------------------------------------------------
@@ -328,71 +330,42 @@ def coefficient_polys(s: WehlerSurface, side: str) -> CoefficientPolys:
 
 
 def gh_system(s: WehlerSurface, side: str) -> GHSystem:
-    """G_k = L_j^2 Q_ii - L_i L_j Q_ij + L_i^2 Q_jj and the matching H_ij.
+    """The symbolic G_k and H_ij of `gh_formula`.
 
-    (i, j, k) runs over permutations of {0, 1, 2}; every G and H is a quartic
-    in the side's own variables.
+    Every G and H is a quartic in the side's own variables.
     """
     key = ("gh", side)
     if key in s._cache:
         return s._cache[key]
     cp = coefficient_polys(s, side)
-    L, q = cp.lc, cp.q
-    g = []
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        g.append(L[j] * L[j] * q(i, i) - L[i] * L[j] * q(i, j) + L[i] * L[i] * q(j, j))
-    h = {}
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        k = 3 - i - j
-        h[(i, j)] = (
-            2 * L[i] * L[j] * q(k, k)
-            - L[i] * L[k] * q(j, k)
-            - L[j] * L[k] * q(i, k)
-            + L[k] * L[k] * q(i, j)
-        )
-    for poly in list(g) + list(h.values()):
+    g, h = gh_formula(cp.lc, cp.q)
+    for poly in g + tuple(h.values()):
         if poly and poly.total_degree() > 4:
             raise AssertionError("G/H degree bound violated")
-    result = GHSystem(side, tuple(g), h)
+    result = GHSystem(side, g, h)
     s._cache[key] = result
     return result
 
 
 def gh_values(s: WehlerSurface, side: str, base) -> tuple[tuple, dict]:
     """G and H evaluated at one base point, without symbolic polynomials."""
-    L = s.line_values(side, base)
-    qv = s.quad_values(side, base)
+    return gh_formula(s.line_values(side, base), pair_getter(s.quad_values(side, base)))
 
-    def q(i, j):
-        return qv[PAIR_INDEX[(min(i, j), max(i, j))]]
 
-    g = []
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        g.append(L[j] * L[j] * q(i, i) - L[i] * L[j] * q(i, j) + L[i] * L[i] * q(j, j))
-    h = {}
-    for (i, j) in ((0, 1), (0, 2), (1, 2)):
-        k = 3 - i - j
-        h[(i, j)] = (
-            2 * L[i] * L[j] * q(k, k)
-            - L[i] * L[k] * q(j, k)
-            - L[j] * L[k] * q(i, k)
-            + L[k] * L[k] * q(i, j)
-        )
-    return tuple(g), h
+def gh_vanishes(g, h) -> bool:
+    """Whether every G and H vanishes: the fiber is degenerate and needs a chart."""
+    return not any(g) and not any(h.values())
 
 
 def fiber_quadratic(s: WehlerSurface, side: str, base, pair: tuple[int, int]):
     """(A, B, C) with A x_l^2 + B x_k x_l + C x_k^2 = 0 cutting the fiber.
 
-    Raises DegenerateBase when every G and H vanishes at the base, which is
+    Raises DegenerateFiber when every G and H vanishes at the base, which is
     the signal to route through a blow-up chart.
     """
     g, h = gh_values(s, side, base)
-    zero = s.domain.zero
-    if all(v == zero for v in g) and all(v == zero for v in h.values()):
-        raise DegenerateBase(f"all fiber quadratics vanish over {base}")
+    if gh_vanishes(g, h):
+        raise DegenerateFiber(f"all fiber quadratics vanish over {base}")
     k, l = pair
     return g[k], h[(min(k, l), max(k, l))], g[l]
 
@@ -409,10 +382,9 @@ def ramification_sextic(s: WehlerSurface, side: str) -> RamificationSextic:
         return s._cache[key]
     cp = coefficient_polys(s, side)
     sys = gh_system(s, side)
-    perms = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
     nums = {}
     dens = {}
-    for (i, j, k) in perms:
+    for (i, j, k) in SWAP_PAIRS:
         nums[k] = sys.h[(i, j)] * sys.h[(i, j)] - 4 * sys.g[i] * sys.g[j]
         dens[k] = cp.lc[k] * cp.lc[k]
     g_poly = None
@@ -449,10 +421,11 @@ class DegenerateFiberInfo:
 
 
 def _fiber_restriction(s: WehlerSurface, side: str, base):
-    """Classification data for the fiber over `base`.
+    """Kind of the fiber over `base` and a basis (u, v) of its line L = 0.
 
-    Returns (kind, payload): kind "finite" (payload: line basis u, v and the
-    restricted quadratic (A,B,C)), or one of the degenerate kinds.
+    kind is "finite", "line" (Q vanishes on the whole line), "conic" (L
+    vanishes identically, Q does not) or "plane"; the basis is None for the
+    last two.
     """
     zero = s.domain.zero
     lc = s.line_values(side, base)
@@ -472,16 +445,12 @@ def _fiber_restriction(s: WehlerSurface, side: str, base):
     else:
         u = (zero, one, zero)
         v = (zero, zero, one)
-
-    def q_at(w):
-        return sum((qv[K] * w[k] * w[l] for K, (k, l) in enumerate(PAIRS)), zero)
-
-    A = q_at(u)
-    C = q_at(v)
-    B = q_at(tuple(a + b for a, b in zip(u, v))) - A - C
+    A = quad_at(qv, u, zero)
+    C = quad_at(qv, v, zero)
+    B = quad_at(qv, tuple(a + b for a, b in zip(u, v)), zero) - A - C
     if A == zero and B == zero and C == zero:
         return "line", (u, v)
-    return "finite", (u, v, (A, B, C))
+    return "finite", (u, v)
 
 
 def _qq_candidates(height: int):
@@ -513,21 +482,16 @@ def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
     box (the worked example's centers have height 1).
     """
     result = []
-    zero = s.domain.zero
     if s.is_finite():
         _, degenerate = _analysis(s, side)
         for base_row, kind in degenerate:
             base = point2(s.domain, *[int(v) for v in base_row])
-            g, h = gh_values(s, side, base.raw)
-            if all(v == zero for v in g) and all(v == zero for v in h.values()):
+            if gh_vanishes(*gh_values(s, side, base.raw)):
                 result.append(DegenerateFiberInfo(base, kind))
     else:
         for cand in _qq_candidates(height):
             kind, _ = _fiber_restriction(s, side, cand)
-            if kind == "finite":
-                continue
-            g, h = gh_values(s, side, cand)
-            if all(v == zero for v in g) and all(v == zero for v in h.values()):
+            if kind != "finite" and gh_vanishes(*gh_values(s, side, cand)):
                 result.append(DegenerateFiberInfo(point2(QQ, *cand), kind))
     result.sort(key=lambda d: d.base.raw)
     return result

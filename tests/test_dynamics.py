@@ -15,7 +15,7 @@ from wehlerk3.dynamics import (
     phi_step,
     psi_step,
 )
-from wehlerk3.errors import PairingFailure
+from wehlerk3.errors import NonBijective, PairingFailure
 from wehlerk3.fixtures import w1_orbit_points
 from wehlerk3.geometry import point1, point2
 from wehlerk3.surface import degenerate_fibers, random_surface, surface_pairs
@@ -185,6 +185,15 @@ def test_degenerate_census_identities(seed):
     pairing = asymmetric_pairing(census)
     assert len(pairing) == census.asymmetric_count
     assert all(pairing[pairing[i]] == i for i in pairing)
+
+
+# Accepted degenerate surfaces whose blow-up charts leave part of a degenerate
+# fiber without boundary points, so a census finds sigma not total.  strict
+# makes a fix (or a new rejection in random_surface) show up as XPASS.
+@pytest.mark.xfail(strict=True, raises=NonBijective)
+@pytest.mark.parametrize("p,seed", [(5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133)])
+def test_known_small_prime_charts_are_not_bijective(p, seed):
+    cycle_decomposition(random_surface(p, seed, mode="degenerate"))
 
 
 def test_boundary_phase_points_round_trip(w1_29):

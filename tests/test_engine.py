@@ -1,0 +1,49 @@
+import itertools
+
+import numpy as np
+import pytest
+
+from wehlerk3._engine import _ENUM_P_CAP, PlaneTable, gh_eval, gh_formula, pair_getter
+from wehlerk3.surface import gh_system, gh_values, random_surface
+
+H_KEYS = ((0, 1), (0, 2), (1, 2))
+
+
+@pytest.mark.parametrize("seed,mode", [(3, "any"), (5, "degenerate")])
+def test_gh_bulk_scalar_and_symbolic_agree_at_every_base(seed, mode):
+    p = 29
+    s = random_surface(p, seed=seed, mode=mode)
+    eng = s.engine()
+    bases = eng.table.pts
+    for side in ("x", "y"):
+        G, H = gh_eval(eng.line_coeffs(side, bases), eng.quad_coeffs(side, eng.table.mon6), p)
+        sys = gh_system(s, side)
+        names = (side + "0", side + "1", side + "2")
+        for n, base in enumerate(bases.tolist()):
+            g, h = gh_values(s, side, base)
+            scalar = [int(v) for v in g] + [int(h[ij]) for ij in H_KEYS]
+            at = dict(zip(names, base))
+            symbolic = ([int(sys.g[k].evaluate(at)) for k in range(3)]
+                        + [int(sys.h[ij].evaluate(at)) for ij in H_KEYS])
+            assert G[n].tolist() + H[n].tolist() == scalar == symbolic
+
+
+def test_gh_eval_int64_headroom():
+    # Every row of residues 0 or p - 1 at a prime near the cap, including the
+    # all-(p - 1) row: the int64 kernel must match Python-int arithmetic.
+    p = 2039
+    assert p <= _ENUM_P_CAP and 3 * _ENUM_P_CAP ** 3 < 2 ** 35
+    rows = np.array(list(itertools.product((0, p - 1), repeat=9)), dtype=np.int64)
+    G, H = gh_eval(rows[:, :3], rows[:, 3:], p)
+    for n, row in enumerate(rows.tolist()):
+        g, h = gh_formula(row[:3], pair_getter(row[3:]))
+        assert G[n].tolist() == [v % p for v in g]
+        assert H[n].tolist() == [h[ij] % p for ij in H_KEYS]
+
+
+@pytest.mark.parametrize("p", [29, 503])
+def test_plane_table_keys_strictly_increase(p):
+    tbl = PlaneTable(p)
+    assert len(tbl.pts) == p * p + p + 1
+    assert np.all(np.diff(tbl.keys) > 0)
+    assert np.array_equal(tbl.index_of(tbl.pts), np.arange(len(tbl.pts)))

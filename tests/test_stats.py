@@ -3,11 +3,16 @@ import math
 
 import pytest
 
+from wehlerk3 import stats
 from wehlerk3.dynamics import CycleCensus, CycleRecord, cycle_decomposition
 from wehlerk3.errors import (
+    AmbiguousS,
     BadDomain,
     NegativeX,
+    NonBijective,
+    NoRationalS,
     NoSymmetricCycles,
+    PairingFailure,
     ZeroFixedPoints,
 )
 from wehlerk3.stats import (
@@ -192,6 +197,37 @@ def test_experiment_degenerate_mode():
     for srec in rep.blocks[0].summaries:
         assert srec.w_x + srec.w_y >= 1
         assert srec.windows.passed
+
+
+def _fail_first_census(monkeypatch, exc):
+    """Make the first census of a surface job raise exc."""
+    calls = []
+
+    def census(s):
+        calls.append(s)
+        if len(calls) == 1:
+            raise exc("injected")
+        return cycle_decomposition(s)
+
+    monkeypatch.setattr(stats, "cycle_decomposition", census)
+
+
+JOB = (13, 0, 1, "nondegenerate", "symmetric-mean", 0.1, 2)
+
+
+@pytest.mark.parametrize("exc", [NoRationalS, AmbiguousS])
+def test_surface_job_reseeds_unservable_surfaces(monkeypatch, exc):
+    _fail_first_census(monkeypatch, exc)
+    summary = stats._surface_job(JOB)
+    assert summary.seed == stats._derive_seed(1, 13, 0) + 1
+    assert len(summary.notes) == 1 and exc.__name__ in summary.notes[0]
+
+
+@pytest.mark.parametrize("exc", [NonBijective, PairingFailure])
+def test_surface_job_propagates_internal_errors(monkeypatch, exc):
+    _fail_first_census(monkeypatch, exc)
+    with pytest.raises(exc):
+        stats._surface_job(JOB)
 
 
 def test_curves_saturate_past_the_longest_cycle(w1_29):

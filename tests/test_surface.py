@@ -4,7 +4,7 @@ import pytest
 
 from wehlerk3.errors import (
     BadModulus,
-    DegenerateBase,
+    DegenerateFiber,
     ExhaustedAttempts,
     ParseError,
     ZeroForm,
@@ -217,7 +217,7 @@ def test_fiber_quadratic_worked_example(w1_qq):
 
 
 def test_fiber_quadratic_degenerate_base(w1_29):
-    with pytest.raises(DegenerateBase):
+    with pytest.raises(DegenerateFiber):
         fiber_quadratic(w1_29, "x", (-1, -1, 1), (0, 1))
 
 
