@@ -21,9 +21,20 @@ PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
-# Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3, and
-# gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35.
+# Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3,
+# gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
+# and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
+
+
+def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.ndarray:
+    """One int64 key per phase record from plane-table row indices and a code.
+
+    Increasing in (ia, ib, code) for row indices < p^2 + p + 1 and codes in
+    0..p + 1.  Dense indices keep it in int64 where two pack keys (< p^6) would
+    not.
+    """
+    return (ia * (p * p + p + 1) + ib) * (p + 2) + code
 
 
 class PlaneTable:

@@ -14,6 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
+from ._engine import phase_key
 from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
 from .errors import NonBijective, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
@@ -184,6 +185,9 @@ def orbit(s: WehlerSurface, P, n: int) -> list[PhasePoint]:
 
 # -- the materialized phase space -------------------------------------------------
 
+# Record columns: a (3), b (3), then the sx and sy codes.
+_CODE_COL = {"x": 6, "y": 7}
+
 
 class PhaseSpace:
     """All phase points of a surface with the two involution permutations."""
@@ -247,22 +251,20 @@ class PhaseSpace:
                     f"ambiguous both-side boundary point {key}: "
                     f"{len(xs)} x-lines, {len(ys)} y-lines")
 
-        reg_records = np.concatenate(
-            [
-                regular,
-                np.full((len(regular), 1), none_code, dtype=np.int64),
-                np.full((len(regular), 1), none_code, dtype=np.int64),
-            ],
-            axis=1,
-        ) if len(regular) else np.empty((0, 8), dtype=np.int64)
-        bnd_records = np.array(sorted(records), dtype=np.int64).reshape(-1, 8)
-        allrec = np.concatenate([reg_records, bnd_records]) if len(bnd_records) else reg_records
+        allrec = np.concatenate([
+            np.pad(regular, ((0, 0), (0, 2)), constant_values=none_code),
+            np.array(records, dtype=np.int64).reshape(-1, 8),
+        ])
         order = np.lexsort(allrec.T[::-1])
         self.records = allrec[order]
-        self._index = {tuple(int(v) for v in row): i for i, row in enumerate(self.records)}
-        self._by_ab: dict[tuple, list[int]] = {}
-        for i, row in enumerate(self.records):
-            self._by_ab.setdefault(tuple(int(v) for v in row[:6]), []).append(i)
+        # The x key follows the record order by construction; the y key does
+        # only because no (a, b) carries both several sx and several sy.
+        self._keys = {side: self._key(self.records[:, :3], self.records[:, 3:6],
+                                      self.records[:, col])
+                      for side, col in _CODE_COL.items()}
+        for side, keys in self._keys.items():
+            if np.any(keys[1:] < keys[:-1]):
+                raise NonBijective(f"phase records are not sorted by their {side} key")
 
     def _scode(self, s_raw: tuple) -> int:
         s0, s1 = int(s_raw[0]), int(s_raw[1])
@@ -294,16 +296,26 @@ class PhaseSpace:
     def points(self) -> list[PhasePoint]:
         return [self.point(i) for i in range(self.size)]
 
+    def _key(self, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
+        tbl = self.surface.engine().table
+        return phase_key(tbl.index_of(a), tbl.index_of(b), code, self.p)
+
+    def _find(self, side: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+        """First record whose `side` key equals each key, and how many do."""
+        sorted_keys = self._keys[side]
+        first = np.searchsorted(sorted_keys, keys)
+        return first, np.searchsorted(sorted_keys, keys, side="right") - first
+
     def index_of(self, P: PhasePoint) -> int:
         none_code = self.p + 1
-        row = P.a.raw + P.b.raw + (
-            none_code if P.sx is None else self._scode(P.sx.raw),
-            none_code if P.sy is None else self._scode(P.sy.raw),
-        )
-        row = tuple(int(v) for v in row)
-        if row not in self._index:
+        sx, sy = (none_code if t is None else self._scode(t.raw) for t in (P.sx, P.sy))
+        first, count = self._find("x", self._key(np.array([P.a.raw]), np.array([P.b.raw]), sx))
+        # Records sharing an x key differ only in sy.
+        group = self.records[first[0]:first[0] + count[0], _CODE_COL["y"]]
+        hit = first[0] + np.flatnonzero(group == sy)
+        if len(hit) != 1:
             raise KeyError(f"{P} is not in the phase space")
-        return self._index[row]
+        return int(hit[0])
 
     # -- the involution permutations --------------------------------------------
 
@@ -313,76 +325,39 @@ class PhaseSpace:
             self._check_involution(side)
         return self._perms[side]
 
-    def _lookup_target(self, a_raw, b_raw, sx_known, i, side) -> int:
-        """Find the unique record matching the moved point.
-
-        sx_known is the preserved parameter of the swap side (encoded), or
-        None when the swap side's base is non-degenerate; the other side's
-        parameter is whatever the unique matching record carries.
-        """
-        cands = self._by_ab.get(a_raw + b_raw, [])
-        if sx_known is not None:
-            col = 6 if side == "x" else 7
-            cands = [j for j in cands if int(self.records[j][col]) == sx_known]
-        if len(cands) == 1:
-            return cands[0]
-        if not cands:
-            self.exceptions.append(
-                f"sigma_{side} image of record {i} has no phase point "
-                f"({a_raw}, {b_raw})")
-        else:
-            self.exceptions.append(
-                f"sigma_{side} image of record {i} is ambiguous: "
-                f"{len(cands)} candidates at ({a_raw}, {b_raw})")
-        return -1
-
     def _build_perm(self, side: str) -> np.ndarray:
+        """Swap the moving coordinate of every record, then look all images up.
+
+        The swap side's own parameter is kept, so the image is the unique
+        record with the moved (a, b) and the same code on that side.
+        """
         s = self.surface
-        p = self.p
-        none_code = p + 1
         rec = self.records
-        n = len(rec)
-        out = np.full(n, -1, dtype=np.int64)
-
-        swap_col = 6 if side == "x" else 7
-        base_cols = slice(0, 3) if side == "x" else slice(3, 6)
-        mov_cols = slice(3, 6) if side == "x" else slice(0, 3)
-
-        plain = rec[:, swap_col] == none_code
-        plain_idx = np.nonzero(plain)[0]
-        if len(plain_idx):
-            bases = rec[plain_idx][:, base_cols]
-            movings = rec[plain_idx][:, mov_cols]
-            moved = s.engine().cor1_swap(side, bases, movings)
-            for i, row_i in enumerate(plain_idx):
-                a_raw = tuple(int(v) for v in rec[row_i][0:3])
-                b_raw = tuple(int(v) for v in rec[row_i][3:6])
-                new = tuple(int(v) for v in moved[i])
-                if side == "x":
-                    tgt = self._lookup_target(a_raw, new, None, row_i, side)
-                else:
-                    tgt = self._lookup_target(new, b_raw, None, row_i, side)
-                out[row_i] = tgt
-
-        for row_i in np.nonzero(~plain)[0]:
-            row = rec[row_i]
-            dom = s.domain
-            center = point2(dom, *[int(v) for v in row[base_cols]])
-            moving = point2(dom, *[int(v) for v in row[mov_cols]])
-            s_param = self._sdecode(int(row[swap_col]))
-            bp = BoundaryPoint(side, center, s_param, moving)
-            moved = sigma_extended(chart_for(s, side, center), bp)
-            new = moved.moving.raw
-            if side == "x":
-                tgt = self._lookup_target(
-                    tuple(int(v) for v in row[0:3]), new, int(row[swap_col]),
-                    row_i, side)
+        code = rec[:, _CODE_COL[side]]
+        base_cols, mov_cols = ((slice(0, 3), slice(3, 6)) if side == "x"
+                               else (slice(3, 6), slice(0, 3)))
+        plain = code == self.p + 1
+        moved = rec[:, mov_cols].copy()
+        moved[plain] = s.engine().cor1_swap(side, rec[plain, base_cols], rec[plain, mov_cols])
+        chart_rows = np.flatnonzero(~plain)
+        for i in chart_rows:
+            center = point2(s.domain, *rec[i, base_cols].tolist())
+            bp = BoundaryPoint(side, center, self._sdecode(int(code[i])),
+                               point2(s.domain, *rec[i, mov_cols].tolist()))
+            moved[i] = sigma_extended(chart_for(s, side, center), bp).moving.raw
+        a, b = (rec[:, :3], moved) if side == "x" else (moved, rec[:, 3:6])
+        first, count = self._find(side, self._key(a, b, code))
+        # Notes list the plain rows first, then the chart rows.
+        for i in np.concatenate([np.flatnonzero(plain & (count != 1)),
+                                 chart_rows[count[chart_rows] != 1]]):
+            at = f"({tuple(a[i].tolist())}, {tuple(b[i].tolist())})"
+            if count[i] == 0:
+                self.exceptions.append(f"sigma_{side} image of record {i} has no phase point {at}")
             else:
-                tgt = self._lookup_target(
-                    new, tuple(int(v) for v in row[3:6]), int(row[swap_col]),
-                    row_i, side)
-            out[row_i] = tgt
-        return out
+                self.exceptions.append(
+                    f"sigma_{side} image of record {i} is ambiguous: "
+                    f"{count[i]} candidates at {at}")
+        return np.where(count == 1, first, -1)
 
     def _check_involution(self, side: str):
         perm = self._perms[side]

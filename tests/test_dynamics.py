@@ -78,13 +78,34 @@ def test_phi_step_composes_the_involutions(w1_29):
         assert psi_step(w1_29, phi_step(w1_29, P)) == P
 
 
-def test_scalar_steps_agree_with_permutations(w1_29):
+@pytest.mark.parametrize("seed", [None, 5, 9],
+                         ids=["w1_29", "degenerate_29_5", "degenerate_29_9"])
+def test_scalar_steps_agree_with_permutations(seed, w1_29):
+    # Every record on both sides, so every chart row's lookup is covered.
+    s = w1_29 if seed is None else random_surface(29, seed, mode="degenerate")
+    space = build_phase_space(s)
+    for side in ("x", "y"):
+        perm = space.perm(side)
+        for i in range(space.size):
+            assert space.index_of(phase_step(s, space.point(i), side)) == int(perm[i])
+
+
+def test_index_of_rejects_points_outside_the_phase_space(w1_29, F29):
     space = build_phase_space(w1_29)
-    phi = space.perm_phi()
-    rng = random.Random(1)
-    for i in rng.sample(range(space.size), 80):
-        P = space.point(i)
-        assert space.index_of(phi_step(w1_29, P)) == int(phi[i])
+    points = space.points()
+    P = next(P for P in points if P.kind == "regular")
+    with pytest.raises(KeyError):
+        space.index_of(PhasePoint(P.a, P.b, sx=point1(F29, 1, 0)))
+    a, b = point2(F29, 1, 1, 1), point2(F29, 1, 0, 0)
+    assert not w1_29.contains(a.coords, b.coords)
+    with pytest.raises(KeyError):
+        space.index_of(PhasePoint(a, b))
+    # A boundary point with a line parameter its pair does not carry.
+    B = next(P for P in points if P.sy is not None)
+    wrong = next(Q for Q in (PhasePoint(B.a, B.b, B.sx, point1(F29, 1, t)) for t in range(29))
+                 if Q not in points)
+    with pytest.raises(KeyError):
+        space.index_of(wrong)
 
 
 def test_census_partitions_the_space(w1_29):
@@ -194,6 +215,16 @@ def test_degenerate_census_identities(seed):
 @pytest.mark.parametrize("p,seed", [(5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133)])
 def test_known_small_prime_charts_are_not_bijective(p, seed):
     cycle_decomposition(random_surface(p, seed, mode="degenerate"))
+
+
+def test_failure_notes_name_the_missing_image():
+    space = build_phase_space(random_surface(5, 75, mode="degenerate"))
+    space.perm("x")
+    assert not space.exceptions
+    with pytest.raises(NonBijective):
+        space.perm("y")
+    assert space.exceptions[0] == (
+        "sigma_y image of record 2 has no phase point ((1, 0, 4), (1, 0, 4))")
 
 
 def test_boundary_phase_points_round_trip(w1_29):

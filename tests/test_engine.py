@@ -3,7 +3,14 @@ import itertools
 import numpy as np
 import pytest
 
-from wehlerk3._engine import _ENUM_P_CAP, PlaneTable, gh_eval, gh_formula, pair_getter
+from wehlerk3._engine import (
+    _ENUM_P_CAP,
+    PlaneTable,
+    gh_eval,
+    gh_formula,
+    pair_getter,
+    phase_key,
+)
 from wehlerk3.surface import gh_system, gh_values, random_surface
 
 H_KEYS = ((0, 1), (0, 2), (1, 2))
@@ -39,6 +46,20 @@ def test_gh_eval_int64_headroom():
         g, h = gh_formula(row[:3], pair_getter(row[3:]))
         assert G[n].tolist() == [v % p for v in g]
         assert H[n].tolist() == [h[ij] % p for ij in H_KEYS]
+
+
+def test_phase_key_int64_headroom():
+    # The table's last rows with the largest code, at a prime near the cap,
+    # from row indices alone: the int64 key must match Python-int arithmetic.
+    p = 2039
+    cap = _ENUM_P_CAP
+    assert p <= cap and (cap * cap + cap + 1) ** 2 * (cap + 2) < 2 ** 56
+    n = p * p + p + 1
+    rows = [(ia, ib) for ia in (n - 2, n - 1) for ib in (n - 2, n - 1)]
+    ia, ib = np.array(rows, dtype=np.int64).T
+    keys = phase_key(ia, ib, np.full(len(rows), p + 1, dtype=np.int64), p)
+    assert keys.tolist() == [(a * n + b) * (p + 2) + p + 1 for a, b in rows]
+    assert keys[-1] == (n * n - 1) * (p + 2) + p + 1 == keys.max()
 
 
 @pytest.mark.parametrize("p", [29, 503])
