@@ -7,6 +7,8 @@ handles the bulk numeric passes whose cost scales with p^2.
 
 from __future__ import annotations
 
+from typing import NamedTuple
+
 import numpy as np
 
 from .errors import BadModulus
@@ -22,6 +24,7 @@ PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
 # Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3,
+# quad_eval's unreduced sums are < 6p^3 < 2^36,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
@@ -53,10 +56,9 @@ class PlaneTable:
         pts = [(0, 0, 1)]
         pts.extend((0, 1, z) for z in range(p))
         pts.extend((1, y, z) for y in range(p) for z in range(p))
+        # Lexicographic order, so pack is strictly increasing over the rows;
+        # index_of's closed form and phase_key's order rely on it.
         self.pts = np.array(pts, dtype=np.int64)
-        # pts are listed in lexicographic order and pack is monotone in it, so
-        # keys are strictly increasing, which index_of's searchsorted needs.
-        self.keys = self.pack(self.pts)
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
         self.mon6 = self._monomials(self.pts)
@@ -76,10 +78,18 @@ class PlaneTable:
         return self._monomials(np.asarray(pts, dtype=np.int64))
 
     def index_of(self, pts: np.ndarray) -> np.ndarray:
-        """Row indices of canonical points in the table."""
-        keys = self.pack(np.asarray(pts, dtype=np.int64))
-        idx = np.searchsorted(self.keys, keys)
-        if np.any(self.keys[idx] != keys):
+        """Row indices of canonical points in the table.
+
+        Closed form from the table's order: (0,0,1) is row 0, (0,1,x2) row
+        1 + x2 and (1,x1,x2) row 1 + p + p*x1 + x2.  Any other row, an entry
+        outside 0..p-1 or the zero row raises KeyError.
+        """
+        pts = np.asarray(pts, dtype=np.int64)
+        p = self.p
+        x0, x1, x2 = pts[..., 0], pts[..., 1], pts[..., 2]
+        idx = np.where(x0 == 1, 1 + p + p * x1 + x2, np.where(x1 == 1, 1 + x2, 0))
+        idx = np.clip(idx, 0, len(self.pts) - 1)
+        if np.any(self.pts[idx] != pts):
             raise KeyError("point not in canonical table")
         return idx
 
@@ -117,11 +127,11 @@ def line_basis(lc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
 
 
 def quad_eval(qc: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate rows of 6-coefficient quadratics at rows of points w."""
-    acc = np.zeros(len(qc), dtype=np.int64)
-    for n, (i, j) in enumerate(PAIRS):
-        acc = (acc + qc[:, n] * (w[:, i] * w[:, j] % p)) % p
-    return acc
+    """Evaluate rows of 6-coefficient quadratics at rows of points w.
+
+    Entries must be residues in 0..p-1; the sum is reduced once (< 6p^3).
+    """
+    return sum(qc[:, n] * w[:, i] * w[:, j] for n, (i, j) in enumerate(PAIRS)) % p
 
 
 def gh_formula(L, q):
@@ -160,6 +170,29 @@ def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     cols = [qc[:, n] % p for n in range(6)]
     g, h = gh_formula(L, pair_getter(cols))
     return np.stack(g, axis=1) % p, np.stack(list(h.values()), axis=1) % p
+
+
+class FiberQuadratics(NamedTuple):
+    """Q restricted to the fiber line L(base, .) = 0 over every base of one side.
+
+    Over bases[idx] the line is spanned by the rows of u and v, and
+    Q(t0 u + t1 v) = A t0^2 + B t0 t1 + C t1^2; qc holds Q's 6 coefficients
+    over every base.  whole_line marks the positions of idx where Q vanishes
+    on the whole line, special lists the bases where L vanishes identically,
+    and degenerate lists (base_row, kind): "line" for the whole_line bases,
+    then "conic" or "plane" (Q vanishes too) for the special ones.
+    """
+
+    qc: np.ndarray
+    idx: np.ndarray
+    u: np.ndarray
+    v: np.ndarray
+    A: np.ndarray
+    B: np.ndarray
+    C: np.ndarray
+    whole_line: np.ndarray
+    special: np.ndarray
+    degenerate: list
 
 
 def binary_other_root(A, B, C, alpha, beta, p: int):
@@ -203,13 +236,11 @@ class SurfaceEngine:
 
     # -- full fiber analysis over one side ----------------------------------
 
-    def analyze(self, side: str):
-        """Solve every fiber of the chosen projection.
+    def fiber_quadratics(self, side: str) -> FiberQuadratics:
+        """Restrict Q to the line L(base, .) = 0 over every base, without roots.
 
-        Returns (pairs, degenerate) where pairs is an (N, 6) array of
-        [base, fiber-point] coordinate rows in (x, y) order, and degenerate
-        lists (base_row, kind) for positive-dimensional fibers with
-        kind in {"line", "conic", "plane"}.
+        The pass takes no square root and canonicalizes, concatenates or sorts
+        nothing, so it is the cheap way to the degenerate list.
         """
         p = self.p
         tbl = self.table
@@ -218,28 +249,43 @@ class SurfaceEngine:
         qc = self.quad_coeffs(side, tbl.mon6)
 
         line_ok = np.any(lc != 0, axis=1)
-        out_base: list[np.ndarray] = []
-        out_fib: list[np.ndarray] = []
-        degenerate: list[tuple[np.ndarray, str]] = []
-
-        # Generic bases: restrict Q to the line L(base, .) = 0.
         idx = np.nonzero(line_ok)[0]
         u, v = line_basis(lc[idx], p)
         qci = qc[idx]
         A = quad_eval(qci, u, p)
         C = quad_eval(qci, v, p)
         B = (quad_eval(qci, (u + v) % p, p) - A - C) % p
-
         whole_line = (A == 0) & (B == 0) & (C == 0)
-        for row in idx[whole_line]:
-            degenerate.append((bases[row], "line"))
-            ts = np.concatenate(
-                [np.stack([np.ones(p, dtype=np.int64), np.arange(p)], axis=1),
-                 np.array([[0, 1]], dtype=np.int64)]
-            )
-            upts = (ts[:, :1] * u[np.searchsorted(idx, row)][None, :]
-                    + ts[:, 1:] * v[np.searchsorted(idx, row)][None, :]) % p
-            out_base.append(np.repeat(bases[row][None, :], len(upts), axis=0))
+        # Special bases: L vanishes identically on the fiber plane.
+        special = np.nonzero(~line_ok)[0]
+
+        degenerate = [(bases[row], "line") for row in idx[whole_line]]
+        degenerate += [(bases[row], "conic" if np.any(qc[row] != 0) else "plane")
+                       for row in special]
+        return FiberQuadratics(qc, idx, u, v, A, B, C, whole_line, special, degenerate)
+
+    def analyze(self, side: str):
+        """Solve every fiber of the chosen projection.
+
+        Runs `fiber_quadratics` and adds the roots of every fiber to its
+        arrays.  Returns (pairs, degenerate) where pairs is an (N, 6) array of
+        [base, fiber-point] coordinate rows in (x, y) order, lex sorted, and
+        degenerate is the fiber-quadratic pass's list of (base_row, kind) for
+        positive-dimensional fibers with kind in {"line", "conic", "plane"}.
+        """
+        p = self.p
+        tbl = self.table
+        bases = tbl.pts
+        qc, idx, u, v, A, B, C, whole_line, special, degenerate = self.fiber_quadratics(side)
+        out_base: list[np.ndarray] = []
+        out_fib: list[np.ndarray] = []
+
+        # Whole-line fibers: every point t0 u + t1 v, t in P^1.
+        ts = np.concatenate([np.stack([np.ones(p, dtype=np.int64), np.arange(p)], axis=1),
+                             np.array([[0, 1]], dtype=np.int64)])
+        for pos in np.nonzero(whole_line)[0]:
+            upts = (ts[:, :1] * u[pos][None, :] + ts[:, 1:] * v[pos][None, :]) % p
+            out_base.append(np.repeat(bases[idx[pos]][None, :], len(upts), axis=0))
             out_fib.append(tbl.canonicalize(upts))
 
         solvable = ~whole_line
@@ -269,21 +315,15 @@ class SurfaceEngine:
             out_base.append(bases[idx[qrows[sel]]])
             out_fib.append(tbl.canonicalize(pts))
 
-        # Special bases where L vanishes identically on the fiber plane.
-        for row in np.nonzero(~line_ok)[0]:
-            qrow = qc[row]
-            if np.all(qrow == 0):
-                degenerate.append((bases[row], "plane"))
-                sols = tbl.pts
-            else:
-                degenerate.append((bases[row], "conic"))
-                vals = tbl.mon6 @ (qrow % p) % p
-                sols = tbl.pts[vals == 0]
+        # Conic and plane fibers: every plane point where Q vanishes (all of
+        # them when Q does too).
+        for row in special:
+            sols = tbl.pts[tbl.mon6 @ qc[row] % p == 0]
             out_base.append(np.repeat(bases[row][None, :], len(sols), axis=0))
             out_fib.append(sols)
 
-        base_arr = np.concatenate(out_base) if out_base else np.empty((0, 3), np.int64)
-        fib_arr = np.concatenate(out_fib) if out_fib else np.empty((0, 3), np.int64)
+        base_arr = np.concatenate(out_base)
+        fib_arr = np.concatenate(out_fib)
         if side == "x":
             pairs = np.concatenate([base_arr, fib_arr], axis=1)
         else:

@@ -195,17 +195,19 @@ class PhaseSpace:
     def __init__(self, s: WehlerSurface):
         self.surface = s
         self.p = s.domain.p
+        # The x root pass first: it leaves the x degenerate list that _context
+        # reads, so side x is not scanned a second time.
+        pairs = surface_pairs(s)
         self.ctx = _context(s)
         self.exceptions: list[str] = []
-        self._build_points()
+        self._build_points(pairs)
         self._perms: dict[str, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_points(self):
+    def _build_points(self, pairs: np.ndarray):
         s = self.surface
         p = self.p
-        pairs = surface_pairs(s)
         xc = self.ctx.centers["x"]
         yc = self.ctx.centers["y"]
         pack = s.engine().table.pack

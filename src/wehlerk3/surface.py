@@ -483,8 +483,7 @@ def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
     """
     result = []
     if s.is_finite():
-        _, degenerate = _analysis(s, side)
-        for base_row, kind in degenerate:
+        for base_row, kind in _degenerate_rows(s, side):
             base = point2(s.domain, *[int(v) for v in base_row])
             if gh_vanishes(*gh_values(s, side, base.raw)):
                 result.append(DegenerateFiberInfo(base, kind))
@@ -497,10 +496,16 @@ def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
     return result
 
 
-def _analysis(s: WehlerSurface, side: str):
-    key = ("analysis", side)
+def _degenerate_rows(s: WehlerSurface, side: str) -> list:
+    """The engine's (base_row, kind) list of one side, computed once per surface.
+
+    `surface_pairs` stores the x-side list when it runs the root pass;
+    otherwise the root-free `fiber_quadratics` pass computes it.  That pass's
+    large arrays are not kept, so caching adds nothing to peak memory.
+    """
+    key = ("degenerate", side)
     if key not in s._cache:
-        s._cache[key] = s.engine().analyze(side)
+        s._cache[key] = s.engine().fiber_quadratics(side).degenerate
     return s._cache[key]
 
 
@@ -508,9 +513,16 @@ def _analysis(s: WehlerSurface, side: str):
 
 
 def surface_pairs(s: WehlerSurface) -> np.ndarray:
-    """All rational points as an (N, 6) int array [a | b], lex sorted."""
-    pairs, _ = _analysis(s, "x")
-    return pairs
+    """All rational points as an (N, 6) int array [a | b], lex sorted.
+
+    The x-side root pass runs once per surface and leaves its degenerate list
+    for `degenerate_fibers`.
+    """
+    if "pairs" not in s._cache:
+        pairs, degenerate = s.engine().analyze("x")
+        s._cache["pairs"] = pairs
+        s._cache.setdefault(("degenerate", "x"), degenerate)
+    return s._cache["pairs"]
 
 
 def enumerate_points(s: WehlerSurface):
@@ -577,6 +589,13 @@ def random_surface(
     mode "degenerate": at least `min_degenerate` degenerate fibers in total.
     mode "any": only the smoothness filter.
     Every accepted surface passes the rational-point Jacobian check.
+
+    Each draw is tested for its degeneracy mode first, from the cheap
+    degenerate lists of both sides, and only then for smoothness, which needs
+    the x-side root pass.  A draw is accepted when it is smooth and meets the
+    mode, and every draw consumes the same 45 rng values whatever its fate,
+    so a seed gives the same surface after the same number of draws in
+    either test order.
     """
     if p < 5:
         raise BadModulus(f"random surfaces need p >= 5, got {p}")
@@ -591,12 +610,13 @@ def random_surface(
             cand = WehlerSurface(field, a, b)
         except ZeroForm:
             continue
+        if mode != "any":
+            n_deg = len(degenerate_fibers(cand, "x")) + len(degenerate_fibers(cand, "y"))
+            if mode == "nondegenerate" and n_deg:
+                continue
+            if mode == "degenerate" and n_deg < min_degenerate:
+                continue
         if not is_smooth_rational(cand):
-            continue
-        n_deg = len(degenerate_fibers(cand, "x")) + len(degenerate_fibers(cand, "y"))
-        if mode == "nondegenerate" and n_deg:
-            continue
-        if mode == "degenerate" and n_deg < min_degenerate:
             continue
         return cand
     raise ExhaustedAttempts(f"no acceptable surface in {max_draws} draws at p={p}")

@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from wehlerk3._engine import SurfaceEngine
 from wehlerk3.dynamics import (
     PhasePoint,
     asymmetric_pairing,
@@ -16,7 +17,7 @@ from wehlerk3.dynamics import (
     psi_step,
 )
 from wehlerk3.errors import NonBijective, PairingFailure
-from wehlerk3.fixtures import w1_orbit_points
+from wehlerk3.fixtures import w1_orbit_points, w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.surface import degenerate_fibers, random_surface, surface_pairs
 
@@ -41,6 +42,21 @@ def test_phase_space_counts_boundary_points(w1_29):
     assert n_regular == sum(1 for P in space.points() if P.kind == "regular")
     assert n_boundary == sum(1 for P in space.points() if P.kind != "regular")
     assert not space.exceptions
+
+
+def test_phase_space_scans_each_side_once(monkeypatch):
+    # A fresh surface: the x root pass leaves its degenerate list for the
+    # centers, so each side runs the fiber-quadratic pass exactly once.
+    calls = Counter()
+    orig = SurfaceEngine.fiber_quadratics
+
+    def counted(self, side):
+        calls[side] += 1
+        return orig(self, side)
+
+    monkeypatch.setattr(SurfaceEngine, "fiber_quadratics", counted)
+    space = build_phase_space(w1_surface(29))
+    assert space.size > 0 and calls == {"x": 1, "y": 1}
 
 
 def test_lift_pair_attaches_parameters(w1_29, F29):

@@ -1,4 +1,5 @@
 import itertools
+import random
 
 import numpy as np
 import pytest
@@ -11,7 +12,15 @@ from wehlerk3._engine import (
     pair_getter,
     phase_key,
 )
-from wehlerk3.surface import gh_system, gh_values, random_surface
+from wehlerk3.errors import ZeroForm
+from wehlerk3.field import PrimeField
+from wehlerk3.surface import (
+    WehlerSurface,
+    _fiber_restriction,
+    gh_system,
+    gh_values,
+    random_surface,
+)
 
 H_KEYS = ((0, 1), (0, 2), (1, 2))
 
@@ -66,5 +75,42 @@ def test_phase_key_int64_headroom():
 def test_plane_table_keys_strictly_increase(p):
     tbl = PlaneTable(p)
     assert len(tbl.pts) == p * p + p + 1
-    assert np.all(np.diff(tbl.keys) > 0)
+    assert np.all(np.diff(tbl.pack(tbl.pts)) > 0)
     assert np.array_equal(tbl.index_of(tbl.pts), np.arange(len(tbl.pts)))
+    for bad in ([0, 2, 1], [2, 0, 0], [0, 1, p], [1, -1, 3], [1, p, 0], [0, 0, 0]):
+        with pytest.raises(KeyError):
+            tbl.index_of(np.array([[1, 0, 0], bad]))
+
+
+def _sparse_surface(p, seed):
+    """A random surface with most coefficients zero, so degenerate fibers are common."""
+    rng = random.Random(seed)
+    while True:
+        a = [[rng.randrange(1, p) if rng.random() < 0.3 else 0 for _ in range(3)] for _ in range(3)]
+        b = [[rng.randrange(1, p) if rng.random() < 0.15 else 0 for _ in range(6)] for _ in range(6)]
+        try:
+            return WehlerSurface(PrimeField(p), a, b)
+        except ZeroForm:
+            pass
+
+
+def test_fiber_quadratic_pass_lists_the_root_pass_degenerate_fibers(w1_29):
+    # The root-free pass, the root pass and the scalar restriction at every
+    # base agree on the degenerate list, row for row and kind for kind: the
+    # "line" bases in table order, then the "conic" and "plane" ones.
+    surfaces = [_sparse_surface(p, seed) for p in (5, 7, 11, 13, 17, 23) for seed in (0, 1)]
+    surfaces.append(w1_29)
+    surfaces += [random_surface(p, seed, mode="degenerate")
+                 for p, seed in ((5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133))]
+    kinds = set()
+    for s in surfaces:
+        eng = s.engine()
+        for side in ("x", "y"):
+            fast = [(base.tolist(), kind) for base, kind in eng.fiber_quadratics(side).degenerate]
+            full = [(base.tolist(), kind) for base, kind in eng.analyze(side)[1]]
+            scalar = [(base, _fiber_restriction(s, side, base)[0]) for base in eng.table.pts.tolist()]
+            scalar = ([r for r in scalar if r[1] == "line"]
+                      + [r for r in scalar if r[1] in ("conic", "plane")])
+            assert fast == full == scalar
+            kinds.update(kind for _, kind in fast)
+    assert kinds == {"line", "conic", "plane"}

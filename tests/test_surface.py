@@ -1,3 +1,4 @@
+import hashlib
 import random
 
 import pytest
@@ -389,6 +390,53 @@ def test_random_surface_bad_prime():
 def test_random_surface_exhaustion():
     with pytest.raises(ExhaustedAttempts):
         random_surface(5, seed=1, mode="degenerate", min_degenerate=50, max_draws=20)
+
+
+# (p, seed, mode, smallest max_draws that succeeds, sha256 of serialize_surface).
+# The seeds are chosen so that draws are rejected for every reason, including
+# singular surfaces that pass the degeneracy-mode test; a change to the accept
+# predicate or to the order of the rng draws changes the surface or the count.
+RANDOM_SURFACE_PINS = [
+    (7, 2, "any", 4, "be9326690bb207d4283d5b11c1a8b17b8cf6ee77316f073b3f38e77e48864daa"),
+    (11, 1, "any", 3, "15b99eec69e79bcfa5ef31c684c97e180cbf27b4eb7545b35f43f3b490ad7dfa"),
+    (13, 5, "any", 2, "2721fb8b34e96a06732af1a7b858409b46df751a60b3f83a4a628acbfc8aa021"),
+    (17, 16, "any", 3, "3418ed7c62fe8d670ea84bafa3b24bcf7a52dd8529c4200bbe6a29489cfac5bd"),
+    (19, 1, "any", 2, "60f5a43e003108c4df7aa7871cfce3eddf55a943d2feb1eec1698d3ccbfa5715"),
+    (23, 14, "any", 3, "667cd2a6c535a1c3ae45b5ecbadac87751fd051a240dcd1679f7138125c7f562"),
+    (29, 6, "any", 1, "63983b47eeaa91d2e15f607e4a20e395c3036df8eac91e5d4032f8ad51c2b6f8"),
+    (31, 4, "any", 2, "dfb2f3ac63d3b305933ff8a879de610502e886992a918b851243b4af70d6e5e3"),
+    (7, 2, "nondegenerate", 4, "be9326690bb207d4283d5b11c1a8b17b8cf6ee77316f073b3f38e77e48864daa"),
+    (11, 1, "nondegenerate", 3, "15b99eec69e79bcfa5ef31c684c97e180cbf27b4eb7545b35f43f3b490ad7dfa"),
+    (13, 5, "nondegenerate", 3, "33b97dcc0b6f4f0683e4fab76a934bc61ce58671020114f086f31d327e72c12e"),
+    (17, 16, "nondegenerate", 4, "b739b26256c599a1e1bf5f1300ad76dc7a730354da06ac7b161c41730689f50b"),
+    (19, 7, "nondegenerate", 2, "d885691aff258ec6a5a6c90bd35a61782dc77dbc0f833993a4a680c803d7822d"),
+    (23, 14, "nondegenerate", 3, "667cd2a6c535a1c3ae45b5ecbadac87751fd051a240dcd1679f7138125c7f562"),
+    (29, 31, "nondegenerate", 3, "ad887508ada5cc9337fa3634be25b02048095e1041d585a906b8424e30db5fdf"),
+    (31, 14, "nondegenerate", 2, "f1c53a438a3c8bf94539871001c335eeeb58560359dc7d67b4eb80bfd47521cd"),
+    (7, 2, "degenerate", 6, "324fa5264c2dddd5220e427d0183e0abacd834cae4531a37a59cbc36de80b6ef"),
+    (11, 1, "degenerate", 4, "c34f2c1028de48c792d5e02f88f27c23b0c0cc813b6991d9db610bb1d578efa1"),
+    (13, 21, "degenerate", 6, "105e7369e46380d34a0783309da2ad0431de92d57a13d0bf93d5324feb4de674"),
+    (17, 16, "degenerate", 3, "3418ed7c62fe8d670ea84bafa3b24bcf7a52dd8529c4200bbe6a29489cfac5bd"),
+    (19, 0, "degenerate", 11, "48834a9aa2c010714642a7a895ed6ce11f6474fd53dca8cd5bdd3241e30ae069"),
+    (23, 22, "degenerate", 5, "ad468c1c149752a5d4b4f9892557e81ebe252d686ebe059986ef164b527fc2dd"),
+    (29, 36, "degenerate", 31, "15f78ddfa3da71ae338e2fcaf5df4cce19291e5743e630ff19a93445e42bbece"),
+    (31, 18, "degenerate", 15, "9f142b1b1ff469f33321798602d6a0299ebfb3656657f8a657a2fc0953d2384e"),
+    (5, 75, "degenerate", 2, "cf94d6fe632165803a27670a0596df53e96e2aca3ae5491e943afbb93a77e917"),
+    (5, 93, "degenerate", 4, "d8cfcd67f04d9521996ab2d79134a21177d347ab477ed7caf54b045255e0c8ee"),
+    (7, 35, "degenerate", 4, "e8e4fcef8bf19718400e44f60e9a4c595d3eb5c07634a1695443effe7ea7b612"),
+    (7, 40, "degenerate", 2, "8d05e459d8e9bb4c66a7b77e8e8c1848545afbc34fd9903b4adcc22b32a1f935"),
+    (7, 133, "degenerate", 9, "8d34bc14561188443afba26e77a840e2bc97acd03c60646ac5f7aa83cc4392c0"),
+    (11, 133, "degenerate", 3, "5a12ae9ceec3e1104d92e739489536b4244871b3400413c4b398a2a12771e0e0"),
+]
+
+
+@pytest.mark.parametrize("p,seed,mode,draws,digest", RANDOM_SURFACE_PINS)
+def test_random_surface_pinned_outputs(p, seed, mode, draws, digest):
+    s = random_surface(p, seed, mode=mode, max_draws=draws)
+    assert hashlib.sha256(serialize_surface(s).encode()).hexdigest() == digest
+    if draws > 1:
+        with pytest.raises(ExhaustedAttempts):
+            random_surface(p, seed, mode=mode, max_draws=draws - 1)
 
 
 def test_reduce_mod_bad_prime(w1_qq):
