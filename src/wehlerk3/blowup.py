@@ -8,16 +8,24 @@ the exceptional fiber cuts each line's two intersection points with the
 degenerate fiber.  The involution then swaps the two roots line by line.
 
 The parametrization degenerates at s = (0,1), where the specialized
-coefficient triples can vanish identically; before any root solving the
-common vanishing order of the triple at the target parameter is stripped,
-which realizes the projective limit of the quadratic along the pencil.
+coefficient triples can vanish identically; the common vanishing order of
+the triple at each parameter is stripped, which realizes the projective
+limit of the quadratic along the pencil.
+
+Each chart keeps one membership table: the degenerate fiber's rational
+points (read from `surface_pairs`) against the p+1 line parameters, filled
+by evaluating every stripped condition at every point at once.  Boundary
+points (`points_at`) and line parameters (`resolve_s`) are both read from
+it; `BlowupChart.matches` is the scalar form of the same test.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
 
-from ._engine import SWAP_PAIRS
+import numpy as np
+
+from ._engine import PAIR_INDEX, SWAP_PAIRS
 from .errors import (
     AmbiguousS,
     InexactQuotient,
@@ -35,6 +43,7 @@ from .surface import (
     YVARS,
     _fiber_restriction,
     gh_system,
+    surface_pairs,
 )
 
 SWVARS = ("s0", "s1", "w")
@@ -284,7 +293,47 @@ class BlowupChart:
             (k, l): _sw_to_form(_extract_pair(self.qp, moving_vars, k, l), self.t1, p, 2)
             for (k, l) in PAIRS
         }
-        self._points_cache: dict[tuple, list] = {}
+        self._build_table()
+
+    def _build_table(self):
+        """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
+
+        The fiber points are the surface points over the center, in
+        `surface_pairs` (lex) order.  Per parameter the stripped pair, L' and
+        Q' conditions become rows of coefficients over the moving monomials,
+        zero where a condition is None (skipped, as in `matches`), and every
+        point is tested at once: entries < p and 6 terms keep sums < 6p^3.
+        """
+        p = self.p
+        rows = surface_pairs(self.surface)
+        if self.side == "y":
+            rows = rows[:, [3, 4, 5, 0, 1, 2]]
+        fiber = rows[(rows[:, :3] == self.center.raw).all(axis=1), 3:]
+        cands = self.s_candidates()
+        quad = np.zeros((4, len(cands), len(PAIRS)), dtype=np.int64)
+        line = np.zeros((len(cands), 3), dtype=np.int64)
+        for j, s in enumerate(cands):
+            for n, (k, l, _m) in enumerate(SWAP_PAIRS):
+                triple = self.pair_triple((k, l), s)
+                if triple is not None:
+                    for kl, c in zip(((l, l), (k, l), (k, k)), triple):
+                        quad[n, j, PAIR_INDEX[kl]] = c
+            lc = self.line_at(s)
+            if lc is not None:
+                line[j] = lc
+            qc = self.quad_at(s)
+            if qc is not None:
+                quad[3, j] = [qc[kl] for kl in PAIRS]
+        mon = np.stack([fiber[:, k] * fiber[:, l] for (k, l) in PAIRS], axis=1)
+        hit = (fiber @ line.T) % p == 0
+        for cond in quad:
+            hit &= (mon @ cond.T) % p == 0
+        field = self.surface.domain
+        pts = [point2(field, *row) for row in fiber.tolist()]
+        self.lines = {s: [pts[i] for i in np.flatnonzero(hit[:, j])]
+                      for j, s in enumerate(cands)}
+        self.params = {pt.raw: [cands[j] for j in np.flatnonzero(hit[i])]
+                       for i, pt in enumerate(pts)}
 
     # -- per-parameter data ---------------------------------------------------
 
@@ -329,9 +378,8 @@ class BlowupChart:
     def matches(self, moving, s: tuple[int, int]) -> bool:
         """The membership predicate: all pair quadratics plus L' and Q'.
 
-        This is the variety form of the chart's defining system, used both
-        to assign the unique line parameter to a fiber point and to verify
-        enumerated boundary points.
+        This is the scalar definition of one entry of the membership table
+        built by `_build_table`, kept as its reference.
         """
         p = self.p
         mv = [int(c) for c in moving]
@@ -357,43 +405,18 @@ class BlowupChart:
     def s_candidates(self):
         return [(0, 1)] + [(1, t) for t in range(self.p)]
 
-    # -- root extraction --------------------------------------------------------
+    # -- table queries ------------------------------------------------------------
 
     def points_at(self, s: tuple[int, int]) -> list:
         """The distinct rational boundary points on the line s (at most two).
 
-        Candidates are assembled from every usable pair quadratic, completed
-        to full points along several routes, and kept only when they satisfy
-        the whole chart system and lie on the surface.  A projection can
-        collapse the two points of a line to one ratio, so no single pair is
-        trusted on its own.
+        These are the fiber points the membership table puts on s, in lex
+        order; more than two raise AmbiguousS.
         """
-        cache = self._points_cache
-        if s in cache:
-            return cache[s]
-        field = self.surface.domain
-        seen: dict[tuple, object] = {}
-        any_pair = False
-        for (k, l, m) in SWAP_PAIRS:
-            triple = self.pair_triple((k, l), s)
-            if triple is None:
-                continue
-            any_pair = True
-            ratios = _binary_roots(*triple, field)
-            for (rk, rl), _mult in ratios:
-                for pt in self._completions((k, l, m), rk, rl, s):
-                    seen.setdefault(pt.raw, pt)
-        if not any_pair:
-            # Every pair quadratic degenerates at this parameter: fall back
-            # to filtering the directly enumerated fiber.
-            for pt in _fiber_point_list(self.surface, self.side, self.center):
-                if self.matches(pt.raw, s):
-                    seen.setdefault(pt.raw, pt)
-        out = sorted(seen.values(), key=lambda q: q.raw)
+        out = self.lines[s]
         if len(out) > 2:
             raise AmbiguousS(
                 f"{len(out)} boundary points on line {s} over {self.center}")
-        cache[s] = out
         return out
 
     def roots_at(self, s: tuple[int, int]):
@@ -407,66 +430,6 @@ class BlowupChart:
         if self.side == "x":
             return self.center.coords, moving_pt.coords
         return moving_pt.coords, self.center.coords
-
-    def _completions(self, klm, rk, rl, s) -> list:
-        """All full moving points with (k,l) ratio (rk, rl) on the line s.
-
-        Tries the linear form L' first, then consistent combinations with the
-        other pair quadratics, then a sweep of the remaining coordinate; every
-        candidate must pass the membership predicate and lie on the surface.
-        """
-        k, l, m = klm
-        p = self.p
-        field = self.surface.domain
-        found: dict[tuple, object] = {}
-
-        def consider(coords):
-            if not any(v % p for v in coords):
-                return
-            pt = point2(field, *coords)
-            if pt.raw in found:
-                return
-            if self.matches(pt.raw, s) and self.surface.contains(*self._pair_coords(pt)):
-                found[pt.raw] = pt
-
-        lc = self.line_at(s)
-        if lc is not None and lc[m] % p:
-            third = -(lc[k] * rk + lc[l] * rl) * pow(lc[m], p - 2, p)
-            out = [0, 0, 0]
-            out[k], out[l], out[m] = rk % p, rl % p, third % p
-            consider(out)
-            if found:
-                return list(found.values())
-        for (k2, l2, m2) in SWAP_PAIRS:
-            if (k2, l2) == (k, l):
-                continue
-            triple = self.pair_triple((k2, l2), s)
-            if triple is None:
-                continue
-            shared = {k, l} & {k2, l2}
-            if not shared:
-                continue
-            sh = shared.pop()
-            other = k2 if l2 == sh else l2
-            base_val = (rk if sh == k else rl) % p
-            if base_val == 0:
-                continue
-            for (qk, ql), _mult in _binary_roots(*triple, field):
-                cand = {k2: qk % p, l2: ql % p}
-                if cand[sh] == 0:
-                    continue
-                scale = base_val * pow(cand[sh], p - 2, p) % p
-                out = [0, 0, 0]
-                out[k], out[l] = rk % p, rl % p
-                out[other] = cand[other] * scale % p
-                consider(out)
-        if not found:
-            # Sweep the free coordinate; rare, but total.
-            for t in range(p):
-                out = [0, 0, 0]
-                out[k], out[l], out[m] = rk % p, rl % p, t
-                consider(out)
-        return list(found.values())
 
     def __repr__(self):
         return (f"BlowupChart(side={self.side!r}, center={self.center}, "
@@ -511,46 +474,10 @@ def _extract_pair(poly: SparsePoly, moving_vars, k: int, l: int) -> SparsePoly:
     return SparsePoly(poly.domain, SWVARS, keep)
 
 
-def _binary_roots(A: int, B: int, C: int, field):
-    """Roots of A t_l^2 + B t_k t_l + C t_k^2 as ((t_k, t_l), mult) pairs.
-
-    Returns None for the identically-zero quadratic, [] when the roots are
-    irrational.
-    """
-    p = field.p
-    A, B, C = A % p, B % p, C % p
-    if A == 0 and B == 0 and C == 0:
-        return None
-    if A == 0 and B == 0:
-        return [((0, 1), 2)]
-    if A == 0:
-        # roots: (t_k : t_l) = (0 : 1) and (B : -C)
-        return [((0, 1), 1), ((B, -C % p), 1)]
-    disc = (B * B - 4 * A * C) % p
-    r = field.sqrt(disc)
-    if r is None:
-        return []
-    if r == 0:
-        inv2a = pow(2 * A % p, p - 2, p)
-        return [((1, -B * inv2a % p), 2)]
-    inv2a = pow(2 * A % p, p - 2, p)
-    return [((1, (-B + r) * inv2a % p), 1), ((1, (-B - r) * inv2a % p), 1)]
-
-
-_FIBER_CACHE_KEY = "fiber_points"
-
-
-def _fiber_point_list(surface: WehlerSurface, side: str, center: ProjectivePoint2):
-    """Rational points of the degenerate fiber, cached on the surface."""
-    key = (_FIBER_CACHE_KEY, side, center.raw)
-    if key not in surface._cache:
-        from .involution import fiber_points
-        surface._cache[key] = tuple(fiber_points(surface, side, center.coords))
-    return surface._cache[key]
-
-
 def build_chart(surface: WehlerSurface, side: str, center) -> BlowupChart:
     """Chart at a degenerate base point; NotDegenerate otherwise."""
+    if not surface.is_finite():
+        raise ValueError("blow-up charts need a finite field surface")
     if not isinstance(center, ProjectivePoint2):
         center = point2(surface.domain, *center)
     kind, _ = _fiber_restriction(surface, side, center.coords)
@@ -560,25 +487,21 @@ def build_chart(surface: WehlerSurface, side: str, center) -> BlowupChart:
 
 
 def chart_for(surface: WehlerSurface, side: str, center: ProjectivePoint2) -> BlowupChart:
-    key = ("chart", side, center.raw)
-    if key not in surface._cache:
-        surface._cache[key] = build_chart(surface, side, center)
-    return surface._cache[key]
+    return surface.cached(("chart", side, center.raw), lambda: build_chart(surface, side, center))
 
 
 def resolve_s(chart: BlowupChart, moving) -> ProjectivePoint1:
     """The unique line parameter whose chart system vanishes at the point.
 
-    Scans all p+1 parameters and applies the full membership predicate;
-    NoRationalS and AmbiguousS are surfaced rather than silently resolved.
+    Reads the point's lines from the chart's membership table: NotOnSurface
+    off the fiber, NoRationalS / AmbiguousS for no line / several lines.
     """
-    if isinstance(moving, ProjectivePoint2):
-        mv = moving.raw
-    else:
-        mv = tuple(int(c) for c in moving)
-    if not chart.surface.contains(*chart._pair_coords(point2(chart.surface.domain, *mv))):
+    if not isinstance(moving, ProjectivePoint2):
+        moving = point2(chart.surface.domain, *moving)
+    mv = moving.raw
+    hits = chart.params.get(mv)
+    if hits is None:
         raise NotOnSurface(f"({mv}) is not on the fiber over {chart.center}")
-    hits = [s for s in chart.s_candidates() if chart.matches(mv, s)]
     if not hits:
         raise NoRationalS(f"no rational line parameter for {mv} over {chart.center}")
     if len(hits) > 1:
@@ -641,46 +564,42 @@ def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     power is stripped.  Pair-independence is verified by cross-multiplying
     the alternative numerators.
     """
-    key = ("ram_prime", chart.side, chart.center.raw)
-    cache = chart.surface._cache
-    if key in cache:
-        return cache[key]
-    p = chart.p
-    lk = {m: _extract(chart.lp, chart.moving_vars[m]) for m in range(3)}
-    nums = {}
-    for (i, j, m) in SWAP_PAIRS:
-        h = chart.hp[(i, j)]
-        nums[m] = h * h - 4 * chart.gp[i] * chart.gp[j]
-    quotient = None
-    used_pair = None
-    for (i, j, m) in SWAP_PAIRS:
-        if lk[m].is_zero():
-            continue
-        den = lk[m] * lk[m]
-        try:
-            quotient = nums[m].divide_exact(den)
-        except Exception as exc:
-            raise InexactQuotient(
-                f"(L'_{m})^2 does not divide the chart discriminant") from exc
-        used_pair = (i, j)
-        break
-    if quotient is None:
-        raise InexactQuotient("all L' coefficients vanish on the chart")
-    # Cross-check pair independence: num_m * den_m' == num_m' * den_m.
-    ms = [m for (_, _, m) in SWAP_PAIRS]
-    for m1 in ms:
-        for m2 in ms:
-            if m1 >= m2:
+    def build():
+        p = chart.p
+        lk = {m: _extract(chart.lp, chart.moving_vars[m]) for m in range(3)}
+        nums = {}
+        for (i, j, m) in SWAP_PAIRS:
+            h = chart.hp[(i, j)]
+            nums[m] = h * h - 4 * chart.gp[i] * chart.gp[j]
+        quotient = None
+        used_pair = None
+        for (i, j, m) in SWAP_PAIRS:
+            if lk[m].is_zero():
                 continue
-            if nums[m1] * (lk[m2] * lk[m2]) != nums[m2] * (lk[m1] * lk[m1]):
+            den = lk[m] * lk[m]
+            try:
+                quotient = nums[m].divide_exact(den)
+            except Exception as exc:
                 raise InexactQuotient(
-                    "chart discriminant is not independent of the index pair")
-    if not quotient.is_zero():
-        ordw = quotient.vanishing_order("w", chart.t1)
-        if ordw:
-            quotient = quotient.divide_linear_power("w", chart.t1, ordw)
-    raw = _sw_to_form(quotient, chart.t1, p, 6)
-    stripped_k, form = raw.strip_power_of_s0()
-    result = RamificationPrime(chart, form, stripped_k, used_pair)
-    cache[key] = result
-    return result
+                    f"(L'_{m})^2 does not divide the chart discriminant") from exc
+            used_pair = (i, j)
+            break
+        if quotient is None:
+            raise InexactQuotient("all L' coefficients vanish on the chart")
+        # Cross-check pair independence: num_m * den_m' == num_m' * den_m.
+        ms = [m for (_, _, m) in SWAP_PAIRS]
+        for m1 in ms:
+            for m2 in ms:
+                if m1 >= m2:
+                    continue
+                if nums[m1] * (lk[m2] * lk[m2]) != nums[m2] * (lk[m1] * lk[m1]):
+                    raise InexactQuotient(
+                        "chart discriminant is not independent of the index pair")
+        if not quotient.is_zero():
+            ordw = quotient.vanishing_order("w", chart.t1)
+            if ordw:
+                quotient = quotient.divide_linear_power("w", chart.t1, ordw)
+        raw = _sw_to_form(quotient, chart.t1, p, 6)
+        stripped_k, form = raw.strip_power_of_s0()
+        return RamificationPrime(chart, form, stripped_k, used_pair)
+    return chart.surface.cached(("ram_prime", chart.side, chart.center.raw), build)

@@ -86,9 +86,7 @@ class _Context:
 
 
 def _context(s: WehlerSurface) -> _Context:
-    if "dyn_ctx" not in s._cache:
-        s._cache["dyn_ctx"] = _Context(s)
-    return s._cache["dyn_ctx"]
+    return s.cached(("dyn_ctx",), lambda: _Context(s))
 
 
 # -- standalone scalar stepping (orbits, public phi/psi) -------------------------
@@ -384,9 +382,7 @@ class PhaseSpace:
 
 
 def build_phase_space(s: WehlerSurface) -> PhaseSpace:
-    if "phase_space" not in s._cache:
-        s._cache["phase_space"] = PhaseSpace(s)
-    return s._cache["phase_space"]
+    return s.cached(("phase_space",), lambda: PhaseSpace(s))
 
 
 # -- cycle census ------------------------------------------------------------------

@@ -58,6 +58,18 @@ class WehlerSurface:
             raise ZeroForm("Q is identically zero")
         self._cache: dict = {}
 
+    def cached(self, key: tuple, build):
+        """The value stored under `key`, made by `build()` on first use.
+
+        Keys are tuples (name, *args).  The names are "L", "Q", "engine",
+        "coeff", "gh", "sextic", "degenerate" and "pairs" (this module),
+        "dyn_ctx" and "phase_space" (`dynamics`), "chart" and "ram_prime"
+        (`blowup`).
+        """
+        if key not in self._cache:
+            self._cache[key] = build()
+        return self._cache[key]
+
     # -- construction -------------------------------------------------------
 
     @classmethod
@@ -98,7 +110,7 @@ class WehlerSurface:
     # -- defining forms -----------------------------------------------------
 
     def l_poly(self) -> SparsePoly:
-        if "L" not in self._cache:
+        def build():
             terms = {}
             for i in range(3):
                 for j in range(3):
@@ -106,11 +118,11 @@ class WehlerSurface:
                     e[i] = 1
                     e[3 + j] = 1
                     terms[tuple(e)] = self.a[i][j]
-            self._cache["L"] = SparsePoly(self.domain, VARS6, terms)
-        return self._cache["L"]
+            return SparsePoly(self.domain, VARS6, terms)
+        return self.cached(("L",), build)
 
     def q_poly(self) -> SparsePoly:
-        if "Q" not in self._cache:
+        def build():
             terms = {}
             for I, (i, j) in enumerate(PAIRS):
                 for K, (k, l) in enumerate(PAIRS):
@@ -120,8 +132,8 @@ class WehlerSurface:
                     e[3 + k] += 1
                     e[3 + l] += 1
                     terms[tuple(e)] = self.b[I][K]
-            self._cache["Q"] = SparsePoly(self.domain, VARS6, terms)
-        return self._cache["Q"]
+            return SparsePoly(self.domain, VARS6, terms)
+        return self.cached(("Q",), build)
 
     def reduce_mod(self, p: int) -> "WehlerSurface":
         """Reduction of a QQ surface modulo an odd prime."""
@@ -145,10 +157,7 @@ class WehlerSurface:
     def engine(self) -> SurfaceEngine:
         if not self.is_finite():
             raise ValueError("engine requires a finite field surface")
-        if "engine" not in self._cache:
-            amat, bmat = self._mats()
-            self._cache["engine"] = SurfaceEngine(amat, bmat, self.domain.p)
-        return self._cache["engine"]
+        return self.cached(("engine",), lambda: SurfaceEngine(*self._mats(), self.domain.p))
 
     # -- evaluation helpers ----------------------------------------------------
 
@@ -293,40 +302,37 @@ class RamificationSextic:
 
 
 def coefficient_polys(s: WehlerSurface, side: str) -> CoefficientPolys:
-    key = ("coeff", side)
-    if key in s._cache:
-        return s._cache[key]
-    names = _side_vars(side)
-    gens = SparsePoly.gens(s.domain, names)
-    if side == "x":
-        lc = tuple(
-            sum((gens[i] * s.a[i][j] for i in range(3)),
-                SparsePoly.zero(s.domain, names))
-            for j in range(3)
-        )
-        qc = {
-            (k, l): sum(
-                (gens[i] * gens[j] * s.b[I][PAIR_INDEX[(k, l)]]
-                 for I, (i, j) in enumerate(PAIRS)),
-                SparsePoly.zero(s.domain, names))
-            for (k, l) in PAIRS
-        }
-    else:
-        lc = tuple(
-            sum((gens[j] * s.a[i][j] for j in range(3)),
-                SparsePoly.zero(s.domain, names))
-            for i in range(3)
-        )
-        qc = {
-            (i, j): sum(
-                (gens[k] * gens[l] * s.b[PAIR_INDEX[(i, j)]][K]
-                 for K, (k, l) in enumerate(PAIRS)),
-                SparsePoly.zero(s.domain, names))
-            for (i, j) in PAIRS
-        }
-    result = CoefficientPolys(side, lc, qc)
-    s._cache[key] = result
-    return result
+    def build():
+        names = _side_vars(side)
+        gens = SparsePoly.gens(s.domain, names)
+        if side == "x":
+            lc = tuple(
+                sum((gens[i] * s.a[i][j] for i in range(3)),
+                    SparsePoly.zero(s.domain, names))
+                for j in range(3)
+            )
+            qc = {
+                (k, l): sum(
+                    (gens[i] * gens[j] * s.b[I][PAIR_INDEX[(k, l)]]
+                     for I, (i, j) in enumerate(PAIRS)),
+                    SparsePoly.zero(s.domain, names))
+                for (k, l) in PAIRS
+            }
+        else:
+            lc = tuple(
+                sum((gens[j] * s.a[i][j] for j in range(3)),
+                    SparsePoly.zero(s.domain, names))
+                for i in range(3)
+            )
+            qc = {
+                (i, j): sum(
+                    (gens[k] * gens[l] * s.b[PAIR_INDEX[(i, j)]][K]
+                     for K, (k, l) in enumerate(PAIRS)),
+                    SparsePoly.zero(s.domain, names))
+                for (i, j) in PAIRS
+            }
+        return CoefficientPolys(side, lc, qc)
+    return s.cached(("coeff", side), build)
 
 
 def gh_system(s: WehlerSurface, side: str) -> GHSystem:
@@ -334,17 +340,14 @@ def gh_system(s: WehlerSurface, side: str) -> GHSystem:
 
     Every G and H is a quartic in the side's own variables.
     """
-    key = ("gh", side)
-    if key in s._cache:
-        return s._cache[key]
-    cp = coefficient_polys(s, side)
-    g, h = gh_formula(cp.lc, cp.q)
-    for poly in g + tuple(h.values()):
-        if poly and poly.total_degree() > 4:
-            raise AssertionError("G/H degree bound violated")
-    result = GHSystem(side, g, h)
-    s._cache[key] = result
-    return result
+    def build():
+        cp = coefficient_polys(s, side)
+        g, h = gh_formula(cp.lc, cp.q)
+        for poly in g + tuple(h.values()):
+            if poly and poly.total_degree() > 4:
+                raise AssertionError("G/H degree bound violated")
+        return GHSystem(side, g, h)
+    return s.cached(("gh", side), build)
 
 
 def gh_values(s: WehlerSurface, side: str, base) -> tuple[tuple, dict]:
@@ -377,36 +380,33 @@ def ramification_sextic(s: WehlerSurface, side: str) -> RamificationSextic:
     index pair: for every other permutation the identity
     H_ij^2 - 4 G_i G_j = g * L_k^2 must hold on the nose.
     """
-    key = ("sextic", side)
-    if key in s._cache:
-        return s._cache[key]
-    cp = coefficient_polys(s, side)
-    sys = gh_system(s, side)
-    nums = {}
-    dens = {}
-    for (i, j, k) in SWAP_PAIRS:
-        nums[k] = sys.h[(i, j)] * sys.h[(i, j)] - 4 * sys.g[i] * sys.g[j]
-        dens[k] = cp.lc[k] * cp.lc[k]
-    g_poly = None
-    for k in (2, 1, 0):
-        if cp.lc[k]:
-            try:
-                g_poly = nums[k].divide_exact(dens[k])
-            except Exception as exc:
+    def build():
+        cp = coefficient_polys(s, side)
+        sys = gh_system(s, side)
+        nums = {}
+        dens = {}
+        for (i, j, k) in SWAP_PAIRS:
+            nums[k] = sys.h[(i, j)] * sys.h[(i, j)] - 4 * sys.g[i] * sys.g[j]
+            dens[k] = cp.lc[k] * cp.lc[k]
+        g_poly = None
+        for k in (2, 1, 0):
+            if cp.lc[k]:
+                try:
+                    g_poly = nums[k].divide_exact(dens[k])
+                except Exception as exc:
+                    raise InexactQuotient(
+                        f"(L_{k})^2 does not divide H^2 - 4GG on side {side}") from exc
+                break
+        if g_poly is None:
+            raise InexactQuotient("all linear coefficient forms vanish")
+        for k in (2, 1, 0):
+            if nums[k] != g_poly * dens[k]:
                 raise InexactQuotient(
-                    f"(L_{k})^2 does not divide H^2 - 4GG on side {side}") from exc
-            break
-    if g_poly is None:
-        raise InexactQuotient("all linear coefficient forms vanish")
-    for k in (2, 1, 0):
-        if nums[k] != g_poly * dens[k]:
-            raise InexactQuotient(
-                f"ramification form disagrees between index pairs on side {side}")
-    if g_poly and g_poly.total_degree() > 6:
-        raise InexactQuotient("ramification form has degree > 6")
-    result = RamificationSextic(side, g_poly)
-    s._cache[key] = result
-    return result
+                    f"ramification form disagrees between index pairs on side {side}")
+        if g_poly and g_poly.total_degree() > 6:
+            raise InexactQuotient("ramification form has degree > 6")
+        return RamificationSextic(side, g_poly)
+    return s.cached(("sextic", side), build)
 
 
 # -- degenerate fibers ----------------------------------------------------------
@@ -503,10 +503,7 @@ def _degenerate_rows(s: WehlerSurface, side: str) -> list:
     otherwise the root-free `fiber_quadratics` pass computes it.  That pass's
     large arrays are not kept, so caching adds nothing to peak memory.
     """
-    key = ("degenerate", side)
-    if key not in s._cache:
-        s._cache[key] = s.engine().fiber_quadratics(side).degenerate
-    return s._cache[key]
+    return s.cached(("degenerate", side), lambda: s.engine().fiber_quadratics(side).degenerate)
 
 
 # -- rational points --------------------------------------------------------------
@@ -518,11 +515,11 @@ def surface_pairs(s: WehlerSurface) -> np.ndarray:
     The x-side root pass runs once per surface and leaves its degenerate list
     for `degenerate_fibers`.
     """
-    if "pairs" not in s._cache:
+    def build():
         pairs, degenerate = s.engine().analyze("x")
-        s._cache["pairs"] = pairs
-        s._cache.setdefault(("degenerate", "x"), degenerate)
-    return s._cache["pairs"]
+        s.cached(("degenerate", "x"), lambda: degenerate)
+        return pairs
+    return s.cached(("pairs",), build)
 
 
 def enumerate_points(s: WehlerSurface):

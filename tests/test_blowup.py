@@ -1,4 +1,7 @@
+import hashlib
+
 import pytest
+from test_engine import _sparse_surface
 
 from wehlerk3.blowup import (
     BinaryForm,
@@ -10,11 +13,15 @@ from wehlerk3.blowup import (
     resolve_s,
     sigma_extended,
 )
-from wehlerk3.errors import NotDegenerate, NotOnSurface
-from wehlerk3.field import PrimeField
+from wehlerk3.errors import AmbiguousS, NoRationalS, NotDegenerate, NotOnSurface
+from wehlerk3.field import QQ
+from wehlerk3.fixtures import w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import fiber_points
 from wehlerk3.surface import degenerate_fibers, random_surface
+
+# The accepted surfaces whose census raises NonBijective (tests/test_dynamics.py).
+NON_BIJECTIVE = ((5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133))
 
 
 @pytest.fixture(scope="module")
@@ -183,3 +190,95 @@ def test_vertical_parameter_is_stripped(chart29):
     triple = chart29.pair_triple((0, 1), (0, 1))
     assert triple is not None
     assert any(v % 29 for v in triple)
+
+
+def test_charts_need_a_finite_field(w1_qq):
+    with pytest.raises(ValueError, match="finite field"):
+        build_chart(w1_qq, "x", point2(QQ, -1, -1, 1))
+
+
+def _charts(s):
+    for side in ("x", "y"):
+        for info in degenerate_fibers(s, side):
+            yield info, chart_for(s, side, info.base)
+
+
+def _resolve_outcome(chart, mv):
+    try:
+        return resolve_s(chart, mv).raw
+    except (NoRationalS, AmbiguousS) as exc:
+        return type(exc).__name__
+
+
+def test_membership_table_agrees_with_the_scalar_predicate(w1_29):
+    # Every (line parameter, fiber point) entry of the table against the
+    # scalar `matches`, and `resolve_s` against a `matches` scan; the fiber
+    # itself against the scalar fiber solver.
+    surfaces = [w1_29] + [random_surface(29, seed, mode="degenerate") for seed in (5, 8)]
+    surfaces += [_sparse_surface(p, seed) for p in (5, 7, 11, 13) for seed in (1, 4)]
+    surfaces.append(_sparse_surface(5, 1000))
+    reproducers = [random_surface(p, seed, mode="degenerate") for p, seed in NON_BIJECTIVE]
+    kinds = set()
+    for s in surfaces + reproducers:
+        uncovered = 0
+        for info, chart in _charts(s):
+            kinds.add(info.kind)
+            fiber = sorted(pt.raw for pt in fiber_points(s, chart.side, info.base.coords))
+            assert list(chart.params) == fiber
+            on = {mv: [sv for sv in chart.s_candidates() if chart.matches(mv, sv)]
+                  for mv in fiber}
+            for sv in chart.s_candidates():
+                assert [pt.raw for pt in chart.lines[sv]] == [mv for mv in fiber if sv in on[mv]]
+            for mv, hits in on.items():
+                assert chart.params[mv] == hits
+                expected = hits[0] if len(hits) == 1 else ("AmbiguousS" if hits else "NoRationalS")
+                assert _resolve_outcome(chart, mv) == expected
+                uncovered += not hits
+        if s in reproducers:
+            assert uncovered
+    assert kinds == {"line", "conic", "plane"}
+
+
+# Per surface: the number of charts and the sha256 of every chart's
+# boundary points (s, moving) and `resolve_s` outcome at every fiber point;
+# generated by the root-search implementation that the table replaced.
+CHART_PINS = [
+    ("w1", 29, None, 8, "c39f23b868530bf72dc1828e5cf9dd6e289d146b697dc923a90b728520f28550"),
+    ("degenerate", 29, 0, 1, "7f78c732057eb8893a4c37ea5bdb0bfa3de1fbcbef2f41cdf99f379aaefa5662"),
+    ("degenerate", 29, 1, 2, "27ffb7c51de735ee346b4ceb0c83ad0a67d4af1ab2bcc964b05a8fec8653af60"),
+    ("degenerate", 29, 2, 1, "f9191405369c74f6ad5919ec0ff0552bd49a3cfe16f0eba022d6bb029b3ce654"),
+    ("degenerate", 29, 5, 2, "cf9d47710f6fd3a83cfe25c7f34b1a1624582a3a959ea63e85bedec9cfa13107"),
+    ("degenerate", 29, 8, 1, "8c77737b941acc1f89ca28496218fe379e4026dde213c6bad21ad813c67f83a1"),
+    ("degenerate", 5, 75, 1, "39068a24e031f9060141a8a25e4c8a16359e6a807c59d9472c257a76de2fe12a"),
+    ("degenerate", 5, 93, 3, "3655627d0f89e03375d3932f7d091445b7920c944e09096f93e8bfd39f0549d8"),
+    ("degenerate", 7, 35, 1, "fd25f4cfdbe922d42964a6ab3756bbe9841c1c4d43a67a439ada82934c843c7c"),
+    ("degenerate", 7, 40, 2, "8195a6cb7c0439465848cb23b7885858b8af33ff124c47da7ad15997a879348b"),
+    ("degenerate", 7, 133, 1, "2fc3cb186633ab39ac24533e390421c0cc3ff9b4df41bd28972f78e0d8390056"),
+    ("degenerate", 11, 133, 1, "eb25daf9de8a0a197f0fb031c768ea0f5a85d432872629cdb73d13e0b4a119e1"),
+    ("sparse", 5, 1000, 13, "1c4c714df75067cbbde56b2e8e03818af3e93507512d9f363733778c080d69ec"),
+    ("sparse", 5, 1, 4, "4a3be240fdda6c98142fec7e12bfcd22e53b6a2d3f3df6426216bf7d6ffad633"),
+    ("sparse", 5, 4, 8, "9990d295751cb998331740d16f71f4b455716aa4c81cde47086df1a78e6a2f6c"),
+    ("sparse", 7, 1, 3, "813883a16031f49ec1e5c6735e82b135010916bc6ccaf3a067b16ad8a517ad5d"),
+    ("sparse", 7, 4, 11, "16af3cbc8a734e80490b2b4ee8f7951851f258a18882912a52a081053bfc9810"),
+    ("sparse", 11, 4, 4, "962c1e78cf546d254ec69a108cc52e499aad86df67e2385692885afcabc24cef"),
+    ("sparse", 13, 1, 3, "f9e19f15406ccc4c866534f3251c62225b67a971893c0d84ec211140b3b90031"),
+    ("sparse", 13, 4, 16, "e66601d1be1c68b32edf5972dc87953a1b1a9ed54e0953cd2089fd2f94c34d01"),
+]
+
+
+@pytest.mark.parametrize("kind,p,seed,charts,digest", CHART_PINS)
+def test_chart_outputs_pinned(kind, p, seed, charts, digest):
+    if kind == "w1":
+        s = w1_surface(p)
+    elif kind == "degenerate":
+        s = random_surface(p, seed, mode="degenerate")
+    else:
+        s = _sparse_surface(p, seed)
+    out = []
+    for info, chart in _charts(s):
+        eps = [(bp.s.raw, bp.moving.raw) for bp in exceptional_points(chart)]
+        res = [(pt.raw, _resolve_outcome(chart, pt))
+               for pt in fiber_points(s, chart.side, info.base.coords)]
+        out.append((chart.side, info.base.raw, info.kind, eps, res))
+    assert len(out) == charts
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
