@@ -7,8 +7,6 @@ handles the bulk numeric passes whose cost scales with p^2.
 
 from __future__ import annotations
 
-from typing import NamedTuple
-
 import numpy as np
 
 from .errors import BadModulus
@@ -26,6 +24,7 @@ SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 # Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3,
 # quad_eval's unreduced sums are < 6p^3 < 2^36,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
+# the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
 
@@ -62,6 +61,19 @@ class PlaneTable:
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
         self.mon6 = self._monomials(self.pts)
+        # Interpolation grid for quartics on the affine rows (1, y, z): the
+        # table rows with y, z in 0..n-1, and the p x n Lagrange basis on the
+        # nodes 0..n-1 (the identity when p <= 5).
+        n = min(p, 5)
+        nodes = np.arange(n)
+        self.grid = (1 + p + p * nodes[:, None] + nodes).ravel()
+        ys = np.arange(p, dtype=np.int64)
+        self.lagrange = np.ones((p, n), dtype=np.int64)
+        for i in range(n):
+            for j in range(n):
+                if j != i:
+                    self.lagrange[:, i] = (self.lagrange[:, i] * (ys - j) % p
+                                           * self.inv[(i - j) % p] % p)
         cls._cache[p] = self
         return self
 
@@ -92,6 +104,16 @@ class PlaneTable:
         if np.any(self.pts[idx] != pts):
             raise KeyError("point not in canonical table")
         return idx
+
+    def interpolate(self, values: np.ndarray) -> np.ndarray:
+        """A quartic's values on every affine row from its n x n grid values.
+
+        values[i, j] is the form at (1, i, j); entry [y, z] of the result is
+        the form at (1, y, z), i.e. affine table row 1 + p + p*y + z.  Exact
+        because a quartic restricted to x0 = 1 has degree <= 4 in y and in z.
+        """
+        W = self.lagrange
+        return (W @ values % self.p) @ W.T % self.p
 
     def canonicalize(self, pts: np.ndarray) -> np.ndarray:
         """Scale rows so the first nonzero coordinate is 1."""
@@ -172,29 +194,6 @@ def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     return np.stack(g, axis=1) % p, np.stack(list(h.values()), axis=1) % p
 
 
-class FiberQuadratics(NamedTuple):
-    """Q restricted to the fiber line L(base, .) = 0 over every base of one side.
-
-    Over bases[idx] the line is spanned by the rows of u and v, and
-    Q(t0 u + t1 v) = A t0^2 + B t0 t1 + C t1^2; qc holds Q's 6 coefficients
-    over every base.  whole_line marks the positions of idx where Q vanishes
-    on the whole line, special lists the bases where L vanishes identically,
-    and degenerate lists (base_row, kind): "line" for the whole_line bases,
-    then "conic" or "plane" (Q vanishes too) for the special ones.
-    """
-
-    qc: np.ndarray
-    idx: np.ndarray
-    u: np.ndarray
-    v: np.ndarray
-    A: np.ndarray
-    B: np.ndarray
-    C: np.ndarray
-    whole_line: np.ndarray
-    special: np.ndarray
-    degenerate: list
-
-
 def binary_other_root(A, B, C, alpha, beta, p: int):
     """Second root of A*t1^2 + B*t0*t1 + C*t0^2 given the root (alpha, beta).
 
@@ -236,11 +235,57 @@ class SurfaceEngine:
 
     # -- full fiber analysis over one side ----------------------------------
 
-    def fiber_quadratics(self, side: str) -> FiberQuadratics:
-        """Restrict Q to the line L(base, .) = 0 over every base, without roots.
+    def degenerate_bases(self, side: str) -> list:
+        """(base_row, kind) for every base of the side with a degenerate fiber.
 
-        The pass takes no square root and canonicalizes, concatenates or sorts
-        nothing, so it is the cheap way to the degenerate list.
+        A base is degenerate exactly where every G_k and H_ij vanishes.  Write
+        l for the 3 coefficients of L(base, .), n_k = e_k x l and B for the
+        polar form of Q; then G_k = Q(n_k) and H_ij = -B(n_i, n_j).  When
+        l != 0 the n_k span the fiber line L(base, .) = 0, so all of G and H
+        vanish exactly when Q vanishes on that whole line.  When l = 0 all of
+        them vanish, being of degree 2 in l.
+
+        G and H are quartics in the base, so `gh_eval` at the p + 1 rows of
+        the line at infinity and at the table's interpolation grid gives them
+        everywhere.  One interpolated form yields the candidates; each other
+        form narrows them at the candidates alone.  kind is "line" where
+        L(base, .) != 0, else "conic" or "plane" (Q(base, .) vanishes too);
+        the "line" bases come first, each group in table order.
+        """
+        p = self.p
+        tbl = self.table
+        rows = np.concatenate([np.arange(p + 1), tbl.grid])
+        G, H = gh_eval(self.line_coeffs(side, tbl.pts[rows]),
+                       self.quad_coeffs(side, tbl.mon6[rows]), p)
+        forms = np.concatenate([G, H], axis=1)
+        at_infinity = np.nonzero(~forms[:p + 1].any(axis=1))[0]
+        W = tbl.lagrange
+        n = W.shape[1]
+        grid = forms[p + 1:].T.reshape(6, n, n)
+        ys, zs = np.nonzero(tbl.interpolate(grid[0]) == 0)
+        for values in grid[1:]:
+            keep = (W[ys] @ values % p * W[zs]).sum(axis=1) % p == 0
+            ys, zs = ys[keep], zs[keep]
+
+        found = np.concatenate([at_infinity, 1 + p + p * ys + zs])
+        bases = tbl.pts[found]
+        line = self.line_coeffs(side, bases).any(axis=1)
+        qc = self.quad_coeffs(side, tbl.mon6[found[~line]])
+        degenerate = [(base, "line") for base in bases[line]]
+        degenerate += [(base, "conic" if q.any() else "plane")
+                       for base, q in zip(bases[~line], qc)]
+        return degenerate
+
+    def analyze(self, side: str):
+        """Solve every fiber of the chosen projection.
+
+        Restricts Q to the line L(base, .) = 0 over every base and solves the
+        binary quadratic.  Returns (pairs, degenerate) where pairs is an (N, 6)
+        array of [base, fiber-point] coordinate rows in (x, y) order, lex
+        sorted, and degenerate lists (base_row, kind) for positive-dimensional
+        fibers with kind in {"line", "conic", "plane"}: the whole-line bases,
+        then the bases where L vanishes identically.  `degenerate_bases` gives
+        the same list without the roots.
         """
         p = self.p
         tbl = self.table
@@ -252,31 +297,17 @@ class SurfaceEngine:
         idx = np.nonzero(line_ok)[0]
         u, v = line_basis(lc[idx], p)
         qci = qc[idx]
+        # Q(t0 u + t1 v) = A t0^2 + B t0 t1 + C t1^2 over bases[idx].
         A = quad_eval(qci, u, p)
         C = quad_eval(qci, v, p)
         B = (quad_eval(qci, (u + v) % p, p) - A - C) % p
         whole_line = (A == 0) & (B == 0) & (C == 0)
         # Special bases: L vanishes identically on the fiber plane.
         special = np.nonzero(~line_ok)[0]
-
         degenerate = [(bases[row], "line") for row in idx[whole_line]]
         degenerate += [(bases[row], "conic" if np.any(qc[row] != 0) else "plane")
                        for row in special]
-        return FiberQuadratics(qc, idx, u, v, A, B, C, whole_line, special, degenerate)
 
-    def analyze(self, side: str):
-        """Solve every fiber of the chosen projection.
-
-        Runs `fiber_quadratics` and adds the roots of every fiber to its
-        arrays.  Returns (pairs, degenerate) where pairs is an (N, 6) array of
-        [base, fiber-point] coordinate rows in (x, y) order, lex sorted, and
-        degenerate is the fiber-quadratic pass's list of (base_row, kind) for
-        positive-dimensional fibers with kind in {"line", "conic", "plane"}.
-        """
-        p = self.p
-        tbl = self.table
-        bases = tbl.pts
-        qc, idx, u, v, A, B, C, whole_line, special, degenerate = self.fiber_quadratics(side)
         out_base: list[np.ndarray] = []
         out_fib: list[np.ndarray] = []
 

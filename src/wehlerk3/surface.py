@@ -477,16 +477,15 @@ def _qq_candidates(height: int):
 def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
     """Base points with positive-dimensional fiber and vanishing G/H system.
 
-    Over F_p the scan is exhaustive.  Over QQ candidates are searched up to
+    Over F_p the list is exhaustive: `SurfaceEngine.degenerate_bases` finds
+    every rational common zero of G and H.  Over QQ candidates are searched up to
     the given naive height; the returned list is complete only within that
     box (the worked example's centers have height 1).
     """
     result = []
     if s.is_finite():
         for base_row, kind in _degenerate_rows(s, side):
-            base = point2(s.domain, *[int(v) for v in base_row])
-            if gh_vanishes(*gh_values(s, side, base.raw)):
-                result.append(DegenerateFiberInfo(base, kind))
+            result.append(DegenerateFiberInfo(point2(s.domain, *[int(v) for v in base_row]), kind))
     else:
         for cand in _qq_candidates(height):
             kind, _ = _fiber_restriction(s, side, cand)
@@ -497,13 +496,8 @@ def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
 
 
 def _degenerate_rows(s: WehlerSurface, side: str) -> list:
-    """The engine's (base_row, kind) list of one side, computed once per surface.
-
-    `surface_pairs` stores the x-side list when it runs the root pass;
-    otherwise the root-free `fiber_quadratics` pass computes it.  That pass's
-    large arrays are not kept, so caching adds nothing to peak memory.
-    """
-    return s.cached(("degenerate", side), lambda: s.engine().fiber_quadratics(side).degenerate)
+    """The engine's (base_row, kind) list of one side, computed once per surface."""
+    return s.cached(("degenerate", side), lambda: s.engine().degenerate_bases(side))
 
 
 # -- rational points --------------------------------------------------------------
@@ -512,14 +506,9 @@ def _degenerate_rows(s: WehlerSurface, side: str) -> list:
 def surface_pairs(s: WehlerSurface) -> np.ndarray:
     """All rational points as an (N, 6) int array [a | b], lex sorted.
 
-    The x-side root pass runs once per surface and leaves its degenerate list
-    for `degenerate_fibers`.
+    The x-side root pass runs once per surface.
     """
-    def build():
-        pairs, degenerate = s.engine().analyze("x")
-        s.cached(("degenerate", "x"), lambda: degenerate)
-        return pairs
-    return s.cached(("pairs",), build)
+    return s.cached(("pairs",), lambda: s.engine().analyze("x")[0])
 
 
 def enumerate_points(s: WehlerSurface):

@@ -44,19 +44,36 @@ def test_phase_space_counts_boundary_points(w1_29):
     assert not space.exceptions
 
 
-def test_phase_space_scans_each_side_once(monkeypatch):
-    # A fresh surface: the x root pass leaves its degenerate list for the
-    # centers, so each side runs the fiber-quadratic pass exactly once.
+def _count_engine_passes(monkeypatch):
+    """Per-side call counts of the G/H kernel and the root pass."""
     calls = Counter()
-    orig = SurfaceEngine.fiber_quadratics
+    for name in ("degenerate_bases", "analyze"):
+        orig = getattr(SurfaceEngine, name)
 
-    def counted(self, side):
-        calls[side] += 1
-        return orig(self, side)
+        def counted(self, side, orig=orig, name=name):
+            calls[name, side] += 1
+            return orig(self, side)
 
-    monkeypatch.setattr(SurfaceEngine, "fiber_quadratics", counted)
+        monkeypatch.setattr(SurfaceEngine, name, counted)
+    return calls
+
+
+def test_phase_space_scans_each_side_once(monkeypatch):
+    # A fresh surface: the G/H kernel lists each side's degenerate fibers
+    # once, and only the x side runs the root pass.
+    calls = _count_engine_passes(monkeypatch)
     space = build_phase_space(w1_surface(29))
-    assert space.size > 0 and calls == {"x": 1, "y": 1}
+    assert space.size > 0
+    assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
+                     ("analyze", "x"): 1}
+
+
+def test_a_draw_that_meets_the_mode_runs_one_root_pass(monkeypatch):
+    calls = _count_engine_passes(monkeypatch)
+    s = random_surface(11, seed=3, max_draws=1)
+    assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
+                     ("analyze", "x"): 1}
+    assert len(surface_pairs(s)) > 0 and calls["analyze", "x"] == 1
 
 
 def test_lift_pair_attaches_parameters(w1_29, F29):

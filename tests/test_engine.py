@@ -19,6 +19,7 @@ from wehlerk3.surface import (
     _fiber_restriction,
     gh_system,
     gh_values,
+    parse_surface,
     random_surface,
 )
 
@@ -55,6 +56,31 @@ def test_gh_eval_int64_headroom():
         g, h = gh_formula(row[:3], pair_getter(row[3:]))
         assert G[n].tolist() == [v % p for v in g]
         assert H[n].tolist() == [h[ij] % p for ij in H_KEYS]
+
+
+def test_quartic_interpolation_int64_headroom():
+    # Grid values of p - 1 at a prime near the cap: every unreduced sum of
+    # n = 5 residue products stays below 5p^2 < 2^25, so the int64 kernel
+    # matches Python-int Lagrange evaluation.  The quartic is the constant
+    # p - 1, since the Lagrange basis sums to 1.
+    p = 2039
+    assert p <= _ENUM_P_CAP and 5 * _ENUM_P_CAP ** 2 < 2 ** 25
+    tbl = PlaneTable(p)
+    values = tbl.interpolate(np.full((5, 5), p - 1, dtype=np.int64))
+    assert values.shape == (p, p) and np.all(values == p - 1)
+
+    def basis(i, y):
+        num = den = 1
+        for j in range(5):
+            if j != i:
+                num, den = num * (y - j), den * (i - j)
+        return num * pow(den, -1, p) % p
+
+    for y in (0, 4, 5, 1000, p - 1):
+        assert tbl.lagrange[y].tolist() == [basis(i, y) for i in range(5)]
+        for z in (3, 7, p - 2):
+            exact = sum((p - 1) * basis(i, y) * basis(j, z) for i in range(5) for j in range(5))
+            assert values[y, z] == exact % p
 
 
 def test_phase_key_int64_headroom():
@@ -94,11 +120,22 @@ def _sparse_surface(p, seed):
             pass
 
 
-def test_fiber_quadratic_pass_lists_the_root_pass_degenerate_fibers(w1_29):
-    # The root-free pass, the root pass and the scalar restriction at every
-    # base agree on the degenerate list, row for row and kind for kind: the
-    # "line" bases in table order, then the "conic" and "plane" ones.
-    surfaces = [_sparse_surface(p, seed) for p in (5, 7, 11, 13, 17, 23) for seed in (0, 1)]
+# Small surfaces at p = 3 and p = 5, where the interpolation grid is the
+# whole affine plane and the Lagrange basis is the identity.
+SMALL_P_SURFACES = (
+    "p 3\nL 2 2 1\nQ 0 0 0 2 2\nQ 0 1 0 0 1\nQ 0 1 1 2 2\nQ 1 2 1 2 2\n",
+    "p 3\nL 0 0 2\nL 1 0 2\nL 2 1 1\nL 2 2 2\n"
+    "Q 0 0 0 0 1\nQ 0 2 0 1 1\nQ 1 1 1 1 1\nQ 1 1 1 2 1\n",
+    "p 5\nL 1 0 1\nQ 0 0 0 1 2\nQ 0 2 0 0 1\nQ 1 2 1 2 4\nQ 2 2 1 2 2\n",
+)
+
+
+def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
+    # The G/H common-zero kernel, the root pass and the scalar restriction at
+    # every base agree on the degenerate list, row for row and kind for kind:
+    # the "line" bases in table order, then the "conic" and "plane" ones.
+    surfaces = [parse_surface(text) for text in SMALL_P_SURFACES]
+    surfaces += [_sparse_surface(p, seed) for p in (5, 7, 11, 13, 17, 23) for seed in (0, 1)]
     surfaces.append(w1_29)
     surfaces += [random_surface(p, seed, mode="degenerate")
                  for p, seed in ((5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133))]
@@ -106,7 +143,7 @@ def test_fiber_quadratic_pass_lists_the_root_pass_degenerate_fibers(w1_29):
     for s in surfaces:
         eng = s.engine()
         for side in ("x", "y"):
-            fast = [(base.tolist(), kind) for base, kind in eng.fiber_quadratics(side).degenerate]
+            fast = [(base.tolist(), kind) for base, kind in eng.degenerate_bases(side)]
             full = [(base.tolist(), kind) for base, kind in eng.analyze(side)[1]]
             scalar = [(base, _fiber_restriction(s, side, base)[0]) for base in eng.table.pts.tolist()]
             scalar = ([r for r in scalar if r[1] == "line"]
@@ -114,3 +151,5 @@ def test_fiber_quadratic_pass_lists_the_root_pass_degenerate_fibers(w1_29):
             assert fast == full == scalar
             kinds.update(kind for _, kind in fast)
     assert kinds == {"line", "conic", "plane"}
+    assert [PlaneTable(p).lagrange.tolist() for p in (3, 5)] == [
+        np.eye(3, dtype=int).tolist(), np.eye(5, dtype=int).tolist()]
