@@ -22,8 +22,9 @@ print("degenerate fibers of the first projection:")
 for d in infos:
     print("  ", d.base, f"({d.kind})")
 
-# Chart at the first center.  The substituted G/H system vanishes along the
-# exceptional fiber to order e; dividing by (w - t1)^e makes it usable again.
+# Chart at the first center.  Along the pencil of lines through it, G/H vanish
+# on the exceptional fiber to order e in eps = w - t1, the coordinate along
+# each line; dividing by eps^e makes them usable again.
 center = point2(F, -1, -1, 1)
 chart = build_chart(s, "x", center)
 print(f"\nchart at {center}: division exponent e = {chart.e}, "

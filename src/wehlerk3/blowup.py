@@ -1,11 +1,14 @@
 """Extension of the involutions across degenerate fibers.
 
-A degenerate base point is blown up into the pencil of lines through it.
-Substituting the pencil parametrization into the G/H system and dividing by
-the highest common power of (w - t1) (w the affine coordinate along each
-line, t1 its value at the center) yields quadratics whose specialization at
-the exceptional fiber cuts each line's two intersection points with the
-degenerate fiber.  The involution then swaps the two roots line by line.
+A degenerate base point c is blown up into the pencil of lines through it,
+x(s, eps) = s0*c + eps*delta(s), with (s0 : s1) the line and eps = w - t1
+the coordinate along it (w the affine coordinate of the line, t1 its value
+at c).  Substituting the pencil into the side's linear and quadratic
+coefficient forms, taking G/H of the substituted forms and dividing them by
+their highest common power of eps yields quadratics whose specialization at
+the exceptional fiber eps = 0 cuts each line's two intersection points with
+the degenerate fiber; L is divided by its own power of eps.  The involution
+then swaps the two roots line by line.
 
 The parametrization degenerates at s = (0,1), where the specialized
 coefficient triples can vanish identically; the common vanishing order of
@@ -14,9 +17,9 @@ limit of the quadratic along the pencil.
 
 Each chart keeps one membership table: the degenerate fiber's rational
 points (read from `surface_pairs`) against the p+1 line parameters, filled
-by evaluating every stripped condition at every point at once.  Boundary
-points (`points_at`) and line parameters (`resolve_s`) are both read from
-it; `BlowupChart.matches` is the scalar form of the same test.
+by evaluating the stripped pair quadratics and L' at every point at once.
+Boundary points (`points_at`) and line parameters (`resolve_s`) are both
+read from it; `BlowupChart.matches` is the scalar form of the same test.
 """
 
 from __future__ import annotations
@@ -25,9 +28,10 @@ from dataclasses import dataclass
 
 import numpy as np
 
-from ._engine import PAIR_INDEX, SWAP_PAIRS
+from ._engine import PAIR_INDEX, PAIRS, SWAP_PAIRS, gh_formula, pair_getter
 from .errors import (
     AmbiguousS,
+    InexactDivision,
     InexactQuotient,
     NoRationalS,
     NotDegenerate,
@@ -37,16 +41,15 @@ from .field import PrimeField
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .poly import SparsePoly
 from .surface import (
-    PAIRS,
     WehlerSurface,
     XVARS,
     YVARS,
     _fiber_restriction,
-    gh_system,
+    coefficient_polys,
     surface_pairs,
 )
 
-SWVARS = ("s0", "s1", "w")
+PENCIL_VARS = ("s0", "s1", "eps")
 
 
 # -- binary forms in (s0, s1) -------------------------------------------------
@@ -129,17 +132,8 @@ class BinaryForm:
         """
         if self.is_zero():
             return self.degree + 1, 0
-        f = self
-        m = 0
-        while True:
-            v = f(s0, s1)
-            if v != 0 or f.degree == 0:
-                return m, v
-            q = f.divide_root(s0, s1)
-            if q is None:
-                return m, v
-            f = q
-            m += 1
+        m, f = self._divide_out(s0, s1)
+        return m, f(s0, s1)
 
     def strip_power_of_s0(self) -> tuple[int, "BinaryForm"]:
         """(k, f / s0^k) with k maximal; the zero form is returned unchanged."""
@@ -161,18 +155,27 @@ class BinaryForm:
         return f"BinaryForm({self.coeffs})"
 
 
-def _sw_to_form(poly: SparsePoly, t1: int, p: int, degree: int) -> BinaryForm:
-    """Specialize a poly in (s0, s1, w) at w = t1 and read off the s-form."""
+def _exceptional_form(poly: SparsePoly, p: int, degree: int) -> BinaryForm:
+    """Specialize a poly in (s0, s1, eps) at eps = 0 and read off the s-form."""
     coeffs = [0] * (degree + 1)
-    names = poly.vars
-    i0, i1, iw = names.index("s0"), names.index("s1"), names.index("w")
-    for exps, c in poly.terms.items():
-        e0, e1, ew = exps[i0], exps[i1], exps[iw]
+    for (e0, e1, ee), c in poly.terms.items():
         if e0 + e1 != degree:
             raise InexactQuotient(
                 f"expected s-degree {degree}, found monomial of s-degree {e0 + e1}")
-        coeffs[e1] = (coeffs[e1] + int(c) * pow(t1, ew, p)) % p
+        if ee == 0:
+            coeffs[e1] = int(c)
     return BinaryForm(p, coeffs)
+
+
+def _stripped(forms, s: tuple[int, int]):
+    """Values of a group of forms stripped to their common order at s.
+
+    Forms of higher order read 0; None when every form vanishes identically.
+    """
+    ov = [f.stripped_value(*s) for f in forms]
+    m = min(o for o, _ in ov)
+    vals = tuple(v if o == m else 0 for o, v in ov)
+    return vals if any(vals) else None
 
 
 # -- charts ---------------------------------------------------------------------
@@ -192,7 +195,7 @@ class BoundaryPoint:
 
 
 class BlowupChart:
-    """The divided G/H/L/Q system of one degenerate base point.
+    """The divided G/H/L system of one degenerate base point.
 
     side "x" means the center is a degenerate base of the first projection,
     so the moving coordinates are the y variables, and symmetrically for
@@ -211,98 +214,77 @@ class BlowupChart:
     def _build(self):
         s = self.surface
         p = self.p
-        dom = s.domain
         center = [int(c) for c in self.center.raw]
         d = next(i for i, c in enumerate(center) if c)
         assert center[d] == 1, "center must be canonical"
         self.dehom_index = d
+        # t1 is the center's w = x_j / x_d, with j = 0 if d == 1 else 1.
+        self.t1 = center[0 if d == 1 else 1] % p
 
-        s0, s1, w = SparsePoly.gens(dom, SWVARS)
-        if d == 0:
-            c, e = center[1], center[2]
-            images3 = [s0, s0 * w, s1 * (w - c) + s0 * e]
-        elif d == 1:
-            c, e = center[0], center[2]
-            images3 = [s0 * w, s0, s1 * (w - c) + s0 * e]
-        else:
-            c, e = center[1], center[0]
-            images3 = [s1 * (w - c) + s0 * e, s0 * w, s0]
-        self.t1 = c % p
-
+        # The pencil x(s, eps) = s0*center + eps*delta(s) in the base variables.
+        s0, s1, eps = SparsePoly.gens(s.domain, PENCIL_VARS)
+        delta = ((0, s0, s1), (s0, 0, s1), (s1, s0, 0))[d]
         base_vars = XVARS if self.side == "x" else YVARS
-        moving_vars = YVARS if self.side == "x" else XVARS
-        self.moving_vars = moving_vars
-        mv_ring = tuple(moving_vars) + SWVARS
-        self.mv_ring = mv_ring
+        self.pencil = {name: s0 * center[i] + eps * delta[i]
+                       for i, name in enumerate(base_vars)}
 
-        sub3 = {name: images3[i] for i, name in enumerate(base_vars)}
-        sys = gh_system(s, self.side)
-        subbed = {}
-        for k in range(3):
-            subbed[("G", k)] = sys.g[k].substitute(sub3)
-        for ij, hpoly in sys.h.items():
-            subbed[("H", ij)] = hpoly.substitute(sub3)
-
-        orders = []
-        for poly in subbed.values():
-            if poly.is_zero():
-                continue
-            orders.append(poly.vanishing_order("w", self.t1))
+        cp = coefficient_polys(s, self.side)
+        lc = [f.substitute(self.pencil) for f in cp.lc]
+        g, h = gh_formula(lc, pair_getter([cp.q(k, l).substitute(self.pencil)
+                                           for (k, l) in PAIRS]))
+        orders = [f.vanishing_order("eps", 0) for f in (*g, *h.values()) if f]
         if not orders:
             raise NotDegenerate(f"G/H system vanishes identically at {self.center}")
         self.e = min(orders)
         if self.e == 0:
             raise NotDegenerate(
                 f"{self.center} is not a degenerate {self.side}-side base point")
+        self.gp = {k: f.divide_linear_power("eps", 0, self.e) for k, f in enumerate(g)}
+        self.hp = {ij: f.divide_linear_power("eps", 0, self.e) for ij, f in h.items()}
+        e_l = min(f.vanishing_order("eps", 0) for f in lc if f)
+        self.lp = tuple(f.divide_linear_power("eps", 0, e_l) for f in lc)
 
-        self.gp = {}
-        self.hp = {}
-        for key, poly in subbed.items():
-            divided = poly.divide_linear_power("w", self.t1, self.e)
-            if key[0] == "G":
-                self.gp[key[1]] = divided
-            else:
-                self.hp[key[1]] = divided
-
-        # L and Q substituted in the base-plane variables, moving variables kept.
-        mv_gens = {name: SparsePoly.variable(dom, mv_ring, name) for name in mv_ring}
-        sub6 = {name: mv_gens[name] for name in moving_vars}
-        for i, name in enumerate(base_vars):
-            sub6[name] = images3[i].rename(dom, mv_ring, {v: v for v in SWVARS})
-        lp = s.l_poly().substitute(sub6)
-        qp = s.q_poly().substitute(sub6)
-        self.e_l = lp.vanishing_order("w", self.t1)
-        self.e_q = qp.vanishing_order("w", self.t1)
-        self.lp = lp.divide_linear_power("w", self.t1, self.e_l)
-        self.qp = qp.divide_linear_power("w", self.t1, self.e_q)
-
-        # Specializations at the exceptional fiber w = t1, as binary s-forms.
-        self.g_forms = {k: _sw_to_form(v, self.t1, p, 4) for k, v in self.gp.items()}
-        self.h_forms = {ij: _sw_to_form(v, self.t1, p, 4) for ij, v in self.hp.items()}
+        # Specializations at the exceptional fiber eps = 0, as binary s-forms.
+        self.g_forms = {k: _exceptional_form(v, p, 4) for k, v in self.gp.items()}
+        self.h_forms = {ij: _exceptional_form(v, p, 4) for ij, v in self.hp.items()}
         if all(f.is_zero() for f in self.g_forms.values()) and all(
             f.is_zero() for f in self.h_forms.values()
         ):
             raise NotDegenerate(
                 f"divided G/H system still vanishes on the exceptional fiber "
                 f"over {self.center}")
-        self.l_forms = [
-            _sw_to_form(_extract(self.lp, name), self.t1, p, 1)
-            for name in moving_vars
-        ]
-        self.q_forms = {
-            (k, l): _sw_to_form(_extract_pair(self.qp, moving_vars, k, l), self.t1, p, 2)
-            for (k, l) in PAIRS
-        }
+        self.l_forms = [_exceptional_form(f, p, 1) for f in self.lp]
         self._build_table()
 
     def _build_table(self):
         """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
 
         The fiber points are the surface points over the center, in
-        `surface_pairs` (lex) order.  Per parameter the stripped pair, L' and
-        Q' conditions become rows of coefficients over the moving monomials,
+        `surface_pairs` (lex) order.  Per parameter the stripped pair and L'
+        conditions become rows of coefficients over the moving monomials,
         zero where a condition is None (skipped, as in `matches`), and every
         point is tested at once: entries < p and 6 terms keep sums < 6p^3.
+
+        Q' (Q along the pencil, divided by its own power of eps and stripped
+        the same way) never decides an entry, so it is not a row.  Fix a line
+        s, a local parameter tau of P^1 at s and x = x(s, eps).  For a form in
+        y with coefficients in F_p[tau, eps], let v be the exponent of its
+        lowest term in the order (eps power, tau power) and in(.) that term's
+        coefficient, a form in y.  Up to a nonzero scalar a stripped group is
+        in(.) of the group, so the rows are in(L), in(Q) and in(P_kl), where
+        P_kl = G_k y_l^2 + H_kl y_k y_l + G_l y_k^2, and P_kl's row is kept
+        only when v(P_kl) has eps power e.  For (k, l, m) in SWAP_PAIRS,
+            P_kl(x, y) = Q(x, L_m y - mu e_m)
+                       = L_m^2 Q(x, y) - L_m mu B(x; y, e_m) + mu^2 Q(x, e_m)
+        with mu = L(x, y) and B the polar form of Q.  The first line puts
+        every coefficient of P_kl at v >= 2 v(L) + v(Q).  Now let
+        in(L)(y) = 0 and in(Q)(y) != 0, and pick m with in(L)_m != 0, so
+        v(L_m) = v(L) < v(mu): the last two terms lie above 2 v(L) + v(Q),
+        and the lowest term of P_kl(x, y) is in(L_m)^2 in(Q)(y), exactly
+        there.  So v(P_kl) = 2 v(L) + v(Q); as every pair lies at or above
+        that, its eps power is e, the row is kept, and it rejects y, for
+        in(P_kl)(y) = in(L_m)^2 in(Q)(y) != 0.  Hence L' and the pair rows
+        imply Q' at every s, (0, 1) included, whatever Q's power of eps.
         """
         p = self.p
         rows = surface_pairs(self.surface)
@@ -310,7 +292,7 @@ class BlowupChart:
             rows = rows[:, [3, 4, 5, 0, 1, 2]]
         fiber = rows[(rows[:, :3] == self.center.raw).all(axis=1), 3:]
         cands = self.s_candidates()
-        quad = np.zeros((4, len(cands), len(PAIRS)), dtype=np.int64)
+        quad = np.zeros((3, len(cands), len(PAIRS)), dtype=np.int64)
         line = np.zeros((len(cands), 3), dtype=np.int64)
         for j, s in enumerate(cands):
             for n, (k, l, _m) in enumerate(SWAP_PAIRS):
@@ -321,9 +303,6 @@ class BlowupChart:
             lc = self.line_at(s)
             if lc is not None:
                 line[j] = lc
-            qc = self.quad_at(s)
-            if qc is not None:
-                quad[3, j] = [qc[kl] for kl in PAIRS]
         mon = np.stack([fiber[:, k] * fiber[:, l] for (k, l) in PAIRS], axis=1)
         hit = (fiber @ line.T) % p == 0
         for cond in quad:
@@ -344,39 +323,15 @@ class BlowupChart:
         first; None means the triple is identically zero even then.
         """
         k, l = pair
-        forms = (self.g_forms[k], self.h_forms[(min(k, l), max(k, l))], self.g_forms[l])
-        orders_values = [f.stripped_value(*s) for f in forms]
-        m = min(o for o, _ in orders_values)
-        vals = []
-        for f, (o, v) in zip(forms, orders_values):
-            if o == m:
-                vals.append(v)
-            else:
-                vals.append(0)
-        if all(v == 0 for v in vals):
-            return None
-        return tuple(vals)
+        return _stripped(
+            (self.g_forms[k], self.h_forms[(min(k, l), max(k, l))], self.g_forms[l]), s)
 
     def line_at(self, s: tuple[int, int]):
         """Stripped coefficients of the divided L on the line s, or None."""
-        ov = [f.stripped_value(*s) for f in self.l_forms]
-        m = min(o for o, _ in ov)
-        vals = [v if o == m else 0 for (o, v) in ov]
-        if all(v == 0 for v in vals):
-            return None
-        return tuple(vals)
-
-    def quad_at(self, s: tuple[int, int]):
-        """Stripped coefficients of the divided Q on the line s, or None."""
-        ov = {key: f.stripped_value(*s) for key, f in self.q_forms.items()}
-        m = min(o for o, _ in ov.values())
-        vals = {key: (v if o == m else 0) for key, (o, v) in ov.items()}
-        if all(v == 0 for v in vals.values()):
-            return None
-        return vals
+        return _stripped(self.l_forms, s)
 
     def matches(self, moving, s: tuple[int, int]) -> bool:
-        """The membership predicate: all pair quadratics plus L' and Q'.
+        """The membership predicate: all pair quadratics plus L'.
 
         This is the scalar definition of one entry of the membership table
         built by `_build_table`, kept as its reference.
@@ -391,16 +346,7 @@ class BlowupChart:
             if (A * mv[l] * mv[l] + B * mv[k] * mv[l] + C * mv[k] * mv[k]) % p:
                 return False
         lc = self.line_at(s)
-        if lc is not None and (lc[0] * mv[0] + lc[1] * mv[1] + lc[2] * mv[2]) % p:
-            return False
-        qc = self.quad_at(s)
-        if qc is not None:
-            acc = 0
-            for (k, l), c in qc.items():
-                acc += c * mv[k] * mv[l]
-            if acc % p:
-                return False
-        return True
+        return lc is None or (lc[0] * mv[0] + lc[1] * mv[1] + lc[2] * mv[2]) % p == 0
 
     def s_candidates(self):
         return [(0, 1)] + [(1, t) for t in range(self.p)]
@@ -442,36 +388,9 @@ class BlowupChart:
             lines.append(f"G'{k} = {self.gp[k]}")
         for ij in sorted(self.hp):
             lines.append(f"H'{ij} = {self.hp[ij]}")
-        lines.append(f"L' = {self.lp}")
-        lines.append(f"Q' = {self.qp}")
+        for m in range(3):
+            lines.append(f"L'{m} = {self.lp[m]}")
         return "\n".join(lines)
-
-
-def _extract(poly: SparsePoly, name: str) -> SparsePoly:
-    """Coefficient of a degree-1 moving variable, retaining only (s0,s1,w)."""
-    coef = poly.coefficient_of(name, 1)
-    keep = {}
-    for exps, c in coef.terms.items():
-        sw = exps[-3:]
-        if any(exps[:-3]):
-            raise InexactQuotient("unexpected moving-variable mixing in L'")
-        keep[sw] = c
-    return SparsePoly(poly.domain, SWVARS, keep)
-
-
-def _extract_pair(poly: SparsePoly, moving_vars, k: int, l: int) -> SparsePoly:
-    """Coefficient of the moving monomial m_k m_l in a (2,*)-form."""
-    if k == l:
-        coef = poly.coefficient_of(moving_vars[k], 2)
-    else:
-        coef = poly.coefficient_of(moving_vars[k], 1).coefficient_of(moving_vars[l], 1)
-    keep = {}
-    for exps, c in coef.terms.items():
-        sw = exps[-3:]
-        if any(exps[:-3]):
-            continue
-        keep[sw] = c
-    return SparsePoly(poly.domain, SWVARS, keep)
 
 
 def build_chart(surface: WehlerSurface, side: str, center) -> BlowupChart:
@@ -559,14 +478,14 @@ class RamificationPrime:
 def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     """((H'_ij)^2 - 4 G'_i G'_j) / (L'_k)^2 specialized to the exceptional fiber.
 
-    The quotient is computed exactly in the (s0, s1, w) ring, any full power
-    of (w - t1) is removed before specializing, and finally the common s0
+    The quotient is computed exactly in the (s0, s1, eps) ring, any full
+    power of eps is removed before specializing, and finally the common s0
     power is stripped.  Pair-independence is verified by cross-multiplying
     the alternative numerators.
     """
     def build():
         p = chart.p
-        lk = {m: _extract(chart.lp, chart.moving_vars[m]) for m in range(3)}
+        lk = chart.lp
         nums = {}
         for (i, j, m) in SWAP_PAIRS:
             h = chart.hp[(i, j)]
@@ -579,7 +498,7 @@ def ramification_prime(chart: BlowupChart) -> RamificationPrime:
             den = lk[m] * lk[m]
             try:
                 quotient = nums[m].divide_exact(den)
-            except Exception as exc:
+            except InexactDivision as exc:
                 raise InexactQuotient(
                     f"(L'_{m})^2 does not divide the chart discriminant") from exc
             used_pair = (i, j)
@@ -596,10 +515,9 @@ def ramification_prime(chart: BlowupChart) -> RamificationPrime:
                     raise InexactQuotient(
                         "chart discriminant is not independent of the index pair")
         if not quotient.is_zero():
-            ordw = quotient.vanishing_order("w", chart.t1)
-            if ordw:
-                quotient = quotient.divide_linear_power("w", chart.t1, ordw)
-        raw = _sw_to_form(quotient, chart.t1, p, 6)
+            quotient = quotient.divide_linear_power(
+                "eps", 0, quotient.vanishing_order("eps", 0))
+        raw = _exceptional_form(quotient, p, 6)
         stripped_k, form = raw.strip_power_of_s0()
         return RamificationPrime(chart, form, stripped_k, used_pair)
     return chart.surface.cached(("ram_prime", chart.side, chart.center.raw), build)

@@ -22,6 +22,7 @@ from .errors import (
     BadModulus,
     DegenerateFiber,
     ExhaustedAttempts,
+    InexactDivision,
     InexactQuotient,
     ParseError,
     ZeroForm,
@@ -393,7 +394,7 @@ def ramification_sextic(s: WehlerSurface, side: str) -> RamificationSextic:
             if cp.lc[k]:
                 try:
                     g_poly = nums[k].divide_exact(dens[k])
-                except Exception as exc:
+                except InexactDivision as exc:
                     raise InexactQuotient(
                         f"(L_{k})^2 does not divide H^2 - 4GG on side {side}") from exc
                 break

@@ -4,8 +4,11 @@ import pytest
 from test_engine import _sparse_surface
 
 from wehlerk3.blowup import (
+    PENCIL_VARS,
     BinaryForm,
     BoundaryPoint,
+    _exceptional_form,
+    _stripped,
     build_chart,
     chart_for,
     exceptional_points,
@@ -18,7 +21,15 @@ from wehlerk3.field import QQ
 from wehlerk3.fixtures import w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import fiber_points
-from wehlerk3.surface import degenerate_fibers, random_surface
+from wehlerk3.poly import SparsePoly
+from wehlerk3.surface import (
+    PAIRS,
+    XVARS,
+    YVARS,
+    degenerate_fibers,
+    ramification_sextic,
+    random_surface,
+)
 
 # The accepted surfaces whose census raises NonBijective (tests/test_dynamics.py).
 NON_BIJECTIVE = ((5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133))
@@ -48,7 +59,7 @@ def test_chart_construction(chart29):
     assert chart29.dehom_index == 0
     # dividing once more would kill the system
     text = chart29.debug_dump()
-    assert "G'0" in text and "Q'" in text
+    assert "G'0" in text
 
 
 def test_chart_requires_degenerate_center(w1_29, F29):
@@ -210,14 +221,21 @@ def _resolve_outcome(chart, mv):
         return type(exc).__name__
 
 
-def test_membership_table_agrees_with_the_scalar_predicate(w1_29):
-    # Every (line parameter, fiber point) entry of the table against the
-    # scalar `matches`, and `resolve_s` against a `matches` scan; the fiber
-    # itself against the scalar fiber solver.
+@pytest.fixture(scope="module")
+def table_surfaces(w1_29):
+    """(surfaces, reproducers): between them, charts of all three fiber kinds."""
     surfaces = [w1_29] + [random_surface(29, seed, mode="degenerate") for seed in (5, 8)]
     surfaces += [_sparse_surface(p, seed) for p in (5, 7, 11, 13) for seed in (1, 4)]
     surfaces.append(_sparse_surface(5, 1000))
     reproducers = [random_surface(p, seed, mode="degenerate") for p, seed in NON_BIJECTIVE]
+    return surfaces, reproducers
+
+
+def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
+    # Every (line parameter, fiber point) entry of the table against the
+    # scalar `matches`, and `resolve_s` against a `matches` scan; the fiber
+    # itself against the scalar fiber solver.
+    surfaces, reproducers = table_surfaces
     kinds = set()
     for s in surfaces + reproducers:
         uncovered = 0
@@ -237,6 +255,59 @@ def test_membership_table_agrees_with_the_scalar_predicate(w1_29):
         if s in reproducers:
             assert uncovered
     assert kinds == {"line", "conic", "plane"}
+
+
+def _q_rows(chart):
+    """Q' per line parameter: Q along the chart's pencil, divided by its power
+    of eps and stripped at each s like L'; keyed by the moving monomial."""
+    q = chart.surface.q_poly()
+    moving = YVARS if chart.side == "x" else XVARS
+    images = dict.fromkeys(q.vars, SparsePoly.zero(q.domain, PENCIL_VARS))
+    images.update(chart.pencil)
+    forms = []
+    for (k, l) in PAIRS:
+        if k == l:
+            coef = q.coefficient_of(moving[k], 2)
+        else:
+            coef = q.coefficient_of(moving[k], 1).coefficient_of(moving[l], 1)
+        forms.append(coef.substitute(images))
+    e_q = min(f.vanishing_order("eps", 0) for f in forms if f)
+    forms = [_exceptional_form(f.divide_linear_power("eps", 0, e_q), chart.p, 2)
+             for f in forms]
+    return e_q, {s: _stripped(forms, s) for s in chart.s_candidates()}
+
+
+def test_q_prime_vanishes_wherever_the_table_accepts(table_surfaces):
+    # The proof in `BlowupChart._build_table`: L' and the pair quadratics
+    # imply Q', so the table needs no Q' row.
+    surfaces, reproducers = table_surfaces
+    accepted = {"e_q = 0": 0, "e_q > 0": 0}
+    for s in surfaces + reproducers:
+        for _info, chart in _charts(s):
+            p = chart.p
+            e_q, rows = _q_rows(chart)
+            for sv, pts in chart.lines.items():
+                row = rows[sv]
+                for pt in pts:
+                    mv = pt.raw
+                    assert row is not None
+                    assert sum(c * mv[k] * mv[l] for c, (k, l) in zip(row, PAIRS)) % p == 0
+                    accepted["e_q > 0" if e_q else "e_q = 0"] += 1
+    assert all(accepted.values()), accepted
+
+
+def test_division_errors_other_than_inexact_division_propagate(monkeypatch):
+    # Only InexactDivision becomes InexactQuotient; anything else is a bug
+    # and must surface as itself.
+    def broken(self, divisor):
+        raise TypeError("broken division")
+
+    monkeypatch.setattr(SparsePoly, "divide_exact", broken)
+    s = w1_surface(29)  # a fresh surface: both results are cached on it
+    with pytest.raises(TypeError, match="broken division"):
+        ramification_sextic(s, "x")
+    with pytest.raises(TypeError, match="broken division"):
+        ramification_prime(build_chart(s, "x", (-1, -1, 1)))
 
 
 # Per surface: the number of charts and the sha256 of every chart's
