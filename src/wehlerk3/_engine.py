@@ -25,6 +25,8 @@ SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 # quad_eval's unreduced sums are < 6p^3 < 2^36,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
 # the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
+# analyze's pair sort keys index_of(base) * (p^2 + p + 1) + index_of(fiber) are
+# < (p^2 + p + 1)^2 < 2^45,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
 
@@ -99,11 +101,13 @@ class PlaneTable:
         pts = np.asarray(pts, dtype=np.int64)
         p = self.p
         x0, x1, x2 = pts[..., 0], pts[..., 1], pts[..., 2]
-        idx = np.where(x0 == 1, 1 + p + p * x1 + x2, np.where(x1 == 1, 1 + x2, 0))
-        idx = np.clip(idx, 0, len(self.pts) - 1)
-        if np.any(self.pts[idx] != pts):
+        # Exactly the table rows: x2 in 0..p-1 and either x0 = 1 with x1 in
+        # 0..p-1, or x0 = 0 with x1 = 1, or (x0, x1, x2) = (0, 0, 1).
+        at_infinity = (x0 == 0) & ((x1 == 1) | ((x1 == 0) & (x2 == 1)))
+        affine = (x0 == 1) & (x1 >= 0) & (x1 < p)
+        if not np.all((x2 >= 0) & (x2 < p) & (affine | at_infinity)):
             raise KeyError("point not in canonical table")
-        return idx
+        return np.where(x0 == 1, 1 + p + p * x1 + x2, np.where(x1 == 1, 1 + x2, 0))
 
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         """A quartic's values on every affine row from its n x n grid values.
@@ -355,12 +359,11 @@ class SurfaceEngine:
 
         base_arr = np.concatenate(out_base)
         fib_arr = np.concatenate(out_fib)
-        if side == "x":
-            pairs = np.concatenate([base_arr, fib_arr], axis=1)
-        else:
-            pairs = np.concatenate([fib_arr, base_arr], axis=1)
-        order = np.lexsort(pairs.T[::-1])
-        return pairs[order], degenerate
+        x_arr, y_arr = (base_arr, fib_arr) if side == "x" else (fib_arr, base_arr)
+        pairs = np.concatenate([x_arr, y_arr], axis=1)
+        # Table rows are in lex order, so this one key sorts the pairs lex.
+        key = tbl.index_of(x_arr) * len(tbl.pts) + tbl.index_of(y_arr)
+        return pairs[np.argsort(key, kind="stable")], degenerate
 
     # -- rational-point Jacobian rank scan -----------------------------------
 

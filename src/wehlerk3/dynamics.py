@@ -255,13 +255,18 @@ class PhaseSpace:
             np.pad(regular, ((0, 0), (0, 2)), constant_values=none_code),
             np.array(records, dtype=np.int64).reshape(-1, 8),
         ])
-        order = np.lexsort(allrec.T[::-1])
+        # Plane-table rows are in lex order, so (row of a, row of b, sx code)
+        # orders like (a, b, sx) and one key replaces seven sort columns.
+        tbl = s.engine().table
+        ia, ib = tbl.index_of(allrec[:, :3]), tbl.index_of(allrec[:, 3:6])
+        xkey = phase_key(ia, ib, allrec[:, 6], p)
+        order = np.lexsort((allrec[:, 7], xkey))
         self.records = allrec[order]
+        self._ia, self._ib = ia[order], ib[order]
         # The x key follows the record order by construction; the y key does
         # only because no (a, b) carries both several sx and several sy.
-        self._keys = {side: self._key(self.records[:, :3], self.records[:, 3:6],
-                                      self.records[:, col])
-                      for side, col in _CODE_COL.items()}
+        self._keys = {"x": xkey[order],
+                      "y": phase_key(self._ia, self._ib, self.records[:, 7], p)}
         for side, keys in self._keys.items():
             if np.any(keys[1:] < keys[:-1]):
                 raise NonBijective(f"phase records are not sorted by their {side} key")
@@ -345,8 +350,13 @@ class PhaseSpace:
             bp = BoundaryPoint(side, center, self._sdecode(int(code[i])),
                                point2(s.domain, *rec[i, mov_cols].tolist()))
             moved[i] = sigma_extended(chart_for(s, side, center), bp).moving.raw
-        a, b = (rec[:, :3], moved) if side == "x" else (moved, rec[:, 3:6])
-        first, count = self._find(side, self._key(a, b, code))
+        # Only the moved coordinate needs new plane-table rows.
+        moved_rows = s.engine().table.index_of(moved)
+        if side == "x":
+            a, b, ia, ib = rec[:, :3], moved, self._ia, moved_rows
+        else:
+            a, b, ia, ib = moved, rec[:, 3:6], moved_rows, self._ib
+        first, count = self._find(side, phase_key(ia, ib, code, self.p))
         # Notes list the plain rows first, then the chart rows.
         for i in np.concatenate([np.flatnonzero(plain & (count != 1)),
                                  chart_rows[count[chart_rows] != 1]]):
@@ -492,40 +502,55 @@ def _point_json(P: PhasePoint) -> dict:
     return out
 
 
-def cycle_decomposition(s_or_space) -> CycleCensus:
-    """Walk phi over the materialized phase space; exact minimal periods."""
-    space = s_or_space if isinstance(s_or_space, PhaseSpace) else build_phase_space(s_or_space)
-    phi = space.perm_phi()
+def _cycles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cycle_id, representatives, lengths) of the permutation phi.
+
+    Each cycle is represented by its smallest index and numbered in the
+    order of those minima.  Min-label pointer doubling finds the minima:
+    after k rounds lab[i] is the minimum over the window of 2^k points i,
+    phi(i), ... and f = phi^(2^k).  When a round changes no label,
+    lab[i] <= lab[f[i]] everywhere, so the labels are equal along each chain
+    i, f(i), f(f(i)), ..., which closes up.  On a cycle of length L the chain
+    visits every gcd(2^k, L)-th point, so its windows cover the cycle and each
+    label is the cycle's minimum.  Rounds: ceil(log2(longest cycle)) + 1.
+    """
     n = len(phi)
-    sx = space.perm("x")
-    counts = np.bincount(phi, minlength=n)
-    if np.any(counts != 1):
+    if np.any(np.bincount(phi, minlength=n) != 1):
         raise NonBijective("phi is not a bijection of the phase space")
-    cycle_id = np.full(n, -1, dtype=np.int64)
-    cycles: list[CycleRecord] = []
-    for start in range(n):
-        if cycle_id[start] >= 0:
-            continue
-        cid = len(cycles)
-        length = 0
-        j = start
-        while cycle_id[j] < 0:
-            cycle_id[j] = cid
-            j = int(phi[j])
-            length += 1
-        cycles.append(CycleRecord(length, False, start))
+    lab = np.arange(n)
+    f = phi
+    while True:
+        nxt = np.minimum(lab, lab[f])
+        if np.array_equal(nxt, lab):
+            break
+        lab = nxt
+        f = f[f]
+    is_rep = lab == np.arange(n)
+    cycle_id = (np.cumsum(is_rep) - 1)[lab]
+    return cycle_id, np.flatnonzero(is_rep), np.bincount(cycle_id)
+
+
+def cycle_decomposition(s_or_space) -> CycleCensus:
+    """Split phi over the materialized phase space into cycles; exact minimal periods.
+
+    Every point is labelled with its cycle's smallest index by min-label
+    pointer doubling (`_cycles`): take the minimum of the labels at i and at
+    f(i), then square f, until no label changes, which takes about
+    log2(longest cycle) array gathers instead of a walk point by point.
+    Cycles are numbered, and represented, by those smallest indices.
+    """
+    space = s_or_space if isinstance(s_or_space, PhaseSpace) else build_phase_space(s_or_space)
+    cycle_id, reps, lengths = _cycles(space.perm_phi())
     # A cycle is symmetric iff sigma_x maps it onto itself; sigma_x sends
     # phi-cycles to phi-cycles, so testing one representative suffices.
-    final = []
-    for c in cycles:
-        sym = cycle_id[int(sx[c.rep_index])] == cycle_id[c.rep_index]
-        final.append(CycleRecord(c.length, bool(sym), c.rep_index))
+    symmetric = cycle_id[space.perm("x")[reps]] == cycle_id[reps]
     census = CycleCensus(
         space=space,
-        cycles=final,
+        cycles=[CycleRecord(length, sym, rep) for length, sym, rep
+                in zip(lengths.tolist(), symmetric.tolist(), reps.tolist())],
         fix_x=space.fixed_count("x"),
         fix_y=space.fixed_count("y"),
-        total=n,
+        total=space.size,
         cycle_id=cycle_id,
     )
     census.verify()

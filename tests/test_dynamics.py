@@ -1,11 +1,14 @@
 import random
 from collections import Counter
 
+import numpy as np
 import pytest
+from test_engine import _sparse_surface
 
 from wehlerk3._engine import SurfaceEngine
 from wehlerk3.dynamics import (
     PhasePoint,
+    _cycles,
     asymmetric_pairing,
     build_phase_space,
     classify_cycle,
@@ -209,6 +212,89 @@ def test_census_against_independent_walk():
                 break
         lengths.append(n)
     assert sorted(lengths) == sorted(c.length for c in census.cycles)
+
+
+def _scalar_walk(phi):
+    """Reference cycle walk: (cycle_id, [(length, start)]) from each unvisited start."""
+    cycle_id = np.full(len(phi), -1, dtype=np.int64)
+    cycles = []
+    for start in range(len(phi)):
+        if cycle_id[start] >= 0:
+            continue
+        length = 0
+        j = start
+        while cycle_id[j] < 0:
+            cycle_id[j] = len(cycles)
+            j = int(phi[j])
+            length += 1
+        cycles.append((length, start))
+    return cycle_id, cycles
+
+
+@pytest.mark.parametrize("p,seed,mode", [(29, None, None), (29, 5, "degenerate"),
+                                         (29, 9, "degenerate"), (101, 1, "any")],
+                         ids=["w1_29", "degenerate_29_5", "degenerate_29_9", "random_101_1"])
+def test_census_matches_the_scalar_walk(p, seed, mode, w1_29):
+    s = w1_29 if seed is None else random_surface(p, seed, mode=mode)
+    census = cycle_decomposition(s)
+    space = census.space
+    cycle_id, cycles = _scalar_walk(space.perm_phi())
+    sx = space.perm("x")
+    assert np.array_equal(census.cycle_id, cycle_id)
+    assert [(c.length, c.symmetric, c.rep_index) for c in census.cycles] == [
+        (length, bool(cycle_id[sx[start]] == cycle_id[start]), start)
+        for length, start in cycles]
+
+
+def test_pointer_doubling_matches_the_scalar_walk_on_synthetic_permutations():
+    # n = 1, the identity, one n-cycle in index order and one on shuffled
+    # indices, then random permutations.
+    rng = np.random.default_rng(3)
+    order = rng.permutation(3000)
+    shuffled_cycle = np.empty(3000, dtype=np.int64)
+    shuffled_cycle[order] = np.roll(order, -1)
+    perms = [np.zeros(1, dtype=np.int64), np.arange(50), np.roll(np.arange(3000), -1),
+             shuffled_cycle]
+    perms += [rng.permutation(n) for n in (2, 17, 4096, 20000)]
+    longest = 0
+    for phi in perms:
+        cycle_id, reps, lengths = _cycles(phi)
+        ref_id, ref_cycles = _scalar_walk(phi)
+        assert np.array_equal(cycle_id, ref_id)
+        assert list(zip(lengths.tolist(), reps.tolist())) == ref_cycles
+        longest = max(longest, lengths.max())
+    assert longest > 2 ** 10
+
+
+def test_non_bijective_phi_is_rejected():
+    for phi in (np.array([0, 0, 1]), np.array([1, 1]), np.array([2, 0, 0])):
+        with pytest.raises(NonBijective, match="phi is not a bijection"):
+            _cycles(phi)
+
+
+REGULAR, X_ONLY, Y_ONLY, BOTH = (False, False), (True, False), (False, True), (True, True)
+LEX_ORDER_SURFACES = {
+    "w1_29": (lambda: w1_surface(29), {REGULAR, X_ONLY, Y_ONLY, BOTH}),
+    "degenerate_29_0": (lambda: random_surface(29, 0, mode="degenerate"), {REGULAR, X_ONLY}),
+    "degenerate_29_2": (lambda: random_surface(29, 2, mode="degenerate"), {REGULAR, Y_ONLY}),
+    "sparse_13_1": (lambda: _sparse_surface(13, 1), {REGULAR, X_ONLY, Y_ONLY}),
+}
+
+
+@pytest.mark.parametrize("name", LEX_ORDER_SURFACES)
+def test_records_and_pairs_are_in_lex_order(name):
+    # Records carry a line parameter on neither side, the x side, the y side
+    # or both; on sparse_13_1 some records share (a, b, sx) and differ in sy.
+    make, kinds = LEX_ORDER_SURFACES[name]
+    s = make()
+    space = build_phase_space(s)
+    rec = space.records
+    none = space.p + 1
+    assert {(sx != none, sy != none) for sx, sy in rec[:, 6:].tolist()} == kinds
+    shared_x = np.all(rec[1:, :7] == rec[:-1, :7], axis=1).any()
+    assert shared_x == (name == "sparse_13_1")
+    for arr in (rec, surface_pairs(s), s.engine().analyze("y")[0]):
+        assert np.array_equal(np.lexsort(arr.T[::-1]), np.arange(len(arr)))
 
 
 def test_reversibility_census_phi_equals_psi(w1_29):

@@ -97,15 +97,38 @@ def test_phase_key_int64_headroom():
     assert keys[-1] == (n * n - 1) * (p + 2) + p + 1 == keys.max()
 
 
+def test_analyze_sort_key_int64_headroom():
+    # analyze sorts its pairs by index_of(base) * (p^2 + p + 1) + index_of(fiber);
+    # at the table's last rows near the cap it must match Python-int arithmetic.
+    p = 2039
+    assert p <= _ENUM_P_CAP and (_ENUM_P_CAP ** 2 + _ENUM_P_CAP + 1) ** 2 < 2 ** 45
+    tbl = PlaneTable(p)
+    n = p * p + p + 1
+    last = [(1, p - 1, p - 2), (1, p - 1, p - 1)]
+    rows = [(a, b) for a in last for b in last]
+    pairs = np.array([a + b for a, b in rows], dtype=np.int64)
+    keys = tbl.index_of(pairs[:, :3]) * len(tbl.pts) + tbl.index_of(pairs[:, 3:])
+    row = {pt: 1 + p + p * pt[1] + pt[2] for pt in last}
+    assert [row[pt] for pt in last] == [n - 2, n - 1]
+    assert keys.tolist() == [row[a] * n + row[b] for a, b in rows]
+    assert keys[-1] == n * n - 1
+
+
 @pytest.mark.parametrize("p", [29, 503])
 def test_plane_table_keys_strictly_increase(p):
     tbl = PlaneTable(p)
     assert len(tbl.pts) == p * p + p + 1
     assert np.all(np.diff(tbl.pack(tbl.pts)) > 0)
     assert np.array_equal(tbl.index_of(tbl.pts), np.arange(len(tbl.pts)))
-    for bad in ([0, 2, 1], [2, 0, 0], [0, 1, p], [1, -1, 3], [1, p, 0], [0, 0, 0]):
+    for bad in ([0, 2, 1], [2, 0, 0], [0, 1, p], [1, -1, 3], [1, p, 0], [0, 0, 0],
+                [0, 0, 2], [1, 0, p], [1, 0, -1], [0, 1, -1]):
         with pytest.raises(KeyError):
             tbl.index_of(np.array([[1, 0, 0], bad]))
+        with pytest.raises(KeyError):
+            tbl.index_of(np.array(bad))
+    # A single point, as a 1-D row.
+    assert tbl.index_of(np.array([1, 2, 3])) == 1 + p + 2 * p + 3
+    assert tbl.index_of(np.array([0, 0, 1])) == 0
 
 
 def _sparse_surface(p, seed):
