@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadModulus
+from .errors import BadModulus, DegenerateFiber
 from .field import PrimeField
 
 # x_i*x_j (or y_k*y_l) monomials in canonical order; cross terms carry the
@@ -21,12 +21,15 @@ PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
-# Bulk kernels stay exact in int64 up to this cap: pack keys are < p^3,
-# quad_eval's unreduced sums are < 6p^3 < 2^36,
+# Bulk kernels stay exact in int64 up to this cap: quad_eval's unreduced sums
+# are < 6p^3 < 2^36,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
 # the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
-# analyze's pair sort keys index_of(base) * (p^2 + p + 1) + index_of(fiber) are
+# fiber_pairs' sort keys (row of x) * (p^2 + p + 1) + (row of y) are
 # < (p^2 + p + 1)^2 < 2^45,
+# fiber_partner_rows' row sums are at most a plane fiber's, the sum of all
+# p^2 + p + 1 row indices, < (p^2 + p + 1)^2 < 2^45, so exact in the float64
+# that np.bincount accumulates weights in (< 2^53),
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
 
@@ -35,8 +38,8 @@ def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.nd
     """One int64 key per phase record from plane-table row indices and a code.
 
     Increasing in (ia, ib, code) for row indices < p^2 + p + 1 and codes in
-    0..p + 1.  Dense indices keep it in int64 where two pack keys (< p^6) would
-    not.
+    0..p + 1.  Dense indices keep it in int64 where two base-p coordinate codes
+    (< p^6) would not.
     """
     return (ia * (p * p + p + 1) + ib) * (p + 2) + code
 
@@ -57,8 +60,8 @@ class PlaneTable:
         pts = [(0, 0, 1)]
         pts.extend((0, 1, z) for z in range(p))
         pts.extend((1, y, z) for y in range(p) for z in range(p))
-        # Lexicographic order, so pack is strictly increasing over the rows;
-        # index_of's closed form and phase_key's order rely on it.
+        # Lexicographic order: index_of's closed form and phase_key's order
+        # rely on it.
         self.pts = np.array(pts, dtype=np.int64)
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
@@ -78,10 +81,6 @@ class PlaneTable:
                                            * self.inv[(i - j) % p] % p)
         cls._cache[p] = self
         return self
-
-    def pack(self, pts: np.ndarray) -> np.ndarray:
-        p = self.p
-        return (pts[..., 0] * p + pts[..., 1]) * p + pts[..., 2]
 
     def _monomials(self, pts: np.ndarray) -> np.ndarray:
         p = self.p
@@ -210,6 +209,30 @@ def binary_other_root(A, B, C, alpha, beta, p: int):
     return gamma, delta
 
 
+def fiber_partner_rows(pair_base: np.ndarray, pair_moving: np.ndarray,
+                       base: np.ndarray, moving: np.ndarray, n: int) -> np.ndarray:
+    """Plane-table row of the Vieta partner of each fiber point, from row sums.
+
+    pair_base / pair_moving hold the table rows of the base and the moving
+    coordinate of every rational point of the surface; base / moving are the
+    rows of the points to swap and n is the number of table rows.  Let S[r]
+    be the sum of pair_moving over the pairs with pair_base = r, doubled
+    where that fiber has one point.  Over a base that is not degenerate the
+    fiber is the zero set of a binary quadratic on the line L(base, .) = 0,
+    and by Vieta its second root is rational whenever one is.  So the
+    rational fiber is either two points r, r', with S = r + r', or one double
+    root r, with S = 2r; either way S[base] - r is the partner, and a double
+    root maps to itself.  Any base whose fiber does not have 1 or 2 points
+    raises DegenerateFiber.
+    """
+    size = np.bincount(pair_base, minlength=n)
+    if not np.all((size[base] == 1) | (size[base] == 2)):
+        raise DegenerateFiber("a swapped point's fiber has neither 1 nor 2 points")
+    total = np.bincount(pair_base, weights=pair_moving, minlength=n)
+    total[size == 1] *= 2
+    return total[base].astype(np.int64) - moving
+
+
 class SurfaceEngine:
     """Bulk operations for one Wehler surface over F_p."""
 
@@ -281,15 +304,22 @@ class SurfaceEngine:
         return degenerate
 
     def analyze(self, side: str):
+        """`fiber_pairs` without the plane-table rows: (pairs, degenerate)."""
+        pairs, _, degenerate = self.fiber_pairs(side)
+        return pairs, degenerate
+
+    def fiber_pairs(self, side: str):
         """Solve every fiber of the chosen projection.
 
         Restricts Q to the line L(base, .) = 0 over every base and solves the
-        binary quadratic.  Returns (pairs, degenerate) where pairs is an (N, 6)
-        array of [base, fiber-point] coordinate rows in (x, y) order, lex
-        sorted, and degenerate lists (base_row, kind) for positive-dimensional
-        fibers with kind in {"line", "conic", "plane"}: the whole-line bases,
-        then the bases where L vanishes identically.  `degenerate_bases` gives
-        the same list without the roots.
+        binary quadratic.  Returns (pairs, rows, degenerate) where pairs is an
+        (N, 6) array of [base, fiber-point] coordinate rows in (x, y) order,
+        lex sorted, rows is (x rows, y rows), the plane-table row indices of
+        the two coordinates of each pair, and degenerate lists (base_row,
+        kind) for positive-dimensional fibers with kind in {"line", "conic",
+        "plane"}: the whole-line bases, then the bases where L vanishes
+        identically.  `degenerate_bases` gives the same list without the
+        roots.
         """
         p = self.p
         tbl = self.table
@@ -312,7 +342,9 @@ class SurfaceEngine:
         degenerate += [(bases[row], "conic" if np.any(qc[row] != 0) else "plane")
                        for row in special]
 
-        out_base: list[np.ndarray] = []
+        # Base rows and fiber points of every rational point; bases are the
+        # table rows, so idx and special are already base rows.
+        out_row: list[np.ndarray] = []
         out_fib: list[np.ndarray] = []
 
         # Whole-line fibers: every point t0 u + t1 v, t in P^1.
@@ -320,20 +352,19 @@ class SurfaceEngine:
                              np.array([[0, 1]], dtype=np.int64)])
         for pos in np.nonzero(whole_line)[0]:
             upts = (ts[:, :1] * u[pos][None, :] + ts[:, 1:] * v[pos][None, :]) % p
-            out_base.append(np.repeat(bases[idx[pos]][None, :], len(upts), axis=0))
+            out_row.append(np.full(len(upts), idx[pos]))
             out_fib.append(tbl.canonicalize(upts))
 
         solvable = ~whole_line
         # Roots with t1 = 0 exist iff A == 0: fiber point = u.
         rootA = solvable & (A == 0)
-        rows = idx[rootA]
-        out_base.append(bases[rows])
+        out_row.append(idx[rootA])
         out_fib.append(tbl.canonicalize(u[rootA]))
         # Second root for A == 0, B != 0: t0 = -C/B, t1 = 1.
         rootB = solvable & (A == 0) & (B != 0)
         t0 = (-C[rootB] * tbl.inv[B[rootB]]) % p
         pts = (t0[:, None] * u[rootB] + v[rootB]) % p
-        out_base.append(bases[idx[rootB]])
+        out_row.append(idx[rootB])
         out_fib.append(tbl.canonicalize(pts))
         # A != 0: standard quadratic in t0 with t1 = 1.
         quad = solvable & (A != 0)
@@ -347,23 +378,24 @@ class SurfaceEngine:
             t0 = ((-B[qrows] + sign * r) * inv2A) % p
             sel = np.ones(len(qrows), dtype=bool) if sign == 1 else r != 0
             pts = (t0[sel][:, None] * u[qrows[sel]] + v[qrows[sel]]) % p
-            out_base.append(bases[idx[qrows[sel]]])
+            out_row.append(idx[qrows[sel]])
             out_fib.append(tbl.canonicalize(pts))
 
         # Conic and plane fibers: every plane point where Q vanishes (all of
         # them when Q does too).
         for row in special:
             sols = tbl.pts[tbl.mon6 @ qc[row] % p == 0]
-            out_base.append(np.repeat(bases[row][None, :], len(sols), axis=0))
+            out_row.append(np.full(len(sols), row))
             out_fib.append(sols)
 
-        base_arr = np.concatenate(out_base)
-        fib_arr = np.concatenate(out_fib)
-        x_arr, y_arr = (base_arr, fib_arr) if side == "x" else (fib_arr, base_arr)
-        pairs = np.concatenate([x_arr, y_arr], axis=1)
+        base_rows = np.concatenate(out_row)
+        fib_rows = tbl.index_of(np.concatenate(out_fib))
+        x_rows, y_rows = (base_rows, fib_rows) if side == "x" else (fib_rows, base_rows)
         # Table rows are in lex order, so this one key sorts the pairs lex.
-        key = tbl.index_of(x_arr) * len(tbl.pts) + tbl.index_of(y_arr)
-        return pairs[np.argsort(key, kind="stable")], degenerate
+        order = np.argsort(x_rows * len(tbl.pts) + y_rows, kind="stable")
+        x_rows, y_rows = x_rows[order], y_rows[order]
+        pairs = np.concatenate([tbl.pts[x_rows], tbl.pts[y_rows]], axis=1)
+        return pairs, (x_rows, y_rows), degenerate
 
     # -- rational-point Jacobian rank scan -----------------------------------
 
@@ -413,6 +445,8 @@ class SurfaceEngine:
         side 'x': bases in P^2_x, moving points are the y coordinates.
         side 'y': bases in P^2_y, moving points are the x coordinates.
         Bases must be non-degenerate; double roots return the input point.
+        The census takes its partners from `fiber_partner_rows`; this G/H
+        Vieta kernel is the bulk reference that tests compare it with.
         """
         p = self.p
         tbl = self.table

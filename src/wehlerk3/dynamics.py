@@ -14,12 +14,12 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._engine import phase_key
+from ._engine import fiber_partner_rows, phase_key
 from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
 from .errors import NonBijective, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
-from .surface import WehlerSurface, degenerate_fibers, surface_pairs
+from .surface import WehlerSurface, degenerate_fibers, pair_rows, surface_pairs
 
 __all__ = [
     "PhasePoint",
@@ -195,25 +195,29 @@ class PhaseSpace:
         self.p = s.domain.p
         # The x root pass first: it leaves the x degenerate list that _context
         # reads, so side x is not scanned a second time.
-        pairs = surface_pairs(s)
+        surface_pairs(s)
         self.ctx = _context(s)
         self.exceptions: list[str] = []
-        self._build_points(pairs)
+        self._build_points()
         self._perms: dict[str, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_points(self, pairs: np.ndarray):
+    def _build_points(self):
         s = self.surface
         p = self.p
+        tbl = s.engine().table
         xc = self.ctx.centers["x"]
         yc = self.ctx.centers["y"]
-        pack = s.engine().table.pack
-        xc_keys = pack(np.array(list(xc), dtype=np.int64).reshape(-1, 3))
-        yc_keys = pack(np.array(list(yc), dtype=np.int64).reshape(-1, 3))
-        a_deg = np.isin(pack(pairs[:, :3]), xc_keys)
-        b_deg = np.isin(pack(pairs[:, 3:]), yc_keys)
-        regular = pairs[~a_deg & ~b_deg]
+        pairs = surface_pairs(s)
+        pa, pb = pair_rows(s)
+        # Degenerate centers marked over the plane-table rows.
+        on_center = []
+        for centers, rows in ((xc, pa), (yc, pb)):
+            is_center = np.zeros(len(tbl.pts), dtype=bool)
+            is_center[tbl.index_of(np.array(list(centers), dtype=np.int64).reshape(-1, 3))] = True
+            on_center.append(is_center[rows])
+        regular = ~on_center[0] & ~on_center[1]
 
         # Boundary atoms from every chart on both sides.
         x_atoms: dict[tuple, list[tuple]] = {}
@@ -251,14 +255,15 @@ class PhaseSpace:
                     f"ambiguous both-side boundary point {key}: "
                     f"{len(xs)} x-lines, {len(ys)} y-lines")
 
+        boundary = np.array(records, dtype=np.int64).reshape(-1, 8)
         allrec = np.concatenate([
-            np.pad(regular, ((0, 0), (0, 2)), constant_values=none_code),
-            np.array(records, dtype=np.int64).reshape(-1, 8),
+            np.pad(pairs[regular], ((0, 0), (0, 2)), constant_values=none_code),
+            boundary,
         ])
         # Plane-table rows are in lex order, so (row of a, row of b, sx code)
         # orders like (a, b, sx) and one key replaces seven sort columns.
-        tbl = s.engine().table
-        ia, ib = tbl.index_of(allrec[:, :3]), tbl.index_of(allrec[:, 3:6])
+        ia = np.concatenate([pa[regular], tbl.index_of(boundary[:, :3])])
+        ib = np.concatenate([pb[regular], tbl.index_of(boundary[:, 3:6])])
         xkey = phase_key(ia, ib, allrec[:, 6], p)
         order = np.lexsort((allrec[:, 7], xkey))
         self.records = allrec[order]
@@ -306,10 +311,23 @@ class PhaseSpace:
         return phase_key(tbl.index_of(a), tbl.index_of(b), code, self.p)
 
     def _find(self, side: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First record whose `side` key equals each key, and how many do."""
+        """First record whose `side` key equals each key, and how many do.
+
+        One left search: a key occurs exactly once iff it sits at `first` and
+        not at `first + 1`.  Only the keys that occur more often are counted
+        by a second search.
+        """
         sorted_keys = self._keys[side]
+        n = len(sorted_keys)
         first = np.searchsorted(sorted_keys, keys)
-        return first, np.searchsorted(sorted_keys, keys, side="right") - first
+        count = np.zeros(len(keys), dtype=np.int64)
+        hit = np.flatnonzero(first < n)
+        hit = hit[sorted_keys[first[hit]] == keys[hit]]
+        count[hit] = 1
+        more = hit[first[hit] + 1 < n]
+        more = more[sorted_keys[first[more] + 1] == keys[more]]
+        count[more] = np.searchsorted(sorted_keys, keys[more], side="right") - first[more]
+        return first, count
 
     def index_of(self, P: PhasePoint) -> int:
         none_code = self.p + 1
@@ -334,33 +352,44 @@ class PhaseSpace:
         """Swap the moving coordinate of every record, then look all images up.
 
         The swap side's own parameter is kept, so the image is the unique
-        record with the moved (a, b) and the same code on that side.
+        record with the moved (a, b) and the same code on that side.  A plain
+        record (no parameter on the swap side) sits over a base that is not
+        degenerate, whose fiber holds one or two rational points, all of them
+        in `surface_pairs`.  With S[base] the sum of the moving rows over that
+        fiber, doubled where it is a single double root, the partner's row is
+        S[base] - row (`fiber_partner_rows`): the other root of a two-point
+        fiber, or the point itself at a double root.  Chart records move by
+        `sigma_extended` on their blow-up chart.
         """
         s = self.surface
+        tbl = s.engine().table
         rec = self.records
         code = rec[:, _CODE_COL[side]]
-        base_cols, mov_cols = ((slice(0, 3), slice(3, 6)) if side == "x"
-                               else (slice(3, 6), slice(0, 3)))
         plain = code == self.p + 1
-        moved = rec[:, mov_cols].copy()
-        moved[plain] = s.engine().cor1_swap(side, rec[plain, base_cols], rec[plain, mov_cols])
+        pa, pb = pair_rows(s)
+        if side == "x":
+            base, own, pair_base, pair_moving = self._ia, self._ib, pa, pb
+            base_cols, mov_cols = slice(0, 3), slice(3, 6)
+        else:
+            base, own, pair_base, pair_moving = self._ib, self._ia, pb, pa
+            base_cols, mov_cols = slice(3, 6), slice(0, 3)
+        moved = own.copy()
+        moved[plain] = fiber_partner_rows(pair_base, pair_moving, base[plain], own[plain],
+                                          len(tbl.pts))
         chart_rows = np.flatnonzero(~plain)
-        for i in chart_rows:
+        chart_moved = np.empty((len(chart_rows), 3), dtype=np.int64)
+        for j, i in enumerate(chart_rows):
             center = point2(s.domain, *rec[i, base_cols].tolist())
             bp = BoundaryPoint(side, center, self._sdecode(int(code[i])),
                                point2(s.domain, *rec[i, mov_cols].tolist()))
-            moved[i] = sigma_extended(chart_for(s, side, center), bp).moving.raw
-        # Only the moved coordinate needs new plane-table rows.
-        moved_rows = s.engine().table.index_of(moved)
-        if side == "x":
-            a, b, ia, ib = rec[:, :3], moved, self._ia, moved_rows
-        else:
-            a, b, ia, ib = moved, rec[:, 3:6], moved_rows, self._ib
+            chart_moved[j] = sigma_extended(chart_for(s, side, center), bp).moving.raw
+        moved[chart_rows] = tbl.index_of(chart_moved)
+        ia, ib = (self._ia, moved) if side == "x" else (moved, self._ib)
         first, count = self._find(side, phase_key(ia, ib, code, self.p))
         # Notes list the plain rows first, then the chart rows.
         for i in np.concatenate([np.flatnonzero(plain & (count != 1)),
                                  chart_rows[count[chart_rows] != 1]]):
-            at = f"({tuple(a[i].tolist())}, {tuple(b[i].tolist())})"
+            at = f"({tuple(tbl.pts[ia[i]].tolist())}, {tuple(tbl.pts[ib[i]].tolist())})"
             if count[i] == 0:
                 self.exceptions.append(f"sigma_{side} image of record {i} has no phase point {at}")
             else:

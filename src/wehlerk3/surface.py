@@ -504,12 +504,19 @@ def _degenerate_rows(s: WehlerSurface, side: str) -> list:
 # -- rational points --------------------------------------------------------------
 
 
-def surface_pairs(s: WehlerSurface) -> np.ndarray:
-    """All rational points as an (N, 6) int array [a | b], lex sorted.
+def _pair_table(s: WehlerSurface) -> tuple:
+    """(pairs, rows) of the x-side root pass, which runs once per surface."""
+    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x")[:2])
 
-    The x-side root pass runs once per surface.
-    """
-    return s.cached(("pairs",), lambda: s.engine().analyze("x")[0])
+
+def surface_pairs(s: WehlerSurface) -> np.ndarray:
+    """All rational points as an (N, 6) int array [a | b], lex sorted."""
+    return _pair_table(s)[0]
+
+
+def pair_rows(s: WehlerSurface) -> tuple[np.ndarray, np.ndarray]:
+    """Plane-table rows (of a, of b) of every `surface_pairs` row, in its order."""
+    return _pair_table(s)[1]
 
 
 def enumerate_points(s: WehlerSurface):

@@ -5,7 +5,7 @@ import numpy as np
 import pytest
 from test_engine import _sparse_surface
 
-from wehlerk3._engine import SurfaceEngine
+from wehlerk3._engine import SurfaceEngine, fiber_partner_rows
 from wehlerk3.dynamics import (
     PhasePoint,
     _cycles,
@@ -19,10 +19,11 @@ from wehlerk3.dynamics import (
     phi_step,
     psi_step,
 )
-from wehlerk3.errors import NonBijective, PairingFailure
+from wehlerk3.errors import DegenerateFiber, NonBijective, PairingFailure
 from wehlerk3.fixtures import w1_orbit_points, w1_surface
 from wehlerk3.geometry import point1, point2
-from wehlerk3.surface import degenerate_fibers, random_surface, surface_pairs
+from wehlerk3.involution import _cor1_partner
+from wehlerk3.surface import degenerate_fibers, pair_rows, random_surface, surface_pairs
 
 
 def test_phase_space_of_nondegenerate_surface_is_the_point_set():
@@ -50,7 +51,7 @@ def test_phase_space_counts_boundary_points(w1_29):
 def _count_engine_passes(monkeypatch):
     """Per-side call counts of the G/H kernel and the root pass."""
     calls = Counter()
-    for name in ("degenerate_bases", "analyze"):
+    for name in ("degenerate_bases", "fiber_pairs"):
         orig = getattr(SurfaceEngine, name)
 
         def counted(self, side, orig=orig, name=name):
@@ -68,15 +69,15 @@ def test_phase_space_scans_each_side_once(monkeypatch):
     space = build_phase_space(w1_surface(29))
     assert space.size > 0
     assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
-                     ("analyze", "x"): 1}
+                     ("fiber_pairs", "x"): 1}
 
 
 def test_a_draw_that_meets_the_mode_runs_one_root_pass(monkeypatch):
     calls = _count_engine_passes(monkeypatch)
     s = random_surface(11, seed=3, max_draws=1)
     assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
-                     ("analyze", "x"): 1}
-    assert len(surface_pairs(s)) > 0 and calls["analyze", "x"] == 1
+                     ("fiber_pairs", "x"): 1}
+    assert len(surface_pairs(s)) > 0 and calls["fiber_pairs", "x"] == 1
 
 
 def test_lift_pair_attaches_parameters(w1_29, F29):
@@ -124,6 +125,61 @@ def test_scalar_steps_agree_with_permutations(seed, w1_29):
         perm = space.perm(side)
         for i in range(space.size):
             assert space.index_of(phase_step(s, space.point(i), side)) == int(perm[i])
+
+
+_PARTNER_SURFACES = {
+    "w1_29": lambda: w1_surface(29),
+    "degenerate_29_5": lambda: random_surface(29, 5, mode="degenerate"),
+    "degenerate_29_9": lambda: random_surface(29, 9, mode="degenerate"),
+    "random_101_1": lambda: random_surface(101, 1),
+}
+
+
+@pytest.mark.parametrize("name", list(_PARTNER_SURFACES))
+def test_row_sum_partners_match_the_vieta_swap(name):
+    # Every plain record of both sides: the fiber-row-sum partner equals the
+    # bulk G/H Vieta kernel's partner, and a sample equals the scalar swap's.
+    s = _PARTNER_SURFACES[name]()
+    space = build_phase_space(s)
+    eng = s.engine()
+    tbl = eng.table
+    rec = space.records
+    cols = {"x": slice(0, 3), "y": slice(3, 6)}
+    rows = {side: tbl.index_of(rec[:, c]) for side, c in cols.items()}
+    pair = dict(zip("xy", pair_rows(s)))
+    rng = random.Random(0)
+    for side, other, code_col in (("x", "y", 6), ("y", "x", 7)):
+        plain = np.flatnonzero(rec[:, code_col] == s.domain.p + 1)
+        got = fiber_partner_rows(pair[side], pair[other], rows[side][plain],
+                                 rows[other][plain], len(tbl.pts))
+        want = tbl.index_of(eng.cor1_swap(side, rec[plain, cols[side]], rec[plain, cols[other]]))
+        assert len(plain) > 0 and np.array_equal(got, want)
+        assert np.any(got != rows[other][plain])
+        for k in rng.sample(range(len(plain)), 25):
+            base, moving = (point2(s.domain, *rec[plain[k], cols[t]].tolist())
+                            for t in (side, other))
+            partner = point2(s.domain, *_cor1_partner(s, side, base.coords, moving.coords))
+            assert tbl.index_of(np.array(partner.raw)) == got[k]
+
+
+def test_row_sum_partner_rejects_fibers_without_one_or_two_points():
+    # A center's fiber (a conic here) and an empty fiber both raise.
+    s = random_surface(29, 5, mode="degenerate")
+    tbl = s.engine().table
+    pa, pb = pair_rows(s)
+    n = len(tbl.pts)
+    size = np.bincount(pa, minlength=n)
+    (center,) = degenerate_fibers(s, "x")
+    center_row = int(tbl.index_of(np.array(center.base.raw)))
+    empty_row = int(np.flatnonzero(size == 0)[0])
+    assert size[center_row] > 2
+    for row in (center_row, empty_row):
+        with pytest.raises(DegenerateFiber):
+            fiber_partner_rows(pa, pb, np.array([row]), np.array([0]), n)
+    # Together with good rows too.
+    good = np.flatnonzero(size == 2)[:3]
+    with pytest.raises(DegenerateFiber):
+        fiber_partner_rows(pa, pb, np.append(good, center_row), np.zeros(4, dtype=np.int64), n)
 
 
 def test_index_of_rejects_points_outside_the_phase_space(w1_29, F29):
@@ -295,6 +351,20 @@ def test_records_and_pairs_are_in_lex_order(name):
     assert shared_x == (name == "sparse_13_1")
     for arr in (rec, surface_pairs(s), s.engine().analyze("y")[0]):
         assert np.array_equal(np.lexsort(arr.T[::-1]), np.arange(len(arr)))
+
+
+def test_find_counts_present_shared_and_absent_keys():
+    # On sparse_13_1 some records share a key; the one-search count must
+    # equal a left-and-right search for every key, its neighbours and keys
+    # outside the range.
+    space = build_phase_space(_sparse_surface(13, 1))
+    for side in ("x", "y"):
+        keys = space._keys[side]
+        queries = np.concatenate([keys, keys - 1, keys + 1, [-5, keys[-1] + 7]])
+        first, count = space._find(side, queries)
+        assert np.array_equal(first, np.searchsorted(keys, queries))
+        assert np.array_equal(count, np.searchsorted(keys, queries, side="right") - first)
+        assert count.max() >= 2 and count.min() == 0
 
 
 def test_reversibility_census_phi_equals_psi(w1_29):

@@ -7,12 +7,13 @@ import pytest
 from wehlerk3._engine import (
     _ENUM_P_CAP,
     PlaneTable,
+    fiber_partner_rows,
     gh_eval,
     gh_formula,
     pair_getter,
     phase_key,
 )
-from wehlerk3.errors import ZeroForm
+from wehlerk3.errors import DegenerateFiber, ZeroForm
 from wehlerk3.field import PrimeField
 from wehlerk3.surface import (
     WehlerSurface,
@@ -114,11 +115,31 @@ def test_analyze_sort_key_int64_headroom():
     assert keys[-1] == n * n - 1
 
 
+def test_fiber_row_sums_headroom():
+    # fiber_partner_rows sums row indices per base with np.bincount, in float64;
+    # the largest sum, a plane fiber over all p^2 + p + 1 rows, must be exact
+    # near the cap, and the partners of the last rows must match Python ints.
+    p = 2039
+    assert p <= _ENUM_P_CAP and (_ENUM_P_CAP ** 2 + _ENUM_P_CAP + 1) ** 2 < 2 ** 45 < 2 ** 53
+    n = p * p + p + 1
+    # Row 0: a plane fiber; row n - 1: two points, the last two rows; row n - 2:
+    # the double root n - 1.
+    pair_base = np.concatenate([np.zeros(n, dtype=np.int64), [n - 1, n - 1, n - 2]])
+    pair_moving = np.concatenate([np.arange(n), [n - 2, n - 1, n - 1]])
+    assert np.bincount(pair_base, weights=pair_moving)[0] == n * (n - 1) // 2
+    got = fiber_partner_rows(pair_base, pair_moving, np.array([n - 1, n - 1, n - 2]),
+                             np.array([n - 2, n - 1, n - 1]), n)
+    assert got.dtype == np.int64 and got.tolist() == [n - 1, n - 2, n - 1]
+    with pytest.raises(DegenerateFiber):
+        fiber_partner_rows(pair_base, pair_moving, np.array([0]), np.array([5]), n)
+
+
 @pytest.mark.parametrize("p", [29, 503])
 def test_plane_table_keys_strictly_increase(p):
     tbl = PlaneTable(p)
     assert len(tbl.pts) == p * p + p + 1
-    assert np.all(np.diff(tbl.pack(tbl.pts)) > 0)
+    pts = tbl.pts
+    assert np.all(np.diff((pts[:, 0] * p + pts[:, 1]) * p + pts[:, 2]) > 0)
     assert np.array_equal(tbl.index_of(tbl.pts), np.arange(len(tbl.pts)))
     for bad in ([0, 2, 1], [2, 0, 0], [0, 1, p], [1, -1, 3], [1, p, 0], [0, 0, 0],
                 [0, 0, 2], [1, 0, p], [1, 0, -1], [0, 1, -1]):
