@@ -1,8 +1,9 @@
 """Vectorized F_p kernels for point enumeration, Jacobian scans and fiber swaps.
 
-Pure numpy int64 arithmetic, always reduced mod p after each product, so all
-results are exact.  The symbolic machinery lives in `poly`; this module only
-handles the bulk numeric passes whose cost scales with p^2.
+Pure numpy int64 arithmetic whose unreduced sums stay below the bounds stated
+at `_ENUM_P_CAP`, so all results are exact.  The symbolic machinery lives in
+`poly`; this module only handles the bulk numeric passes whose cost scales
+with p^2.
 """
 
 from __future__ import annotations
@@ -21,12 +22,17 @@ PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
-# Bulk kernels stay exact in int64 up to this cap: quad_eval's unreduced sums
-# are < 6p^3 < 2^36,
+# Bulk kernels stay exact in int64 up to this cap:
+# _fiber_roots' unreduced coefficients of L(base, .) and Q(base, .) are < 3p^2
+# and < 6p^2, it forms e_i = -c_i / c2 as |c_i * inv(c2)| < 3p^3, its
+# unreduced A, B, C from those q's and the residues e0, e1 are at most
+# 6m^2 + 12m^3 + 12m^4 < 12p^4 < 2^48 (m = p - 1), its roots are formed as
+# |(+-r - B) * inv(C) * (p + 1)/2| < p^3, and each root's row,
+# off + step * t + (e0 + e1 * t) % p, is a table row < p^2 + p + 1 < 2^23,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
 # the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
-# fiber_pairs' sort keys (row of x) * (p^2 + p + 1) + (row of y) are
-# < (p^2 + p + 1)^2 < 2^45,
+# fiber_pairs' side-y sort keys (row of x) * (p^2 + p + 1) + (row of y) are
+# < (p^2 + p + 1)^2 < 2^45 (side x emits its pairs in order and sorts nothing),
 # fiber_partner_rows' row sums are at most a plane fiber's, the sum of all
 # p^2 + p + 1 row indices, < (p^2 + p + 1)^2 < 2^45, so exact in the float64
 # that np.bincount accumulates weights in (< 2^53),
@@ -57,12 +63,15 @@ class PlaneTable:
         self = super().__new__(cls)
         self.p = p
         field = PrimeField(p)
-        pts = [(0, 0, 1)]
-        pts.extend((0, 1, z) for z in range(p))
-        pts.extend((1, y, z) for y in range(p) for z in range(p))
-        # Lexicographic order: index_of's closed form and phase_key's order
-        # rely on it.
-        self.pts = np.array(pts, dtype=np.int64)
+        # (0, 0, 1), then (0, 1, z), then (1, y, z), each in lexicographic
+        # order: index_of's closed form and phase_key's order rely on it.
+        pts = np.zeros((p * p + p + 1, 3), dtype=np.int64)
+        pts[0, 2] = 1
+        pts[1:p + 1, 1] = 1
+        pts[1:p + 1, 2] = np.arange(p)
+        pts[p + 1:, 0] = 1
+        pts[p + 1:, 1], pts[p + 1:, 2] = np.divmod(np.arange(p * p), p)
+        self.pts = pts
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
         self.mon6 = self._monomials(self.pts)
@@ -127,36 +136,6 @@ class PlaneTable:
         if np.any(lead == 0):
             raise ValueError("zero vector cannot be canonicalized")
         return pts * self.inv[lead][:, None] % self.p
-
-
-def line_basis(lc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """Two independent points spanning each line c.y = 0 (rows with c != 0)."""
-    c0, c1, c2 = lc[:, 0], lc[:, 1], lc[:, 2]
-    zero = np.zeros_like(c0)
-    one = np.ones_like(c0)
-    case2 = c2 != 0
-    case1 = ~case2 & (c1 != 0)
-    case0 = ~case2 & ~case1
-    u = np.empty_like(lc)
-    v = np.empty_like(lc)
-    # c2 != 0: u=(c2,0,-c0), v=(0,c2,-c1)
-    # c2 == 0, c1 != 0: u=(c1,-c0,0), v=(0,0,1)
-    # only c0 != 0: line y0=0: u=(0,1,0), v=(0,0,1)
-    u[:, 0] = np.select([case2, case1, case0], [c2, c1, zero])
-    u[:, 1] = np.select([case2, case1, case0], [zero, (-c0) % p, one])
-    u[:, 2] = np.select([case2, case1, case0], [(-c0) % p, zero, zero])
-    v[:, 0] = zero
-    v[:, 1] = np.select([case2, case1, case0], [c2, zero, zero])
-    v[:, 2] = np.select([case2, case1, case0], [(-c1) % p, one, one])
-    return u % p, v % p
-
-
-def quad_eval(qc: np.ndarray, w: np.ndarray, p: int) -> np.ndarray:
-    """Evaluate rows of 6-coefficient quadratics at rows of points w.
-
-    Entries must be residues in 0..p-1; the sum is reduced once (< 6p^3).
-    """
-    return sum(qc[:, n] * w[:, i] * w[:, j] for n, (i, j) in enumerate(PAIRS)) % p
 
 
 def gh_formula(L, q):
@@ -309,93 +288,128 @@ class SurfaceEngine:
         return pairs, degenerate
 
     def fiber_pairs(self, side: str):
-        """Solve every fiber of the chosen projection.
+        """Solve every fiber of the chosen projection in plane-table rows.
 
-        Restricts Q to the line L(base, .) = 0 over every base and solves the
-        binary quadratic.  Returns (pairs, rows, degenerate) where pairs is an
-        (N, 6) array of [base, fiber-point] coordinate rows in (x, y) order,
-        lex sorted, rows is (x rows, y rows), the plane-table row indices of
-        the two coordinates of each pair, and degenerate lists (base_row,
-        kind) for positive-dimensional fibers with kind in {"line", "conic",
-        "plane"}: the whole-line bases, then the bases where L vanishes
-        identically.  `degenerate_bases` gives the same list without the
-        roots.
+        `_fiber_roots` gives each base's fiber as rows in increasing order;
+        they are written at the base's offset in the running sum of the
+        per-base counts, so side x's pairs come out in order and no sort
+        runs.  Side y sorts its pairs by one int64 key.
+
+        Returns (pairs, rows, degenerate) where pairs is an (N, 6) array of
+        [x | y] coordinate rows, lex sorted, rows is (x rows, y rows), the
+        plane-table row indices of the two coordinates of each pair, and
+        degenerate lists (base_row, kind) for positive-dimensional fibers
+        with kind in {"line", "conic", "plane"}: the whole-line bases, then
+        the bases where L vanishes identically.  `degenerate_bases` gives the
+        same list without the roots.
+        """
+        tbl = self.table
+        n = len(tbl.pts)
+        lo, hi, size, fibers, degenerate = self._fiber_roots(side)
+        one = np.flatnonzero(size >= 1)
+        two = np.flatnonzero(size == 2)
+        end = np.cumsum(size)
+        start = end - size
+        base_rows = np.repeat(np.arange(n), size)
+        fib_rows = np.empty(len(base_rows), dtype=np.int64)
+        fib_rows[start[one]] = lo[one]
+        fib_rows[start[two] + 1] = hi[two]
+        # Degenerate bases' blocks last, over what lo and hi wrote there.
+        for b, rows in fibers.items():
+            fib_rows[start[b]:end[b]] = rows
+        if side == "x":
+            x_rows, y_rows = base_rows, fib_rows
+        else:
+            # Table rows are in lex order, so this one key sorts the pairs lex.
+            order = np.argsort(fib_rows * n + base_rows)
+            x_rows, y_rows = fib_rows[order], base_rows[order]
+        pairs = tbl.pts.take(np.stack([x_rows, y_rows], axis=1), axis=0).reshape(-1, 6)
+        return pairs, (x_rows, y_rows), degenerate
+
+    def _fiber_roots(self, side: str):
+        """The rational points of every fiber as plane-table rows, per base.
+
+        Over each base the fiber is the zero set of Q(base, .) on the line
+        c.y = 0, c = L(base, .).  The line is parametrized in an affine chart,
+        u + t v for t in F_p plus the point v, chosen so that the table row
+        of u + t v is a closed form increasing in t and v's row is below all
+        of them.  Q(u + t v) = A + B t + C t^2 then gives the roots as rows.
+
+        Returns (lo, hi, size, fibers, degenerate): size[base] is the number
+        of points over each base; a finite fiber's (0, 1 or 2) are at rows
+        lo[base] < hi[base], lo alone for one point; fibers maps every
+        degenerate base to its points' rows in increasing order, and
+        degenerate is the list `fiber_pairs` returns.  Its per-base temporaries are freed
+        when it returns, before `fiber_pairs` builds the pairs.
         """
         p = self.p
         tbl = self.table
-        bases = tbl.pts
-        lc = self.line_coeffs(side, bases)
-        qc = self.quad_coeffs(side, tbl.mon6)
+        inv = tbl.inv
+        n = len(tbl.pts)
+        amat, bmat = (self.amat, self.bmat) if side == "x" else (self.amat.T, self.bmat.T)
+        # One row per coefficient of L(base, .) and Q(base, .), unreduced.
+        c0, c1, c2 = amat.T @ tbl.pts.T
+        q00, q01, q02, q11, q12, q22 = bmat.T @ tbl.mon6.T
 
-        line_ok = np.any(lc != 0, axis=1)
-        idx = np.nonzero(line_ok)[0]
-        u, v = line_basis(lc[idx], p)
-        qci = qc[idx]
-        # Q(t0 u + t1 v) = A t0^2 + B t0 t1 + C t1^2 over bases[idx].
-        A = quad_eval(qci, u, p)
-        C = quad_eval(qci, v, p)
-        B = (quad_eval(qci, (u + v) % p, p) - A - C) % p
-        whole_line = (A == 0) & (B == 0) & (C == 0)
-        # Special bases: L vanishes identically on the fiber plane.
-        special = np.nonzero(~line_ok)[0]
-        degenerate = [(bases[row], "line") for row in idx[whole_line]]
-        degenerate += [(bases[row], "conic" if np.any(qc[row] != 0) else "plane")
-                       for row in special]
+        # Chart where c2 != 0: u = (1, 0, e0), v = (0, 1, e1), e_i = -c_i/c2.
+        # u + t v = (1, t, e0 + e1 t) is row 1 + p + p t + (e0 + e1 t) % p,
+        # and v is row 1 + e1.
+        c2 %= p
+        e0 = -c0 * inv[c2] % p
+        e1 = -c1 * inv[c2] % p
+        A = (q00 + (q02 + q22 * e0) * e0) % p
+        B = (q01 + q02 * e1 + (q12 + 2 * q22 * e1) * e0) % p
+        C = (q11 + (q12 + q22 * e1) * e1) % p
+        v_row = 1 + e1
+        off = np.full(n, 1 + p)
+        step = np.full(n, p)
+        # Lines with c2 = 0 pass through v = (0, 0, 1), row 0.  Where c1 != 0,
+        # u = (1, f, 0) with f = -c0/c1, so u + t v = (1, f, t) is row
+        # 1 + p + p f + t; otherwise u = (0, 1, 0) and u + t v is row 1 + t.
+        flat = np.flatnonzero(c2 == 0)
+        f0, f1 = c0[flat] % p, c1[flat] % p
+        fq = np.stack([q[flat] for q in (q00, q01, q02, q11, q12, q22)]) % p
+        f = -f0 * inv[f1] % p
+        pivot1 = f1 != 0
+        A[flat] = np.where(pivot1, fq[0] + (fq[1] + fq[3] * f) * f, fq[3]) % p
+        B[flat] = np.where(pivot1, fq[2] + fq[4] * f, fq[4]) % p
+        C[flat] = fq[5]
+        v_row[flat] = 0
+        off[flat] = np.where(pivot1, 1 + p + p * f, 1)
+        step[flat] = 0
+        e0[flat] = 0
+        e1[flat] = 1
 
-        # Base rows and fiber points of every rational point; bases are the
-        # table rows, so idx and special are already base rows.
-        out_row: list[np.ndarray] = []
-        out_fib: list[np.ndarray] = []
+        def rows_at(t, b=slice(None)):
+            return off[b] + step[b] * t + (e0[b] + e1[b] * t) % p
 
-        # Whole-line fibers: every point t0 u + t1 v, t in P^1.
-        ts = np.concatenate([np.stack([np.ones(p, dtype=np.int64), np.arange(p)], axis=1),
-                             np.array([[0, 1]], dtype=np.int64)])
-        for pos in np.nonzero(whole_line)[0]:
-            upts = (ts[:, :1] * u[pos][None, :] + ts[:, 1:] * v[pos][None, :]) % p
-            out_row.append(np.full(len(upts), idx[pos]))
-            out_fib.append(tbl.canonicalize(upts))
+        # Roots: v where C = 0, beside -A/B where B != 0; else (-B +- r)/2C
+        # with r^2 the discriminant: one root where r = 0, none where r = -1
+        # (the sqrt table's mark for a non-square).
+        r = tbl.sqrt[(B * B - 4 * A * C) % p]
+        half_c = inv[C] * ((p + 1) // 2)
+        t_plus = (r - B) * half_c % p
+        t_minus = (-r - B) * half_c % p
+        on_v = C == 0
+        lo = np.where(on_v, v_row, rows_at(np.minimum(t_plus, t_minus)))
+        hi = rows_at(np.where(on_v, -A * inv[B] % p, np.maximum(t_plus, t_minus)))
+        size = np.where(on_v, 1 + (B != 0), 1 + np.sign(r))
 
-        solvable = ~whole_line
-        # Roots with t1 = 0 exist iff A == 0: fiber point = u.
-        rootA = solvable & (A == 0)
-        out_row.append(idx[rootA])
-        out_fib.append(tbl.canonicalize(u[rootA]))
-        # Second root for A == 0, B != 0: t0 = -C/B, t1 = 1.
-        rootB = solvable & (A == 0) & (B != 0)
-        t0 = (-C[rootB] * tbl.inv[B[rootB]]) % p
-        pts = (t0[:, None] * u[rootB] + v[rootB]) % p
-        out_row.append(idx[rootB])
-        out_fib.append(tbl.canonicalize(pts))
-        # A != 0: standard quadratic in t0 with t1 = 1.
-        quad = solvable & (A != 0)
-        disc = (B[quad] * B[quad] - 4 * A[quad] * C[quad]) % p
-        root = tbl.sqrt[disc]
-        has = root >= 0
-        qrows = np.nonzero(quad)[0][has]
-        r = root[has]
-        inv2A = tbl.inv[(2 * A[qrows]) % p]
-        for sign in (1, -1):
-            t0 = ((-B[qrows] + sign * r) * inv2A) % p
-            sel = np.ones(len(qrows), dtype=bool) if sign == 1 else r != 0
-            pts = (t0[sel][:, None] * u[qrows[sel]] + v[qrows[sel]]) % p
-            out_row.append(idx[qrows[sel]])
-            out_fib.append(tbl.canonicalize(pts))
-
-        # Conic and plane fibers: every plane point where Q vanishes (all of
-        # them when Q does too).
-        for row in special:
-            sols = tbl.pts[tbl.mon6 @ qc[row] % p == 0]
-            out_row.append(np.full(len(sols), row))
-            out_fib.append(sols)
-
-        base_rows = np.concatenate(out_row)
-        fib_rows = tbl.index_of(np.concatenate(out_fib))
-        x_rows, y_rows = (base_rows, fib_rows) if side == "x" else (fib_rows, base_rows)
-        # Table rows are in lex order, so this one key sorts the pairs lex.
-        order = np.argsort(x_rows * len(tbl.pts) + y_rows, kind="stable")
-        x_rows, y_rows = x_rows[order], y_rows[order]
-        pairs = np.concatenate([tbl.pts[x_rows], tbl.pts[y_rows]], axis=1)
-        return pairs, (x_rows, y_rows), degenerate
+        # Whole-line fibers (Q vanishes on the line): v and every u + t v.
+        # Special bases (L vanishes identically on the fiber plane): every
+        # plane point where Q vanishes, all of them when Q does too.
+        no_line = (f0 == 0) & (f1 == 0)
+        special = flat[no_line]
+        whole = (A == 0) & (B == 0) & (C == 0)
+        whole[special] = False
+        ts = np.arange(p)
+        fibers = {b: np.concatenate([[v_row[b]], rows_at(ts, b)]) for b in np.flatnonzero(whole)}
+        degenerate = [(tbl.pts[b], "line") for b in fibers]
+        for b, q in zip(special, fq[:, no_line].T):
+            fibers[b] = np.flatnonzero(tbl.mon6 @ q % p == 0)
+            degenerate.append((tbl.pts[b], "conic" if q.any() else "plane"))
+        size[list(fibers)] = [len(rows) for rows in fibers.values()]
+        return lo, hi, size, fibers, degenerate
 
     # -- rational-point Jacobian rank scan -----------------------------------
 

@@ -1,3 +1,4 @@
+import bisect
 import random
 from collections import Counter
 
@@ -365,6 +366,34 @@ def test_find_counts_present_shared_and_absent_keys():
         assert np.array_equal(first, np.searchsorted(keys, queries))
         assert np.array_equal(count, np.searchsorted(keys, queries, side="right") - first)
         assert count.max() >= 2 and count.min() == 0
+
+
+def test_find_agrees_with_a_dict_on_unsorted_queries(w1_29):
+    # _find searches unordered queries in sorted order and scatters the
+    # answers back, and ordered ones as given: shuffled queries, each asked
+    # twice, with absent keys between the stored ones and beyond both ends,
+    # and the same queries sorted, must get the first index and count of a
+    # dict built from the stored keys (bisect for absent ones).
+    rng = np.random.default_rng(0)
+    for s in (_sparse_surface(13, 1), w1_29):
+        space = build_phase_space(s)
+        for side in ("x", "y"):
+            stored = space._keys[side].tolist()
+            where: dict[int, list[int]] = {}
+            for i, key in enumerate(stored):
+                where.setdefault(key, []).append(i)
+            keys = np.array(stored)
+            queries = np.concatenate([keys, keys, keys - 1, keys + 1,
+                                      [keys[0] - 1, -5, keys[-1] + 1, keys[-1] + 7]])
+            for queries in (queries[rng.permutation(len(queries))], np.sort(queries)):
+                first, count = space._find(side, queries)
+                for key, f, c in zip(queries.tolist(), first.tolist(), count.tolist()):
+                    if key in where:
+                        assert (f, c) == (where[key][0], len(where[key]))
+                    else:
+                        assert (f, c) == (bisect.bisect_left(stored, key), 0)
+                assert count.max() >= 2 or s is w1_29
+                assert np.any(count == 0) and np.any(count == 1)
 
 
 def test_reversibility_census_phi_equals_psi(w1_29):

@@ -6,6 +6,7 @@ import pytest
 
 from wehlerk3._engine import (
     _ENUM_P_CAP,
+    PAIRS,
     PlaneTable,
     fiber_partner_rows,
     gh_eval,
@@ -22,6 +23,7 @@ from wehlerk3.surface import (
     gh_values,
     parse_surface,
     random_surface,
+    surface_pairs,
 )
 
 H_KEYS = ((0, 1), (0, 2), (1, 2))
@@ -99,8 +101,9 @@ def test_phase_key_int64_headroom():
 
 
 def test_analyze_sort_key_int64_headroom():
-    # analyze sorts its pairs by index_of(base) * (p^2 + p + 1) + index_of(fiber);
-    # at the table's last rows near the cap it must match Python-int arithmetic.
+    # The side-y root pass sorts its pairs by (row of x) * (p^2 + p + 1) +
+    # (row of y); side x emits them in order and sorts nothing.  At the
+    # table's last rows near the cap the key must match Python-int arithmetic.
     p = 2039
     assert p <= _ENUM_P_CAP and (_ENUM_P_CAP ** 2 + _ENUM_P_CAP + 1) ** 2 < 2 ** 45
     tbl = PlaneTable(p)
@@ -132,6 +135,15 @@ def test_fiber_row_sums_headroom():
     assert got.dtype == np.int64 and got.tolist() == [n - 1, n - 2, n - 1]
     with pytest.raises(DegenerateFiber):
         fiber_partner_rows(pair_base, pair_moving, np.array([0]), np.array([5]), n)
+
+
+@pytest.mark.parametrize("p", [5, 29])
+def test_plane_table_points_are_the_canonical_enumeration(p):
+    tbl = PlaneTable(p)
+    pts = ([(0, 0, 1)] + [(0, 1, z) for z in range(p)]
+           + [(1, y, z) for y in range(p) for z in range(p)])
+    assert tbl.pts.dtype == np.int64
+    assert tbl.pts.tolist() == [list(pt) for pt in pts]
 
 
 @pytest.mark.parametrize("p", [29, 503])
@@ -197,3 +209,140 @@ def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
     assert kinds == {"line", "conic", "plane"}
     assert [PlaneTable(p).lagrange.tolist() for p in (3, 5)] == [
         np.eye(3, dtype=int).tolist(), np.eye(5, dtype=int).tolist()]
+
+
+# -- the root pass against the solver it replaced ------------------------------
+
+
+def _line_basis(lc, p):
+    """Two independent points spanning each line c.y = 0 (rows with c != 0)."""
+    c0, c1, c2 = lc[:, 0], lc[:, 1], lc[:, 2]
+    zero = np.zeros_like(c0)
+    one = np.ones_like(c0)
+    case2 = c2 != 0
+    case1 = ~case2 & (c1 != 0)
+    case0 = ~case2 & ~case1
+    u = np.empty_like(lc)
+    v = np.empty_like(lc)
+    # c2 != 0: u=(c2,0,-c0), v=(0,c2,-c1)
+    # c2 == 0, c1 != 0: u=(c1,-c0,0), v=(0,0,1)
+    # only c0 != 0: line y0=0: u=(0,1,0), v=(0,0,1)
+    u[:, 0] = np.select([case2, case1, case0], [c2, c1, zero])
+    u[:, 1] = np.select([case2, case1, case0], [zero, (-c0) % p, one])
+    u[:, 2] = np.select([case2, case1, case0], [(-c0) % p, zero, zero])
+    v[:, 0] = zero
+    v[:, 1] = np.select([case2, case1, case0], [c2, zero, zero])
+    v[:, 2] = np.select([case2, case1, case0], [(-c1) % p, one, one])
+    return u % p, v % p
+
+
+def _quad_eval(qc, w, p):
+    """Rows of 6-coefficient quadratics at rows of points w."""
+    return sum(qc[:, n] * w[:, i] * w[:, j] for n, (i, j) in enumerate(PAIRS)) % p
+
+
+def _reference_fiber_pairs(eng, side):
+    """The root pass in projective coordinates, as `fiber_pairs` once was.
+
+    Q(t0 u + t1 v) = A t0^2 + B t0 t1 + C t1^2 on a basis (u, v) of each
+    line; every root is canonicalized, indexed with `index_of`, and the
+    pairs are put in order by a stable sort.
+    """
+    p = eng.p
+    tbl = eng.table
+    bases = tbl.pts
+    lc = eng.line_coeffs(side, bases)
+    qc = eng.quad_coeffs(side, tbl.mon6)
+    line_ok = np.any(lc != 0, axis=1)
+    idx = np.nonzero(line_ok)[0]
+    u, v = _line_basis(lc[idx], p)
+    qci = qc[idx]
+    A = _quad_eval(qci, u, p)
+    C = _quad_eval(qci, v, p)
+    B = (_quad_eval(qci, (u + v) % p, p) - A - C) % p
+    whole_line = (A == 0) & (B == 0) & (C == 0)
+    special = np.nonzero(~line_ok)[0]
+    degenerate = [(bases[row], "line") for row in idx[whole_line]]
+    degenerate += [(bases[row], "conic" if np.any(qc[row] != 0) else "plane")
+                   for row in special]
+    out_row, out_fib = [], []
+    ts = np.concatenate([np.stack([np.ones(p, dtype=np.int64), np.arange(p)], axis=1),
+                         np.array([[0, 1]], dtype=np.int64)])
+    for pos in np.nonzero(whole_line)[0]:
+        upts = (ts[:, :1] * u[pos][None, :] + ts[:, 1:] * v[pos][None, :]) % p
+        out_row.append(np.full(len(upts), idx[pos]))
+        out_fib.append(tbl.canonicalize(upts))
+    solvable = ~whole_line
+    rootA = solvable & (A == 0)
+    out_row.append(idx[rootA])
+    out_fib.append(tbl.canonicalize(u[rootA]))
+    rootB = solvable & (A == 0) & (B != 0)
+    t0 = (-C[rootB] * tbl.inv[B[rootB]]) % p
+    out_row.append(idx[rootB])
+    out_fib.append(tbl.canonicalize((t0[:, None] * u[rootB] + v[rootB]) % p))
+    quad = solvable & (A != 0)
+    disc = (B[quad] * B[quad] - 4 * A[quad] * C[quad]) % p
+    root = tbl.sqrt[disc]
+    has = root >= 0
+    qrows = np.nonzero(quad)[0][has]
+    r = root[has]
+    inv2A = tbl.inv[(2 * A[qrows]) % p]
+    for sign in (1, -1):
+        t0 = ((-B[qrows] + sign * r) * inv2A) % p
+        sel = np.ones(len(qrows), dtype=bool) if sign == 1 else r != 0
+        out_row.append(idx[qrows[sel]])
+        out_fib.append(tbl.canonicalize((t0[sel][:, None] * u[qrows[sel]] + v[qrows[sel]]) % p))
+    for row in special:
+        sols = tbl.pts[tbl.mon6 @ qc[row] % p == 0]
+        out_row.append(np.full(len(sols), row))
+        out_fib.append(sols)
+    base_rows = np.concatenate(out_row)
+    fib_rows = tbl.index_of(np.concatenate(out_fib))
+    x_rows, y_rows = (base_rows, fib_rows) if side == "x" else (fib_rows, base_rows)
+    order = np.argsort(x_rows * len(tbl.pts) + y_rows, kind="stable")
+    x_rows, y_rows = x_rows[order], y_rows[order]
+    pairs = np.concatenate([tbl.pts[x_rows], tbl.pts[y_rows]], axis=1)
+    return pairs, (x_rows, y_rows), degenerate
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
+def test_root_pass_matches_the_reference_solver(p):
+    # Random surfaces of every mode, and sparse ones whose degenerate fibers
+    # include lines, conics and planes and whose bases include lines with
+    # c2 = 0 (some surfaces have no other kind) and with c2 = c1 = 0.
+    surfaces = [random_surface(p, seed, mode=mode)
+                for seed in range(6) for mode in ("any", "degenerate", "nondegenerate")]
+    surfaces += [_sparse_surface(p, seed) for seed in range(12)]
+    charts = {"c2 != 0": 0, "c2 = 0 != c1": 0, "c2 = c1 = 0 != c0": 0, "no c2 != 0": 0}
+    kinds = set()
+    for s in surfaces:
+        eng = s.engine()
+        for side in ("x", "y"):
+            pairs, rows, degenerate = eng.fiber_pairs(side)
+            ref_pairs, ref_rows, ref_degenerate = _reference_fiber_pairs(eng, side)
+            assert pairs.dtype == ref_pairs.dtype and np.array_equal(pairs, ref_pairs)
+            for got, want in zip(rows, ref_rows):
+                assert got.dtype == want.dtype and np.array_equal(got, want)
+            assert ([(b.tolist(), k) for b, k in degenerate]
+                    == [(b.tolist(), k) for b, k in ref_degenerate])
+            kinds.update(k for _, k in degenerate)
+            c0, c1, c2 = eng.line_coeffs(side, eng.table.pts).T != 0
+            charts["c2 != 0"] += np.sum(c2)
+            charts["c2 = 0 != c1"] += np.sum(~c2 & c1)
+            charts["c2 = c1 = 0 != c0"] += np.sum(~c2 & ~c1 & c0)
+            charts["no c2 != 0"] += not c2.any()
+    assert kinds == {"line", "conic", "plane"}
+    assert min(charts.values()) > 0
+
+
+@pytest.mark.parametrize("p", [5, 7])
+def test_root_pass_finds_every_point_of_the_surface(p):
+    # Brute force over every pair of table rows with the scalar `contains`.
+    F = PrimeField(p)
+    rows = [tuple(F(v) for v in pt) for pt in PlaneTable(p).pts.tolist()]
+    surfaces = [random_surface(p, seed, mode=mode)
+                for seed in range(2) for mode in ("any", "degenerate", "nondegenerate")]
+    surfaces += [_sparse_surface(p, seed) for seed in (0, 6)]
+    for s in surfaces:
+        naive = [[int(v) for v in a + b] for a in rows for b in rows if s.contains(a, b)]
+        assert surface_pairs(s).tolist() == naive
