@@ -31,7 +31,10 @@ SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 # off + step * t + (e0 + e1 * t) % p, is a table row < p^2 + p + 1 < 2^23,
 # gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
 # the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
-# fiber_pairs' side-y sort keys (row of x) * (p^2 + p + 1) + (row of y) are
+# smooth_scan's unreduced Jacobian entries of dQ, sums of three residue
+# products with one doubled, are <= 4(p - 1)^2 < 4p^2 <= 2^24,
+# the pair keys (row of x) * (p^2 + p + 1) + (row of y) that fiber_pairs sorts
+# side y by and that PhaseSpace merges both-side boundary points by are
 # < (p^2 + p + 1)^2 < 2^45 (side x emits its pairs in order and sorts nothing),
 # fiber_partner_rows' row sums are at most a plane fiber's, the sum of all
 # p^2 + p + 1 row indices, < (p^2 + p + 1)^2 < 2^45, so exact in the float64
@@ -98,6 +101,10 @@ class PlaneTable:
 
     def monomials(self, pts: np.ndarray) -> np.ndarray:
         return self._monomials(np.asarray(pts, dtype=np.int64))
+
+    def coords(self, *rows: np.ndarray) -> np.ndarray:
+        """The points at the given table rows side by side: (N, 3 * len(rows))."""
+        return self.pts.take(np.stack(rows, axis=1), axis=0).reshape(-1, 3 * len(rows))
 
     def index_of(self, pts: np.ndarray) -> np.ndarray:
         """Row indices of canonical points in the table.
@@ -190,19 +197,17 @@ def binary_other_root(A, B, C, alpha, beta, p: int):
 
 def fiber_partner_rows(pair_base: np.ndarray, pair_moving: np.ndarray,
                        base: np.ndarray, moving: np.ndarray, n: int) -> np.ndarray:
-    """Plane-table row of the Vieta partner of each fiber point, from row sums.
+    """Plane-table row of the partner of each point in its fiber of 1 or 2 points.
 
-    pair_base / pair_moving hold the table rows of the base and the moving
-    coordinate of every rational point of the surface; base / moving are the
-    rows of the points to swap and n is the number of table rows.  Let S[r]
-    be the sum of pair_moving over the pairs with pair_base = r, doubled
-    where that fiber has one point.  Over a base that is not degenerate the
-    fiber is the zero set of a binary quadratic on the line L(base, .) = 0,
-    and by Vieta its second root is rational whenever one is.  So the
-    rational fiber is either two points r, r', with S = r + r', or one double
-    root r, with S = 2r; either way S[base] - r is the partner, and a double
-    root maps to itself.  Any base whose fiber does not have 1 or 2 points
-    raises DegenerateFiber.
+    pair_base / pair_moving hold the fiber index (< n) and the moving row of
+    every point of every fiber; base / moving are those of the points to
+    swap.  Let S[r] be the sum of pair_moving over fiber r, doubled where it
+    has one point: S[base] - moving is then the other point, or the point
+    itself.  The census's fibers are the rational points over each base row
+    that is not degenerate, where by Vieta the second root of the fiber's
+    binary quadratic is rational whenever one is, and the boundary points on
+    each line of a blow-up chart.  A swapped point whose fiber does not have
+    1 or 2 points raises DegenerateFiber.
     """
     size = np.bincount(pair_base, minlength=n)
     if not np.all((size[base] == 1) | (size[base] == 2)):
@@ -283,9 +288,9 @@ class SurfaceEngine:
         return degenerate
 
     def analyze(self, side: str):
-        """`fiber_pairs` without the plane-table rows: (pairs, degenerate)."""
-        pairs, _, degenerate = self.fiber_pairs(side)
-        return pairs, degenerate
+        """`fiber_pairs` with coordinates: (pairs, degenerate), pairs (N, 6) [x | y]."""
+        rows, degenerate = self.fiber_pairs(side)
+        return self.table.coords(*rows), degenerate
 
     def fiber_pairs(self, side: str):
         """Solve every fiber of the chosen projection in plane-table rows.
@@ -295,12 +300,12 @@ class SurfaceEngine:
         per-base counts, so side x's pairs come out in order and no sort
         runs.  Side y sorts its pairs by one int64 key.
 
-        Returns (pairs, rows, degenerate) where pairs is an (N, 6) array of
-        [x | y] coordinate rows, lex sorted, rows is (x rows, y rows), the
-        plane-table row indices of the two coordinates of each pair, and
-        degenerate lists (base_row, kind) for positive-dimensional fibers
-        with kind in {"line", "conic", "plane"}: the whole-line bases, then
-        the bases where L vanishes identically.  `degenerate_bases` gives the
+        Returns (rows, degenerate) where rows is (x rows, y rows), the
+        plane-table row indices of the two coordinates of each rational
+        point, lex sorted (table rows are in lex order), and degenerate lists
+        (base_row, kind) for positive-dimensional fibers with kind in
+        {"line", "conic", "plane"}: the whole-line bases, then the bases
+        where L vanishes identically.  `degenerate_bases` gives the
         same list without the roots.
         """
         tbl = self.table
@@ -323,8 +328,7 @@ class SurfaceEngine:
             # Table rows are in lex order, so this one key sorts the pairs lex.
             order = np.argsort(fib_rows * n + base_rows)
             x_rows, y_rows = fib_rows[order], base_rows[order]
-        pairs = tbl.pts.take(np.stack([x_rows, y_rows], axis=1), axis=0).reshape(-1, 6)
-        return pairs, (x_rows, y_rows), degenerate
+        return (x_rows, y_rows), degenerate
 
     def _fiber_roots(self, side: str):
         """The rational points of every fiber as plane-table rows, per base.
@@ -340,7 +344,7 @@ class SurfaceEngine:
         lo[base] < hi[base], lo alone for one point; fibers maps every
         degenerate base to its points' rows in increasing order, and
         degenerate is the list `fiber_pairs` returns.  Its per-base temporaries are freed
-        when it returns, before `fiber_pairs` builds the pairs.
+        when it returns, before `fiber_pairs` places the rows.
         """
         p = self.p
         tbl = self.table
@@ -418,27 +422,17 @@ class SurfaceEngine:
         p = self.p
         a = pairs[:, :3]
         b = pairs[:, 3:]
-        amon = self.table.monomials(a)
-        bmon = self.table.monomials(b)
         # dL/dx_i depends only on b, dL/dy_j only on a.
         jl = np.concatenate([b @ self.amat.T % p, a @ self.amat % p], axis=1)
-        qxc = bmon @ self.bmat.T % p  # x-quadratic coefficients at b
-        qyc = amon @ self.bmat % p    # y-quadratic coefficients at a
+        # dQ/dx_i = sum_j q_ij(b) a_j with q_ii doubled, q the x-quadratic
+        # coefficients at b; dQ/dy_k likewise from the y ones at a.
         jq = np.empty_like(jl)
-        for i in range(3):
-            acc = np.zeros(len(a), dtype=np.int64)
-            for j in range(3):
-                c = qxc[:, PAIR_INDEX[(min(i, j), max(i, j))]]
-                mult = 2 if i == j else 1
-                acc = (acc + mult * c * a[:, j]) % p
-            jq[:, i] = acc
-        for k in range(3):
-            acc = np.zeros(len(a), dtype=np.int64)
-            for l in range(3):
-                c = qyc[:, PAIR_INDEX[(min(k, l), max(k, l))]]
-                mult = 2 if k == l else 1
-                acc = (acc + mult * c * b[:, l]) % p
-            jq[:, 3 + k] = acc
+        for off, qc, w in ((0, self.table.monomials(b) @ self.bmat.T % p, a),
+                           (3, self.table.monomials(a) @ self.bmat % p, b)):
+            for i in range(3):
+                jq[:, off + i] = sum((1 + (i == j)) * qc[:, PAIR_INDEX[(min(i, j), max(i, j))]]
+                                     * w[:, j] for j in range(3))
+        jq %= p
 
         jl_nonzero = jl != 0
         has_pivot = np.any(jl_nonzero, axis=1)

@@ -16,7 +16,7 @@ the triple at each parameter is stripped, which realizes the projective
 limit of the quadratic along the pencil.
 
 Each chart keeps one membership table: the degenerate fiber's rational
-points (read from `surface_pairs`) against the p+1 line parameters, filled
+points (read from `pair_rows`) against the p+1 line parameters, filled
 by evaluating the stripped pair quadratics and L' at every point at once.
 Boundary points (`points_at`) and line parameters (`resolve_s`) are both
 read from it; `BlowupChart.matches` is the scalar form of the same test.
@@ -46,7 +46,7 @@ from .surface import (
     YVARS,
     _fiber_restriction,
     coefficient_polys,
-    surface_pairs,
+    pair_rows,
 )
 
 PENCIL_VARS = ("s0", "s1", "eps")
@@ -260,7 +260,7 @@ class BlowupChart:
         """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
 
         The fiber points are the surface points over the center, in
-        `surface_pairs` (lex) order.  Per parameter the stripped pair and L'
+        `pair_rows` (lex) order.  Per parameter the stripped pair and L'
         conditions become rows of coefficients over the moving monomials,
         zero where a condition is None (skipped, as in `matches`), and every
         point is tested at once: entries < p and 6 terms keep sums < 6p^3.
@@ -287,10 +287,10 @@ class BlowupChart:
         imply Q' at every s, (0, 1) included, whatever Q's power of eps.
         """
         p = self.p
-        rows = surface_pairs(self.surface)
-        if self.side == "y":
-            rows = rows[:, [3, 4, 5, 0, 1, 2]]
-        fiber = rows[(rows[:, :3] == self.center.raw).all(axis=1), 3:]
+        tbl = self.surface.engine().table
+        pa, pb = pair_rows(self.surface)
+        base, moving = (pa, pb) if self.side == "x" else (pb, pa)
+        fiber = tbl.pts[moving[base == tbl.index_of(np.array(self.center.raw))]]
         cands = self.s_candidates()
         quad = np.zeros((3, len(cands), len(PAIRS)), dtype=np.int64)
         line = np.zeros((len(cands), 3), dtype=np.int64)

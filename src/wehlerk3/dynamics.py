@@ -19,7 +19,7 @@ from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sig
 from .errors import NonBijective, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
-from .surface import WehlerSurface, degenerate_fibers, pair_rows, surface_pairs
+from .surface import WehlerSurface, degenerate_fibers, pair_rows
 
 __all__ = [
     "PhasePoint",
@@ -183,95 +183,93 @@ def orbit(s: WehlerSurface, P, n: int) -> list[PhasePoint]:
 
 # -- the materialized phase space -------------------------------------------------
 
-# Record columns: a (3), b (3), then the sx and sy codes.
-_CODE_COL = {"x": 6, "y": 7}
-
 
 class PhaseSpace:
-    """All phase points of a surface with the two involution permutations."""
+    """All phase points of a surface with the two involution permutations.
+
+    A record is stored as the plane-table rows of a and b (`_ia`, `_ib`) and
+    one line-parameter code per side (`_codes`): t for s = (1 : t), p for
+    s = (0 : 1) and p + 1 where the side carries no parameter.
+    """
 
     def __init__(self, s: WehlerSurface):
         self.surface = s
         self.p = s.domain.p
-        # The x root pass first: it leaves the x degenerate list that _context
-        # reads, so side x is not scanned a second time.
-        surface_pairs(s)
         self.ctx = _context(s)
         self.exceptions: list[str] = []
+        self._tbl = s.engine().table
         self._build_points()
         self._perms: dict[str, np.ndarray] = {}
 
     # -- construction ------------------------------------------------------
 
-    def _build_points(self):
+    def _chart_lines(self, side: str):
+        """(center rows, line id, moving row) of the boundary points of a side's charts.
+
+        The centers are the side's degenerate bases in table order; a boundary
+        point's line id is its center's position there times p + 1 plus the
+        code of its line.
+        """
         s = self.surface
+        centers = sorted(self.ctx.centers[side])
+        line, moving = [], []
+        for j, raw in enumerate(centers):
+            for bp in exceptional_points(chart_for(s, side, point2(s.domain, *raw))):
+                line.append(j * (self.p + 1) + self._scode(bp.s.raw))
+                moving.append(bp.moving.raw)
+        index = self._tbl.index_of
+        return (index(np.array(centers, dtype=np.int64).reshape(-1, 3)),
+                np.array(line, dtype=np.int64),
+                index(np.array(moving, dtype=np.int64).reshape(-1, 3)))
+
+    def _build_points(self):
         p = self.p
-        tbl = s.engine().table
-        xc = self.ctx.centers["x"]
-        yc = self.ctx.centers["y"]
-        pairs = surface_pairs(s)
-        pa, pb = pair_rows(s)
+        n = len(self._tbl.pts)
+        none = p + 1
+        pa, pb = pair_rows(self.surface)
+        self._lines = {side: self._chart_lines(side) for side in ("x", "y")}
+        (xc, x_line, x_moving), (yc, y_line, y_moving) = self._lines["x"], self._lines["y"]
         # Degenerate centers marked over the plane-table rows.
-        on_center = []
-        for centers, rows in ((xc, pa), (yc, pb)):
-            is_center = np.zeros(len(tbl.pts), dtype=bool)
-            is_center[tbl.index_of(np.array(list(centers), dtype=np.int64).reshape(-1, 3))] = True
-            on_center.append(is_center[rows])
-        regular = ~on_center[0] & ~on_center[1]
+        x_center, y_center = (np.bincount(c, minlength=n) > 0 for c in (xc, yc))
+        regular = ~x_center[pa] & ~y_center[pb]
 
-        # Boundary atoms from every chart on both sides.
-        x_atoms: dict[tuple, list[tuple]] = {}
-        y_atoms: dict[tuple, list[tuple]] = {}
-        for raw in sorted(xc):
-            for bp in exceptional_points(chart_for(s, "x", point2(s.domain, *raw))):
-                key = (raw, bp.moving.raw)
-                x_atoms.setdefault(key, []).append(bp.s.raw)
-        for raw in sorted(yc):
-            for bp in exceptional_points(chart_for(s, "y", point2(s.domain, *raw))):
-                key = (bp.moving.raw, raw)
-                y_atoms.setdefault(key, []).append(bp.s.raw)
+        # Boundary points: (a, b) = (center, moving) on side x, (moving,
+        # center) on side y.  Those whose other coordinate is a center of the
+        # other side are merged by pair key; one record is kept where exactly
+        # one x line and one y line meet.
+        xa, xb, xcode = xc[x_line // (p + 1)], x_moving, x_line % (p + 1)
+        ya, yb, ycode = y_moving, yc[y_line // (p + 1)], y_line % (p + 1)
+        x_only, y_only = ~y_center[xb], ~x_center[ya]
+        xk = xa[~x_only] * n + xb[~x_only]
+        yk = ya[~y_only] * n + yb[~y_only]
+        keys, where = np.unique(np.concatenate([xk, yk]), return_inverse=True)
+        at_x, at_y = where[:len(xk)], where[len(xk):]
+        n_x, n_y = (np.bincount(at, minlength=len(keys)) for at in (at_x, at_y))
+        # A key's code sum is its one line's code where it has one line.
+        both_x, both_y = (np.bincount(at, weights=code, minlength=len(keys)).astype(np.int64)
+                          for at, code in ((at_x, xcode[~x_only]), (at_y, ycode[~y_only])))
+        one = (n_x == 1) & (n_y == 1)
+        for key, lines_x, lines_y in zip(*(v[~one].tolist() for v in (keys, n_x, n_y))):
+            at = tuple(tuple(self._tbl.pts[r].tolist()) for r in divmod(key, n))
+            self.exceptions.append(
+                f"ambiguous both-side boundary point {at}: "
+                f"{lines_x} x-lines, {lines_y} y-lines")
 
-        none_code = p + 1
-        records: list[tuple] = []
-        for (a_raw, b_raw), sxs in x_atoms.items():
-            if b_raw in yc:
-                continue  # handled in the merge below
-            for sx in sxs:
-                records.append(a_raw + b_raw + (self._scode(sx), none_code))
-        for (a_raw, b_raw), sys_ in y_atoms.items():
-            if a_raw in xc:
-                continue
-            for sy in sys_:
-                records.append(a_raw + b_raw + (none_code, self._scode(sy)))
-        both_keys = {k for k in x_atoms if k[1] in yc} | {
-            k for k in y_atoms if k[0] in xc}
-        for key in sorted(both_keys):
-            xs = x_atoms.get(key, [])
-            ys = y_atoms.get(key, [])
-            if len(xs) == 1 and len(ys) == 1:
-                records.append(key[0] + key[1] + (self._scode(xs[0]), self._scode(ys[0])))
-            else:
-                self.exceptions.append(
-                    f"ambiguous both-side boundary point {key}: "
-                    f"{len(xs)} x-lines, {len(ys)} y-lines")
-
-        boundary = np.array(records, dtype=np.int64).reshape(-1, 8)
-        allrec = np.concatenate([
-            np.pad(pairs[regular], ((0, 0), (0, 2)), constant_values=none_code),
-            boundary,
-        ])
+        groups = ((pa[regular], pb[regular], none, none),
+                  (xa[x_only], xb[x_only], xcode[x_only], none),
+                  (ya[y_only], yb[y_only], none, ycode[y_only]),
+                  (keys[one] // n, keys[one] % n, both_x[one], both_y[one]))
+        ia, ib, cx, cy = (np.concatenate([np.broadcast_to(g[k], g[0].shape) for g in groups])
+                          for k in range(4))
         # Plane-table rows are in lex order, so (row of a, row of b, sx code)
         # orders like (a, b, sx) and one key replaces seven sort columns.
-        ia = np.concatenate([pa[regular], tbl.index_of(boundary[:, :3])])
-        ib = np.concatenate([pb[regular], tbl.index_of(boundary[:, 3:6])])
-        xkey = phase_key(ia, ib, allrec[:, 6], p)
-        order = np.lexsort((allrec[:, 7], xkey))
-        self.records = allrec[order]
+        order = np.lexsort((cy, phase_key(ia, ib, cx, p)))
         self._ia, self._ib = ia[order], ib[order]
+        self._codes = {"x": cx[order], "y": cy[order]}
         # The x key follows the record order by construction; the y key does
         # only because no (a, b) carries both several sx and several sy.
-        self._keys = {"x": xkey[order],
-                      "y": phase_key(self._ia, self._ib, self.records[:, 7], p)}
+        self._keys = {side: phase_key(self._ia, self._ib, self._codes[side], p)
+                      for side in ("x", "y")}
         for side, keys in self._keys.items():
             if np.any(keys[1:] < keys[:-1]):
                 raise NonBijective(f"phase records are not sorted by their {side} key")
@@ -291,24 +289,29 @@ class PhaseSpace:
 
     @property
     def size(self) -> int:
-        return len(self.records)
+        return len(self._ia)
+
+    @property
+    def records(self) -> np.ndarray:
+        """The (N, 8) int64 records [a | b | sx code | sy code], built on each call."""
+        return np.concatenate([self._tbl.coords(self._ia, self._ib),
+                               np.stack([self._codes["x"], self._codes["y"]], axis=1)], axis=1)
 
     def point(self, i: int) -> PhasePoint:
-        row = self.records[i]
+        pts = self._tbl.pts
         dom = self.surface.domain
         return PhasePoint(
-            point2(dom, *[int(v) for v in row[:3]]),
-            point2(dom, *[int(v) for v in row[3:6]]),
-            self._sdecode(int(row[6])),
-            self._sdecode(int(row[7])),
+            point2(dom, *pts[self._ia[i]].tolist()),
+            point2(dom, *pts[self._ib[i]].tolist()),
+            self._sdecode(int(self._codes["x"][i])),
+            self._sdecode(int(self._codes["y"][i])),
         )
 
     def points(self) -> list[PhasePoint]:
         return [self.point(i) for i in range(self.size)]
 
     def _key(self, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
-        tbl = self.surface.engine().table
-        return phase_key(tbl.index_of(a), tbl.index_of(b), code, self.p)
+        return phase_key(self._tbl.index_of(a), self._tbl.index_of(b), code, self.p)
 
     def _find(self, side: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
         """First record whose `side` key equals each key, and how many do.
@@ -341,7 +344,7 @@ class PhaseSpace:
         sx, sy = (none_code if t is None else self._scode(t.raw) for t in (P.sx, P.sy))
         first, count = self._find("x", self._key(np.array([P.a.raw]), np.array([P.b.raw]), sx))
         # Records sharing an x key differ only in sy.
-        group = self.records[first[0]:first[0] + count[0], _CODE_COL["y"]]
+        group = self._codes["y"][first[0]:first[0] + count[0]]
         hit = first[0] + np.flatnonzero(group == sy)
         if len(hit) != 1:
             raise KeyError(f"{P} is not in the phase space")
@@ -359,44 +362,37 @@ class PhaseSpace:
         """Swap the moving coordinate of every record, then look all images up.
 
         The swap side's own parameter is kept, so the image is the unique
-        record with the moved (a, b) and the same code on that side.  A plain
+        record with the moved (a, b) and the same code on that side.  Every
+        record moves to the other point of its fiber of one or two points, or
+        stays at a single one, by row sums (`fiber_partner_rows`).  A plain
         record (no parameter on the swap side) sits over a base that is not
-        degenerate, whose fiber holds one or two rational points, all of them
-        in `surface_pairs`.  With S[base] the sum of the moving rows over that
-        fiber, doubled where it is a single double root, the partner's row is
-        S[base] - row (`fiber_partner_rows`): the other root of a two-point
-        fiber, or the point itself at a double root.  Chart records move by
-        `sigma_extended` on their blow-up chart.
+        degenerate, whose fiber is its rational points in `pair_rows`.  A chart
+        record's fiber is the boundary points on its line of its center's
+        blow-up chart, so it moves as `sigma_extended` moves it.
         """
-        s = self.surface
-        tbl = s.engine().table
-        rec = self.records
-        code = rec[:, _CODE_COL[side]]
-        plain = code == self.p + 1
-        pa, pb = pair_rows(s)
+        p = self.p
+        code = self._codes[side]
+        plain = code == p + 1
+        chart = ~plain
+        pa, pb = pair_rows(self.surface)
         if side == "x":
             base, own, pair_base, pair_moving = self._ia, self._ib, pa, pb
-            base_cols, mov_cols = slice(0, 3), slice(3, 6)
         else:
             base, own, pair_base, pair_moving = self._ib, self._ia, pb, pa
-            base_cols, mov_cols = slice(3, 6), slice(0, 3)
-        moved = own.copy()
+        centers, line, line_moving = self._lines[side]
+        moved = np.empty_like(own)
         moved[plain] = fiber_partner_rows(pair_base, pair_moving, base[plain], own[plain],
-                                          len(tbl.pts))
-        chart_rows = np.flatnonzero(~plain)
-        chart_moved = np.empty((len(chart_rows), 3), dtype=np.int64)
-        for j, i in enumerate(chart_rows):
-            center = point2(s.domain, *rec[i, base_cols].tolist())
-            bp = BoundaryPoint(side, center, self._sdecode(int(code[i])),
-                               point2(s.domain, *rec[i, mov_cols].tolist()))
-            chart_moved[j] = sigma_extended(chart_for(s, side, center), bp).moving.raw
-        moved[chart_rows] = tbl.index_of(chart_moved)
+                                          len(self._tbl.pts))
+        on_line = np.searchsorted(centers, base[chart]) * (p + 1) + code[chart]
+        moved[chart] = fiber_partner_rows(line, line_moving, on_line, own[chart],
+                                          len(centers) * (p + 1))
         ia, ib = (self._ia, moved) if side == "x" else (moved, self._ib)
-        first, count = self._find(side, phase_key(ia, ib, code, self.p))
+        first, count = self._find(side, phase_key(ia, ib, code, p))
         # Notes list the plain rows first, then the chart rows.
-        for i in np.concatenate([np.flatnonzero(plain & (count != 1)),
-                                 chart_rows[count[chart_rows] != 1]]):
-            at = f"({tuple(tbl.pts[ia[i]].tolist())}, {tuple(tbl.pts[ib[i]].tolist())})"
+        bad = count != 1
+        pts = self._tbl.pts
+        for i in np.concatenate([np.flatnonzero(plain & bad), np.flatnonzero(chart & bad)]):
+            at = f"({tuple(pts[ia[i]].tolist())}, {tuple(pts[ib[i]].tolist())})"
             if count[i] == 0:
                 self.exceptions.append(f"sigma_{side} image of record {i} has no phase point {at}")
             else:

@@ -80,12 +80,6 @@ class SparsePoly:
             return -1
         return max(sum(e) for e in self.terms)
 
-    def degree_in(self, name: str) -> int:
-        if not self.terms:
-            return -1
-        i = self.vars.index(name)
-        return max(e[i] for e in self.terms)
-
     def _check(self, other: "SparsePoly"):
         if self.vars != other.vars or self.domain is not other.domain:
             raise ArityMismatch("operands live in different polynomial rings")

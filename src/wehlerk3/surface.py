@@ -63,7 +63,8 @@ class WehlerSurface:
         """The value stored under `key`, made by `build()` on first use.
 
         Keys are tuples (name, *args).  The names are "L", "Q", "engine",
-        "coeff", "gh", "sextic", "degenerate" and "pairs" (this module),
+        "coeff", "gh", "sextic", "degenerate" and "pairs" (this module; the
+        plane-table rows of the rational points, see `pair_rows`),
         "dyn_ctx" and "phase_space" (`dynamics`), "chart" and "ram_prime"
         (`blowup`).
         """
@@ -504,19 +505,21 @@ def _degenerate_rows(s: WehlerSurface, side: str) -> list:
 # -- rational points --------------------------------------------------------------
 
 
-def _pair_table(s: WehlerSurface) -> tuple:
-    """(pairs, rows) of the x-side root pass, which runs once per surface."""
-    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x")[:2])
+def pair_rows(s: WehlerSurface) -> tuple[np.ndarray, np.ndarray]:
+    """Plane-table rows (of a, of b) of every rational point, lex sorted.
+
+    They come from the x-side root pass, which runs once per surface; only
+    these rows are cached, not the points' coordinates.
+    """
+    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x")[0])
 
 
 def surface_pairs(s: WehlerSurface) -> np.ndarray:
-    """All rational points as an (N, 6) int array [a | b], lex sorted."""
-    return _pair_table(s)[0]
+    """All rational points as an (N, 6) int array [a | b], lex sorted.
 
-
-def pair_rows(s: WehlerSurface) -> tuple[np.ndarray, np.ndarray]:
-    """Plane-table rows (of a, of b) of every `surface_pairs` row, in its order."""
-    return _pair_table(s)[1]
+    Built from `pair_rows` on each call.
+    """
+    return s.engine().table.coords(*pair_rows(s))
 
 
 def enumerate_points(s: WehlerSurface):
@@ -531,7 +534,7 @@ def enumerate_points(s: WehlerSurface):
 
 
 def point_count(s: WehlerSurface) -> int:
-    return len(surface_pairs(s))
+    return len(pair_rows(s)[0])
 
 
 @dataclass(frozen=True)

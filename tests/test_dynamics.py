@@ -1,4 +1,5 @@
 import bisect
+import hashlib
 import random
 from collections import Counter
 
@@ -6,6 +7,7 @@ import numpy as np
 import pytest
 from test_engine import _sparse_surface
 
+from wehlerk3 import dynamics
 from wehlerk3._engine import SurfaceEngine, fiber_partner_rows
 from wehlerk3.dynamics import (
     PhasePoint,
@@ -161,6 +163,34 @@ def test_row_sum_partners_match_the_vieta_swap(name):
                             for t in (side, other))
             partner = point2(s.domain, *_cor1_partner(s, side, base.coords, moving.coords))
             assert tbl.index_of(np.array(partner.raw)) == got[k]
+
+
+def _arrays(obj):
+    """The numpy arrays in obj and in the dicts, lists and tuples it nests."""
+    if isinstance(obj, np.ndarray):
+        return [obj]
+    if isinstance(obj, dict):
+        obj = list(obj.values())
+    if isinstance(obj, (list, tuple)):
+        return [a for v in obj for a in _arrays(v)]
+    return []
+
+
+def test_census_stores_rows_and_moves_chart_records_without_the_scalar_route(monkeypatch):
+    # The bulk permutations move chart records by their line's row sum, with
+    # no BoundaryPoint or sigma_extended; the surface cache and the phase
+    # space hold one-dimensional row, code and key arrays, no coordinates.
+    def scalar_route(*args, **kwargs):
+        raise AssertionError("a bulk permutation took the scalar chart route")
+
+    s = random_surface(29, 5, mode="degenerate")
+    space = build_phase_space(s)
+    monkeypatch.setattr(dynamics, "BoundaryPoint", scalar_route)
+    monkeypatch.setattr(dynamics, "sigma_extended", scalar_route)
+    cycle_decomposition(space)
+    assert np.any(space._codes["x"] != space.p + 1) and np.any(space._codes["y"] != space.p + 1)
+    held = _arrays(pair_rows(s)) + _arrays(vars(space))
+    assert len(held) >= 12 and all(a.ndim == 1 for a in held)
 
 
 def test_row_sum_partner_rejects_fibers_without_one_or_two_points():
@@ -443,6 +473,58 @@ def test_failure_notes_name_the_missing_image():
         space.perm("y")
     assert space.exceptions[0] == (
         "sigma_y image of record 2 has no phase point ((1, 0, 4), (1, 0, 4))")
+
+
+# Per surface: the phase space size and the sha256 of its records, both
+# permutations (or the NonBijective text a permutation raises) and every
+# exception note.  degenerate_5_93, sparse_13_1 and the sparse p = 5
+# surfaces reach the "ambiguous both-side boundary point" note.
+PHASE_SPACE_SURFACES = {
+    "w1_29": lambda: w1_surface(29),
+    **{f"degenerate_29_{sd}": (lambda sd=sd: random_surface(29, sd, mode="degenerate"))
+       for sd in (0, 2, 5, 9)},
+    "sparse_13_1": lambda: _sparse_surface(13, 1),
+    "random_101_1": lambda: random_surface(101, 1),
+    **{f"degenerate_{p}_{sd}": (lambda p=p, sd=sd: random_surface(p, sd, mode="degenerate"))
+       for p, sd in ((5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133))},
+    **{f"sparse_5_{sd}": (lambda sd=sd: _sparse_surface(5, sd)) for sd in range(5)},
+}
+PHASE_SPACE_PINS = [
+    ("w1_29", 1116, "ef3303f06297e6ea52da19dde3e056d9d2ba75936cb0e61ce7432d50a7874ab7"),
+    ("degenerate_29_0", 932, "4ca91b5c1aed5af8f2522f4709b304020c624e1895836b131a29d6051c5202b4"),
+    ("degenerate_29_2", 991, "3d062b6c03093320d8de29eaf15d7f0e4d990dcb7a7bb090c46b0732887b8bd4"),
+    ("degenerate_29_5", 923, "2d52511ce7619ee32ad128c05a6cee2b244566adaa6c8ea97388c8e21806316c"),
+    ("degenerate_29_9", 956, "f2aa9e22a3b4aa38d82ab48663846ea25952942b5d0a7dc331424df9543ff662"),
+    ("sparse_13_1", 219, "fda578039ce08ab954ef404b181364d53cabcb3d4f8892b2d0f566158f91a145"),
+    ("random_101_1", 10452, "f72debccf512df481415db4e0755dc76b85cbb4fff7c25c0d4110b31af3ac46f"),
+    ("degenerate_5_75", 30, "5b8d4ae9010cec3941051ca00769fb79658d0753357997a30761e7c984970d0d"),
+    ("degenerate_5_93", 40, "f866393ef40ad842781c0468193ef9d08e878ce905291dfd2b583b010aa1e394"),
+    ("degenerate_7_35", 54, "c1945bbfc6fef603ca429ad110abd8d1f9419043b23069746a692b975f1898c1"),
+    ("degenerate_7_40", 66, "78b5e8166f0e567d136745fba4f0335b40ed612b862b70c9f627421b01e3dbb7"),
+    ("degenerate_7_133", 64, "8365f80c976117173c8b45dbb4f57a18bee7290c50e1b4f714ed99b93209886c"),
+    ("degenerate_11_133", 154, "1b50970eb11d79fffa2746e47d11660378d788a9fd26b17021f092a2a31b8a0a"),
+    ("sparse_5_0", 0, "ef3c91fa9407820cdd1b77e40d9ff193ee83509ba2dd831b1e90fa3c5f8e20b4"),
+    ("sparse_5_1", 36, "590106e68e5641206ee7d12d75974d26cee726dea8c4585e29d2060c42ef4661"),
+    ("sparse_5_2", 0, "98c5ce65c3d37545dab8dcfc01790554ca763ab8489500ed7075573158e2e9dc"),
+    ("sparse_5_3", 1, "3251fd5870d7d805a8d037fc8d3b12a2358152f30f39a85364664ba4f9bf66b3"),
+    ("sparse_5_4", 33, "9f250e5c3add5aaf8de46e523fb126da70a9f87a0da878f40b7f41aff07a4be7"),
+]
+
+
+def _perm_outcome(space, side):
+    try:
+        return space.perm(side).tolist()
+    except NonBijective as exc:
+        return str(exc)
+
+
+@pytest.mark.parametrize("name,size,digest", PHASE_SPACE_PINS)
+def test_phase_space_outputs_pinned(name, size, digest):
+    space = build_phase_space(PHASE_SPACE_SURFACES[name]())
+    out = [space.records.tolist(), _perm_outcome(space, "x"), _perm_outcome(space, "y"),
+           space.exceptions]
+    assert space.size == size
+    assert hashlib.sha256(repr(out).encode()).hexdigest() == digest
 
 
 def test_boundary_phase_points_round_trip(w1_29):

@@ -17,6 +17,7 @@ from wehlerk3._engine import (
 from wehlerk3.errors import DegenerateFiber, ZeroForm
 from wehlerk3.field import PrimeField
 from wehlerk3.surface import (
+    VARS6,
     WehlerSurface,
     _fiber_restriction,
     gh_system,
@@ -135,6 +136,37 @@ def test_fiber_row_sums_headroom():
     assert got.dtype == np.int64 and got.tolist() == [n - 1, n - 2, n - 1]
     with pytest.raises(DegenerateFiber):
         fiber_partner_rows(pair_base, pair_moving, np.array([0]), np.array([5]), n)
+
+
+def _jacobian_rank_below_2(s, rows):
+    """Whether the Jacobian of (L, Q) has rank < 2 at each row, from its 2 x 2 minors."""
+    grads = [[f.derivative(v) for v in VARS6] for f in (s.l_poly(), s.q_poly())]
+    out = []
+    for row in rows.tolist():
+        at = dict(zip(VARS6, row))
+        jl, jq = ([int(g.evaluate(at)) for g in grad] for grad in grads)
+        out.append(all((jl[i] * jq[j] - jl[j] * jq[i]) % s.p == 0
+                       for i in range(6) for j in range(i + 1, 6)))
+    return np.array(out)
+
+
+def test_smooth_scan_matches_the_jacobian_minors():
+    # Surface points and random rows at p = 29, and at a prime near the cap
+    # every row of residues 0 and p - 1 with every coefficient p - 1, where
+    # the unreduced dQ entries reach their bound 4(p - 1)^2 < 4p^2.
+    rng = np.random.default_rng(0)
+    s = random_surface(29, 3)
+    p = 2039
+    assert p <= _ENUM_P_CAP and 4 * _ENUM_P_CAP ** 2 <= 2 ** 24
+    cap = WehlerSurface(PrimeField(p), [[p - 1] * 3] * 3, [[p - 1] * 6] * 6)
+    cases = [(s, surface_pairs(s)[::5]), (s, rng.integers(0, 29, size=(150, 6))),
+             (cap, np.array(list(itertools.product((0, p - 1), repeat=6))))]
+    masks = []
+    for surf, rows in cases:
+        mask = surf.engine().smooth_scan(rows)
+        assert np.array_equal(mask, _jacobian_rank_below_2(surf, rows))
+        masks.append(mask)
+    assert not masks[0].any() and masks[2].any() and not masks[2].all()
 
 
 @pytest.mark.parametrize("p", [5, 29])
@@ -318,8 +350,9 @@ def test_root_pass_matches_the_reference_solver(p):
     for s in surfaces:
         eng = s.engine()
         for side in ("x", "y"):
-            pairs, rows, degenerate = eng.fiber_pairs(side)
+            rows, degenerate = eng.fiber_pairs(side)
             ref_pairs, ref_rows, ref_degenerate = _reference_fiber_pairs(eng, side)
+            pairs = eng.table.coords(*rows)
             assert pairs.dtype == ref_pairs.dtype and np.array_equal(pairs, ref_pairs)
             for got, want in zip(rows, ref_rows):
                 assert got.dtype == want.dtype and np.array_equal(got, want)
