@@ -418,7 +418,12 @@ class SurfaceEngine:
     # -- rational-point Jacobian rank scan -----------------------------------
 
     def smooth_scan(self, pairs: np.ndarray) -> np.ndarray:
-        """Mask of rows where the 2x6 Jacobian of (L, Q) has rank < 2."""
+        """Mask of rows where the 2x6 Jacobian of (L, Q) has rank < 2.
+
+        Any rows of coordinates are accepted; `is_smooth_rational` passes
+        only the rational points over x-bases whose fiber does not have
+        exactly two of them, the only places where one can be singular.
+        """
         p = self.p
         a = pairs[:, :3]
         b = pairs[:, 3:]

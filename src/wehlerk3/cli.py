@@ -31,10 +31,10 @@ from .stats import (
 )
 from .surface import (
     degenerate_fibers,
-    enumerate_points,
     parse_surface,
     point_count,
     serialize_surface,
+    surface_pairs,
 )
 
 
@@ -84,10 +84,9 @@ def cmd_points(args) -> int:
     n = point_count(s)
     bound = p * p - 22 * p + 1
     ok = n >= bound
+    points = surface_pairs(s).tolist()
     if args.format == "csv":
-        rows = ["a0,a1,a2,b0,b1,b2"]
-        for a, b in enumerate_points(s):
-            rows.append(",".join(str(v) for v in (*a.raw, *b.raw)))
+        rows = ["a0,a1,a2,b0,b1,b2"] + [",".join(map(str, r)) for r in points]
         _write_or_print("\n".join(rows) + "\n", args.out, f"points_p{p}.csv")
     else:
         payload = {
@@ -95,7 +94,7 @@ def cmd_points(args) -> int:
             "count": n,
             "lower_bound": bound,
             "lower_bound_pass": ok,
-            "points": [[*a.raw, *b.raw] for a, b in enumerate_points(s)],
+            "points": points,
         }
         _write_or_print(json.dumps(payload, indent=2) + "\n", args.out,
                         f"points_p{p}.json")

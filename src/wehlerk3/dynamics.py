@@ -19,7 +19,7 @@ from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sig
 from .errors import NonBijective, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
-from .surface import WehlerSurface, degenerate_fibers, pair_rows
+from .surface import WehlerSurface, degenerate_fibers, pair_rows, table_points
 
 __all__ = [
     "PhasePoint",
@@ -298,17 +298,21 @@ class PhaseSpace:
                                np.stack([self._codes["x"], self._codes["y"]], axis=1)], axis=1)
 
     def point(self, i: int) -> PhasePoint:
-        pts = self._tbl.pts
-        dom = self.surface.domain
-        return PhasePoint(
-            point2(dom, *pts[self._ia[i]].tolist()),
-            point2(dom, *pts[self._ib[i]].tolist()),
-            self._sdecode(int(self._codes["x"][i])),
-            self._sdecode(int(self._codes["y"][i])),
-        )
+        return self.points([i])[0]
 
-    def points(self) -> list[PhasePoint]:
-        return [self.point(i) for i in range(self.size)]
+    def points(self, idx=slice(None)) -> list[PhasePoint]:
+        """The records at `idx` (all of them by default) as PhasePoints.
+
+        One point object is made per distinct plane-table row and one line
+        parameter per distinct code, and records share them.
+        """
+        s = self.surface
+        columns = [table_points(s, self._ia[idx]), table_points(s, self._ib[idx])]
+        for side in ("x", "y"):
+            codes = self._codes[side][idx].tolist()
+            decoded = {c: self._sdecode(c) for c in set(codes)}
+            columns.append([decoded[c] for c in codes])
+        return [PhasePoint(*fields) for fields in zip(*columns)]
 
     def _key(self, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
         return phase_key(self._tbl.index_of(a), self._tbl.index_of(b), code, self.p)
@@ -416,7 +420,7 @@ class PhaseSpace:
     def fixed_points(self, side: str) -> list[PhasePoint]:
         perm = self.perm(side)
         idx = np.nonzero(perm == np.arange(len(perm)))[0]
-        return [self.point(int(i)) for i in idx]
+        return self.points(idx)
 
     def fixed_count(self, side: str) -> int:
         perm = self.perm(side)
@@ -474,7 +478,7 @@ class CycleCensus:
         while j != record.rep_index:
             out.append(j)
             j = int(phi[j])
-        return [self.space.point(i) for i in out]
+        return self.space.points(out)
 
     def verify(self):
         if sum(c.length for c in self.cycles) != self.total:

@@ -28,7 +28,7 @@ from .errors import (
     ZeroForm,
     ZeroInverse,
 )
-from .field import QQ, PrimeField, is_prime
+from .field import QQ, FieldElement, PrimeField, is_prime
 from .geometry import ProjectivePoint2, point2
 from .poly import SparsePoly
 
@@ -522,15 +522,22 @@ def surface_pairs(s: WehlerSurface) -> np.ndarray:
     return s.engine().table.coords(*pair_rows(s))
 
 
+def table_points(s: WehlerSurface, rows) -> list:
+    """The points at the given plane-table rows, one object per distinct row.
+
+    Table rows are canonical already, so their coordinates become field
+    elements as they stand, with no normalization.
+    """
+    dom = s.domain
+    distinct, at = np.unique(rows, return_inverse=True)
+    made = [ProjectivePoint2(tuple(FieldElement(v, dom) for v in row))
+            for row in s.engine().table.pts[distinct].tolist()]
+    return [made[i] for i in at.tolist()]
+
+
 def enumerate_points(s: WehlerSurface):
     """All solutions of L = Q = 0 as canonical point pairs, lex ordered."""
-    pairs = surface_pairs(s)
-    dom = s.domain
-    return [
-        (point2(dom, int(r[0]), int(r[1]), int(r[2])),
-         point2(dom, int(r[3]), int(r[4]), int(r[5])))
-        for r in pairs
-    ]
+    return list(zip(*(table_points(s, rows) for rows in pair_rows(s))))
 
 
 def point_count(s: WehlerSurface) -> int:
@@ -539,11 +546,14 @@ def point_count(s: WehlerSurface) -> int:
 
 @dataclass(frozen=True)
 class SmoothnessReport:
-    """Result of the rational-point Jacobian scan.
+    """Result of the rational-point Jacobian test.
 
     A True verdict means "no rational singular point"; singular points over
     field extensions are invisible to this check, so it is a necessary but
-    not sufficient smoothness condition.
+    not sufficient smoothness condition.  `points_checked` counts the
+    rational points the verdict covers, all N of them, although the Jacobian
+    is evaluated only where a singular one can lie (`is_smooth_rational`);
+    `singular_points` holds the first 16 singular ones in lex order.
     """
 
     no_rational_singular_point: bool
@@ -555,19 +565,26 @@ class SmoothnessReport:
 
 
 def is_smooth_rational(s: WehlerSurface) -> SmoothnessReport:
-    """Rank-2 Jacobian test of (L, Q) at every rational point."""
-    pairs = surface_pairs(s)
-    if len(pairs) == 0:
-        return SmoothnessReport(True, 0, ())
-    bad = s.engine().smooth_scan(pairs)
-    rows = pairs[bad]
-    dom = s.domain
-    sing = tuple(
-        (point2(dom, int(r[0]), int(r[1]), int(r[2])),
-         point2(dom, int(r[3]), int(r[4]), int(r[5])))
-        for r in rows[:16]
-    )
-    return SmoothnessReport(not bool(bad.any()), len(pairs), sing)
+    """Rank-2 Jacobian test of (L, Q) at every rational point.
+
+    Only points whose x-fiber does not have exactly two rational points can
+    be singular, so `smooth_scan` runs on those rows alone: O(p) of N ~ p^2.
+    Let P = (a, b) lie on a fiber with two rational points.  That fiber is
+    finite (a line fiber has p + 1 points, a conic in P^2 has 1, p + 1 or
+    2p + 1, a plane fiber p^2 + p + 1), so l = L(a, .) != 0 and b is a
+    simple root of q = Q(a, .) on the line l.y = 0.  For any other point d
+    of that line, q(b + s d) = 2s B(b, d) + s^2 q(d) with B(b, d) != 0 (p
+    is odd), so grad q(b) is not a multiple of l, and the y-block
+    [l; grad_y Q] of the Jacobian already has rank 2.  The rows scanned are
+    thus those over one-point x-bases (a double root) and over degenerate
+    x-bases.
+    """
+    eng = s.engine()
+    x_rows, y_rows = pair_rows(s)
+    maybe = np.flatnonzero(np.bincount(x_rows)[x_rows] != 2)
+    bad = maybe[eng.smooth_scan(eng.table.coords(x_rows[maybe], y_rows[maybe]))]
+    sing = tuple(zip(*(table_points(s, rows[bad[:16]]) for rows in (x_rows, y_rows))))
+    return SmoothnessReport(len(bad) == 0, len(x_rows), sing)
 
 
 # -- random surfaces ----------------------------------------------------------------
@@ -585,7 +602,10 @@ def random_surface(
     mode "nondegenerate": no degenerate fibers on either side.
     mode "degenerate": at least `min_degenerate` degenerate fibers in total.
     mode "any": only the smoothness filter.
-    Every accepted surface passes the rational-point Jacobian check.
+    Every accepted surface passes the rational-point Jacobian check of
+    `is_smooth_rational`, which evaluates the Jacobian only over x-bases with
+    one rational point or a degenerate fiber, where a rational singular point
+    can lie; its verdict covers all N points.
 
     Each draw is tested for its degeneracy mode first, from the cheap
     degenerate lists of both sides, and only then for smoothness, which needs

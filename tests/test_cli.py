@@ -1,3 +1,4 @@
+import hashlib
 import json
 
 import pytest
@@ -33,6 +34,19 @@ def test_points_json(surface_file, capsys):
     payload = json.loads(out[: out.rindex("}") + 1])
     assert payload["count"] == 1116
     assert payload["lower_bound"] == 204
+
+
+@pytest.mark.parametrize("fmt,digest", [
+    ("csv", "4d0c2d4d0705899956bc860e42eaf899bd4e5e646a025aacbb8b10b4b8864e66"),
+    ("json", "4eb986e63c77f84a596929fba19f3625d5ae04e78463bdb6b3e986c90aebdb48"),
+])
+def test_points_output_pinned(surface_file, tmp_path, capsys, fmt, digest):
+    rc = main(["points", "--surface", surface_file, "--prime", "29",
+               "--format", fmt, "--out", str(tmp_path)])
+    capsys.readouterr()
+    assert rc == 0
+    data = (tmp_path / f"points_p29.{fmt}").read_bytes()
+    assert hashlib.sha256(data).hexdigest() == digest
 
 
 def test_cycles_command(surface_file, tmp_path, capsys):

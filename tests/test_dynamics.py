@@ -26,7 +26,13 @@ from wehlerk3.errors import DegenerateFiber, NonBijective, PairingFailure
 from wehlerk3.fixtures import w1_orbit_points, w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import _cor1_partner
-from wehlerk3.surface import degenerate_fibers, pair_rows, random_surface, surface_pairs
+from wehlerk3.surface import (
+    degenerate_fibers,
+    enumerate_points,
+    pair_rows,
+    random_surface,
+    surface_pairs,
+)
 
 
 def test_phase_space_of_nondegenerate_surface_is_the_point_set():
@@ -456,6 +462,51 @@ def test_degenerate_census_identities(seed):
     assert all(pairing[pairing[i]] == i for i in pairing)
 
 
+def _pencil_parameter(s, records):
+    """t = [A b], the image of b under L's matrix as a point of the line im A.
+
+    Given as a plane-table row, and -1 where A b = 0 (b is a y-side center).
+    """
+    p = s.p
+    tbl = s.engine().table
+    image = records[:, 3:6] @ s.engine().amat.T % p
+    defined = image.any(axis=1)
+    t = np.full(len(records), -1)
+    t[defined] = tbl.index_of(tbl.canonicalize(image[defined]))
+    return t
+
+
+@pytest.mark.parametrize("seed", [5, 32])
+def test_pencil_parameter_is_invariant_when_det_a_vanishes(seed):
+    # det(a) = 0 puts a conic center on each side, and L = l1(x) m1(y) +
+    # l2(x) m2(y) makes t = [A y] = [l1(x) : l2(x)] depend on y alone and on
+    # x alone on the surface, so sigma_y and sigma_x both keep it.
+    s = random_surface(29, seed, mode="degenerate")
+    assert round(np.linalg.det(s.engine().amat.astype(float))) % 29 == 0
+    assert "conic" in {d.kind for d in degenerate_fibers(s, "x")}
+    assert "conic" in {d.kind for d in degenerate_fibers(s, "y")}
+    census = cycle_decomposition(s)
+    t = _pencil_parameter(s, census.space.records)
+    phi = census.space.perm_phi()
+    checked = (t >= 0) & (t[phi] >= 0)
+    assert checked.mean() > 0.9
+    assert np.array_equal(t[phi][checked], t[checked])
+    # Every cycle lies in one fiber of t.
+    per_cycle = {}
+    for c, tv in zip(census.cycle_id[t >= 0].tolist(), t[t >= 0].tolist()):
+        per_cycle.setdefault(c, set()).add(tv)
+    assert len(per_cycle) > 0.9 * len(census.cycles)
+    assert all(len(ts) == 1 for ts in per_cycle.values())
+
+
+def test_pencil_parameter_moves_when_det_a_does_not_vanish():
+    s = random_surface(29, 0, mode="degenerate")
+    assert round(np.linalg.det(s.engine().amat.astype(float))) % 29 != 0
+    space = build_phase_space(s)
+    t = _pencil_parameter(s, space.records)
+    assert np.mean(t[space.perm_phi()] == t) < 0.2
+
+
 # Accepted degenerate surfaces whose blow-up charts leave part of a degenerate
 # fiber without boundary points, so a census finds sigma not total.  strict
 # makes a fix (or a new rejection in random_surface) show up as XPASS.
@@ -535,6 +586,28 @@ def test_boundary_phase_points_round_trip(w1_29):
         assert space.point(space.index_of(P)) == P
         # boundary points survive a full phi loop of their cycle
         assert w1_29.contains(P.a.coords, P.b.coords)
+
+
+@pytest.mark.parametrize("seed", [None, 5, 8])
+def test_points_are_built_from_table_rows_as_by_point2(seed, w1_29):
+    s = w1_29 if seed is None else random_surface(29, seed, mode="degenerate")
+    dom = s.domain
+    space = build_phase_space(s)
+
+    def param(code):
+        return None if code == 30 else point1(dom, 0, 1) if code == 29 else point1(dom, 1, code)
+
+    want = [PhasePoint(point2(dom, *r[:3]), point2(dom, *r[3:6]), param(r[6]), param(r[7]))
+            for r in space.records.tolist()]
+    points = space.points()
+    assert points == want
+    assert [P.key() for P in points] == [P.key() for P in want]
+    assert any(P.kind == "boundary" for P in points)
+    assert [space.point(i) for i in range(0, space.size, 37)] == want[::37]
+    assert enumerate_points(s) == [(point2(dom, *r[:3]), point2(dom, *r[3:]))
+                                   for r in surface_pairs(s).tolist()]
+    # One point object per distinct plane-table row.
+    assert len({id(P.a) for P in points}) == len({P.a for P in points})
 
 
 def test_census_serialization(w1_29):

@@ -1,6 +1,7 @@
 import hashlib
 import random
 
+import numpy as np
 import pytest
 
 from wehlerk3.errors import (
@@ -16,6 +17,7 @@ from wehlerk3.geometry import point2
 from wehlerk3.poly import SparsePoly
 from wehlerk3.surface import (
     VARS6,
+    SmoothnessReport,
     WehlerSurface,
     coefficient_polys,
     degenerate_fibers,
@@ -24,6 +26,7 @@ from wehlerk3.surface import (
     gh_system,
     gh_values,
     is_smooth_rational,
+    pair_rows,
     parse_surface,
     point_count,
     ramification_sextic,
@@ -359,6 +362,97 @@ def test_smoothness_rejects_doubled_form():
     rep = is_smooth_rational(s)
     assert not rep.no_rational_singular_point
     assert rep.singular_points
+
+
+def _full_scan_report(s):
+    """The smoothness report of a Jacobian scan at every rational point."""
+    pairs = surface_pairs(s)
+    bad = s.engine().smooth_scan(pairs)
+    dom = s.domain
+    sing = tuple((point2(dom, *r[:3]), point2(dom, *r[3:])) for r in pairs[bad][:16].tolist())
+    return SmoothnessReport(not bad.any(), len(pairs), sing)
+
+
+def _singular_x_fiber_sizes(s):
+    """The x-fiber size of every singular rational point, from the full scan."""
+    x_rows, _ = pair_rows(s)
+    bad = s.engine().smooth_scan(surface_pairs(s))
+    return set(np.bincount(x_rows)[x_rows][bad].tolist())
+
+
+def test_candidate_row_scan_matches_the_full_scan():
+    # Raw draws, with no mode or smoothness filter: sparse ones are often
+    # singular, on one-point and on degenerate x-fibers alike.
+    draws = singular = 0
+    sizes = set()
+    for p in (5, 7, 11, 13, 17):
+        for seed in range(40):
+            rng = random.Random(seed)
+            for density in (0.3, 0.6, 1.0):
+                while True:
+                    a = [[rng.randrange(1, p) if rng.random() < density else 0
+                          for _ in range(3)] for _ in range(3)]
+                    b = [[rng.randrange(1, p) if rng.random() < density / 2 else 0
+                          for _ in range(6)] for _ in range(6)]
+                    try:
+                        s = WehlerSurface(PrimeField(p), a, b)
+                        break
+                    except ZeroForm:
+                        pass
+                want = _full_scan_report(s)
+                assert is_smooth_rational(s) == want, (p, seed, density)
+                draws += 1
+                singular += not want
+                sizes |= _singular_x_fiber_sizes(s)
+    assert draws == 600 and 200 < singular < 500
+    assert 1 in sizes and max(sizes) > 2 and 2 not in sizes
+
+
+# A rational singular point at ((1:0:0), (1:0:0)): Q lies in the square of
+# its maximal ideal.  In the first surface its x-fiber is the double root
+# y2^2 = 0 on the line y1 = 0 and no x-fiber is degenerate; in the second Q
+# vanishes on that whole line and every singular point lies on a
+# degenerate x-fiber.
+SINGULAR_ON_ONE_POINT_FIBER = """\
+p 11
+L 0 1 1
+L 1 0 1
+L 2 2 1
+Q 0 0 2 2 1
+Q 1 1 0 0 1
+Q 2 2 0 1 1
+Q 1 2 0 0 3
+Q 0 1 1 2 2
+Q 1 1 2 2 1
+Q 1 1 1 1 2
+"""
+SINGULAR_ON_DEGENERATE_FIBER = """\
+p 11
+L 0 1 1
+L 1 0 1
+L 2 2 1
+Q 0 0 1 2 1
+Q 1 1 0 0 1
+Q 2 2 0 2 1
+Q 1 2 1 1 3
+Q 0 1 2 2 2
+"""
+
+
+@pytest.mark.parametrize("text,sizes,degenerate", [
+    (SINGULAR_ON_ONE_POINT_FIBER, {1}, 0),
+    (SINGULAR_ON_DEGENERATE_FIBER, {12}, 4),
+], ids=["one_point", "degenerate"])
+def test_smoothness_finds_singular_points_on_each_kind_of_candidate_fiber(
+        text, sizes, degenerate):
+    s = parse_surface(text)
+    F = s.domain
+    assert len(degenerate_fibers(s, "x")) == degenerate
+    assert _singular_x_fiber_sizes(s) == sizes
+    rep = is_smooth_rational(s)
+    assert rep == _full_scan_report(s)
+    assert not rep and rep.points_checked == point_count(s)
+    assert (point2(F, 1, 0, 0), point2(F, 1, 0, 0)) in rep.singular_points
 
 
 def test_random_surface_determinism():
