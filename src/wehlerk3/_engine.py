@@ -17,6 +17,8 @@ from .field import PrimeField
 # full coefficient, matching how WehlerSurface stores its (2,2) form.
 PAIRS = ((0, 0), (0, 1), (0, 2), (1, 1), (1, 2), (2, 2))
 PAIR_INDEX = {pq: n for n, pq in enumerate(PAIRS)}
+# PAIR_AT[i][j] is the PAIRS position of x_i*x_j in either index order.
+PAIR_AT = tuple(tuple(PAIR_INDEX[(min(i, j), max(i, j))] for j in range(3)) for i in range(3))
 
 # Vieta recovery tries index pairs in this fixed order; entry n is (k, l, m)
 # with m the third index.
@@ -169,7 +171,7 @@ def gh_formula(L, q):
 
 def pair_getter(coeffs):
     """q(i, j) reading 6 coefficients stored in PAIRS order."""
-    return lambda i, j: coeffs[PAIR_INDEX[(min(i, j), max(i, j))]]
+    return lambda i, j: coeffs[PAIR_AT[i][j]]
 
 
 def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
@@ -435,7 +437,7 @@ class SurfaceEngine:
         for off, qc, w in ((0, self.table.monomials(b) @ self.bmat.T % p, a),
                            (3, self.table.monomials(a) @ self.bmat % p, b)):
             for i in range(3):
-                jq[:, off + i] = sum((1 + (i == j)) * qc[:, PAIR_INDEX[(min(i, j), max(i, j))]]
+                jq[:, off + i] = sum((1 + (i == j)) * qc[:, PAIR_AT[i][j]]
                                      * w[:, j] for j in range(3))
         jq %= p
 

@@ -3,21 +3,24 @@
 sigma("y", .) keeps the second coordinate b and swaps the two points of the
 fiber over b; sigma("x", .) keeps a and swaps the fiber of the first
 projection.  The partner point is recovered from one binary quadratic by
-Vieta plus the linearity of L on the fiber line; a brute-force fiber solver
-provides an independent oracle for every swap.
+Vieta plus the linearity of L on the fiber line.  The swap runs on plain
+residues (ints reduced mod p, or Fractions over QQ) from the surface's raw
+coefficient rows, and only the partner point is made of domain elements.  A
+brute-force fiber solver provides an independent oracle for every swap.
 """
 
 from __future__ import annotations
 
-import logging
-
-from ._engine import SWAP_PAIRS
+from ._engine import SWAP_PAIRS, gh_formula, pair_getter
 from .errors import DegenerateFiber, NotOnSurface
-from .field import QQ
-from .geometry import ProjectivePoint2, point2
-from .surface import WehlerSurface, _fiber_restriction, gh_values, gh_vanishes, quad_at
-
-log = logging.getLogger(__name__)
+from .geometry import ProjectivePoint2, _raw, point2
+from .surface import (
+    WehlerSurface,
+    _fiber_residues,
+    _fiber_restriction,
+    gh_vanishes,
+    quad_at,
+)
 
 
 def _as_pair(s: WehlerSurface, P):
@@ -29,47 +32,53 @@ def _as_pair(s: WehlerSurface, P):
     return a, b
 
 
-def _other_root(domain, A, B, C, alpha, beta):
+def _other_root(A, B, C, alpha, beta):
     """Second root of A x_l^2 + B x_k x_l + C x_k^2 given root (alpha, beta)."""
-    if alpha != domain.zero:
+    if alpha != 0:
         return A * alpha, -(B * alpha + A * beta)
     return B, -C
 
 
 def _cor1_partner(s: WehlerSurface, side: str, base, moving):
-    """Raw-coordinate fiber swap over a non-degenerate base.
+    """The fiber swap over a non-degenerate base, on plain residues.
 
-    base and moving are coordinate tuples; returns the partner tuple
-    (unnormalized).  Raises DegenerateFiber when every G/H vanishes at the
-    base and falls back to the oracle if no index pair is usable.
+    base and moving are coordinate tuples of domain elements or ints.  The
+    partner comes back as an unnormalized tuple of ints reduced mod p (over
+    QQ, of Fractions), for `point2` to turn into a point.  Raises
+    DegenerateFiber when every G/H vanishes at the base and NotOnSurface when
+    moving is not on the fiber.
+
+    Every on-fiber moving gets its partner from the first (k, l, m) of
+    SWAP_PAIRS with l_m != 0, where l = L(base, .).  Such an m exists: l = 0
+    makes every G and H vanish (they have degree 2 in l), so DegenerateFiber
+    is raised first.  On the line l.x = 0, x_k = x_l = 0 forces x_m = 0, so
+    moving's (x_k, x_l) is nonzero.  And A = B = C = 0 there would make Q
+    vanish on the whole line, a degenerate fiber.  So the loop runs out only
+    for a moving off the fiber line.
     """
-    zero = s.domain.zero
-    g, h = gh_values(s, side, base)
+    lc, qv, red = _fiber_residues(s, side, base)
+    g, h = gh_formula(lc, pair_getter(qv))
+    g = tuple(map(red, g))
+    h = {kl: red(v) for kl, v in h.items()}
     if gh_vanishes(g, h):
         raise DegenerateFiber(f"degenerate {side}-fiber over {base}")
-    lc = s.line_values(side, base)
+    mv = [red(_raw(v)) for v in moving]
     for (k, l, m) in SWAP_PAIRS:
-        if lc[m] == zero:
+        if lc[m] == 0:
             continue
         A, B, C = g[k], h[(k, l)], g[l]
-        alpha, beta = moving[k], moving[l]
-        if alpha == zero and beta == zero:
+        alpha, beta = mv[k], mv[l]
+        if alpha == 0 and beta == 0:
             continue
-        if (A, B, C) == (zero, zero, zero):
-            continue
-        if A * beta * beta + B * alpha * beta + C * alpha * alpha != zero:
+        if red(A * beta * beta + B * alpha * beta + C * alpha * alpha) != 0:
             raise NotOnSurface(
                 f"{moving} is not a root of the fiber quadratic over {base}")
-        gamma, delta = _other_root(s.domain, A, B, C, alpha, beta)
-        out = [zero, zero, zero]
+        gamma, delta = _other_root(A, B, C, alpha, beta)
+        out = [0, 0, 0]
         out[k], out[l] = gamma, delta
-        out[m] = -(lc[k] * gamma + lc[l] * delta) * (
-            lc[m].inv() if s.domain is not QQ else 1 / lc[m])
-        return tuple(out)
-    log.debug("no usable Vieta pair over %s; falling back to fiber oracle", base)
-    pair = (base, moving) if side == "x" else (moving, base)
-    partner = fiber_partner_oracle(s, side, pair)
-    return (partner[1] if side == "x" else partner[0]).raw
+        out[m] = -(lc[k] * gamma + lc[l] * delta) * s.domain.inv(lc[m])
+        return tuple(map(red, out))
+    raise NotOnSurface(f"{moving} is not on the fiber line over {base}")
 
 
 def sigma(s: WehlerSurface, side: str, P):
@@ -121,28 +130,24 @@ def fiber_points(s: WehlerSurface, side: str, base):
     """All rational points of the fiber over `base`, by direct solve."""
     if not s.is_finite():
         raise ValueError("fiber enumeration needs a finite field")
-    dom = s.domain
-    qv = s.quad_values(side, base)
+    _, qv, red = _fiber_residues(s, side, base)
     _, basis = _fiber_restriction(s, side, base)
     if basis is None:
         # L vanishes identically: the fiber is the conic Q = 0 (or the plane).
-        candidates = _plane_iter(s)
+        candidates = _plane_iter(s.p)
     else:
         u, v = basis
-        params = [(dom.one, dom.element(t)) for t in range(dom.p)] + [(dom.zero, dom.one)]
-        candidates = (tuple(t0 * x + t1 * y for x, y in zip(u, v)) for (t0, t1) in params)
-    return [point2(dom, *w) for w in candidates if quad_at(qv, w, dom.zero) == dom.zero]
+        candidates = [tuple(x + t * y for x, y in zip(u, v)) for t in range(s.p)] + [v]
+    return [point2(s.domain, *w) for w in candidates if red(quad_at(qv, w, 0)) == 0]
 
 
-def _plane_iter(s: WehlerSurface):
-    p = s.domain.p
-    elt = s.domain.element
-    yield (elt(0), elt(0), elt(1))
+def _plane_iter(p: int):
+    yield (0, 0, 1)
     for z in range(p):
-        yield (elt(0), elt(1), elt(z))
+        yield (0, 1, z)
     for y in range(p):
         for z in range(p):
-            yield (elt(1), elt(y), elt(z))
+            yield (1, y, z)
 
 
 def phi(s: WehlerSurface, P):

@@ -14,6 +14,7 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from operator import add, mul
 
 import numpy as np
 
@@ -29,7 +30,7 @@ from .errors import (
     ZeroInverse,
 )
 from .field import QQ, FieldElement, PrimeField, is_prime
-from .geometry import ProjectivePoint2, point2
+from .geometry import ProjectivePoint2, _raw, point2
 from .poly import SparsePoly
 
 VARS6 = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -63,8 +64,9 @@ class WehlerSurface:
         """The value stored under `key`, made by `build()` on first use.
 
         Keys are tuples (name, *args).  The names are "L", "Q", "engine",
-        "coeff", "gh", "sextic", "degenerate" and "pairs" (this module; the
-        plane-table rows of the rational points, see `pair_rows`),
+        "raw" (the coefficient rows of `_raw_rows`), "coeff", "gh",
+        "sextic", "degenerate" and "pairs" (this module; the plane-table rows
+        of the rational points, see `pair_rows`),
         "dyn_ctx" and "phase_space" (`dynamics`), "chart" and "ram_prime"
         (`blowup`).
         """
@@ -151,43 +153,60 @@ class WehlerSurface:
 
     # -- raw coefficient arrays (engine) --------------------------------------
 
-    def _mats(self):
-        amat = [[int(v) for v in row] for row in self.a]
-        bmat = [[int(v) for v in row] for row in self.b]
-        return amat, bmat
-
     def engine(self) -> SurfaceEngine:
         if not self.is_finite():
             raise ValueError("engine requires a finite field surface")
-        return self.cached(("engine",), lambda: SurfaceEngine(*self._mats(), self.domain.p))
+        return self.cached(("engine",), lambda: SurfaceEngine(*_raw_rows(self, "y")[:2], self.domain.p))
 
     # -- evaluation helpers ----------------------------------------------------
 
     def line_values(self, side: str, base) -> tuple:
         """L restricted to the fiber over `base`: its 3 linear coefficients."""
-        c = list(base)
-        if side == "x":
-            return tuple(sum((self.a[i][j] * c[i] for i in range(3)), self.domain.zero)
-                         for j in range(3))
-        return tuple(sum((self.a[i][j] * c[j] for j in range(3)), self.domain.zero)
-                     for i in range(3))
+        return tuple(map(self.domain.element, _fiber_residues(self, side, base)[0]))
 
     def quad_values(self, side: str, base) -> tuple:
         """Q restricted to the fiber over `base`: its 6 quadratic coefficients."""
-        c = list(base)
-        mon = [c[i] * c[j] for (i, j) in PAIRS]
-        if side == "x":
-            return tuple(sum((self.b[I][K] * mon[I] for I in range(6)), self.domain.zero)
-                         for K in range(6))
-        return tuple(sum((self.b[I][K] * mon[K] for K in range(6)), self.domain.zero)
-                     for I in range(6))
+        return tuple(map(self.domain.element, _fiber_residues(self, side, base)[1]))
 
     def contains(self, a, b) -> bool:
         """Whether (a, b) satisfies L = Q = 0."""
-        zero = self.domain.zero
-        lv = self.line_values("x", a)
-        lval = sum((lv[j] * b[j] for j in range(3)), zero)
-        return lval == zero and quad_at(self.quad_values("x", a), b, zero) == zero
+        lc, qv, red = _fiber_residues(self, "x", a)
+        b = [_raw(v) for v in b]
+        return red(sum(map(mul, lc, b))) == 0 and red(quad_at(qv, b, 0)) == 0
+
+
+def _fiber_residues(s: WehlerSurface, side: str, base):
+    """L and Q restricted to the fiber over `base` as plain residues.
+
+    Returns (lc, qv, red): the 3 linear and 6 quadratic coefficients (PAIRS
+    order) as ints reduced mod p over F_p or Fractions over QQ, and `red`, the
+    reduction that callers apply before testing their own sums against zero
+    (the identity over QQ).  `base` may hold domain elements or ints.
+    """
+    lrows, qrows, red = _raw_rows(s, side)
+    c = [_raw(v) for v in base]
+    mon = [c[i] * c[j] for (i, j) in PAIRS]
+    lc = tuple(red(sum(map(mul, row, c))) for row in lrows)
+    qv = tuple(red(sum(map(mul, row, mon))) for row in qrows)
+    return lc, qv, red
+
+
+def _raw_rows(s: WehlerSurface, side: str):
+    """(L rows, Q rows, red) of one side as plain residues, built once per side.
+
+    L_j is row j of the first block dotted with the base, Q_K row K of the
+    second dotted with the base's PAIRS monomials: a and b as stored for side
+    "y", their transposes for side "x".  `red` is x -> x mod p, or the
+    identity over QQ.
+    """
+    def build():
+        a, b = ([[_raw(v) for v in row] for row in m] for m in (s.a, s.b))
+        if side == "x":
+            a, b = zip(*a), zip(*b)
+        p = s.p
+        red = (lambda v: v) if p is None else (lambda v: v % p)
+        return tuple(map(tuple, a)), tuple(map(tuple, b)), red
+    return s.cached(("raw", side), build)
 
 
 def quad_at(qv, w, zero):
@@ -426,33 +445,23 @@ def _fiber_restriction(s: WehlerSurface, side: str, base):
     """Kind of the fiber over `base` and a basis (u, v) of its line L = 0.
 
     kind is "finite", "line" (Q vanishes on the whole line), "conic" (L
-    vanishes identically, Q does not) or "plane"; the basis is None for the
-    last two.
+    vanishes identically, Q does not) or "plane"; the basis, of plain
+    residues as `_fiber_residues` gives them, is None for the last two.
     """
-    zero = s.domain.zero
-    lc = s.line_values(side, base)
-    qv = s.quad_values(side, base)
-    if all(c == zero for c in lc):
-        if all(c == zero for c in qv):
-            return "plane", None
-        return "conic", None
+    lc, qv, red = _fiber_residues(s, side, base)
+    if not any(lc):
+        return ("conic" if any(qv) else "plane"), None
     c0, c1, c2 = lc
-    one = s.domain.one
-    if c2 != zero:
-        u = (c2, zero, -c0)
-        v = (zero, c2, -c1)
-    elif c1 != zero:
-        u = (c1, -c0, zero)
-        v = (zero, zero, one)
+    if c2:
+        u, v = (c2, 0, -c0), (0, c2, -c1)
+    elif c1:
+        u, v = (c1, -c0, 0), (0, 0, 1)
     else:
-        u = (zero, one, zero)
-        v = (zero, zero, one)
-    A = quad_at(qv, u, zero)
-    C = quad_at(qv, v, zero)
-    B = quad_at(qv, tuple(a + b for a, b in zip(u, v)), zero) - A - C
-    if A == zero and B == zero and C == zero:
-        return "line", (u, v)
-    return "finite", (u, v)
+        u, v = (0, 1, 0), (0, 0, 1)
+    # Q(s u + t v) = s^2 Q(u) + s t (Q(u + v) - Q(u) - Q(v)) + t^2 Q(v).
+    if any(red(quad_at(qv, w, 0)) for w in (u, v, tuple(map(add, u, v)))):
+        return "finite", (u, v)
+    return "line", (u, v)
 
 
 def _qq_candidates(height: int):

@@ -1,11 +1,15 @@
 import random
+from fractions import Fraction
 
 import pytest
+from test_engine import _sparse_surface
 
 from wehlerk3.errors import DegenerateFiber, NotOnSurface
 from wehlerk3.field import PrimeField
+from wehlerk3.fixtures import W1_ORBIT
 from wehlerk3.geometry import point2
 from wehlerk3.involution import (
+    _cor1_partner,
     fiber_partner_oracle,
     fiber_points,
     fixed_points,
@@ -13,7 +17,14 @@ from wehlerk3.involution import (
     psi,
     sigma,
 )
-from wehlerk3.surface import gh_values, ramification_sextic, random_surface
+from wehlerk3.surface import (
+    WehlerSurface,
+    _fiber_restriction,
+    enumerate_points,
+    gh_values,
+    ramification_sextic,
+    random_surface,
+)
 
 
 def test_sigma_worked_swaps(w1_29, F29):
@@ -159,3 +170,68 @@ def test_fiber_points_solves_the_fiber(w1_29, F29):
     assert sorted(p.raw for p in pts) == [(1, 0, 28), (1, 1, 28)]
     line = fiber_points(w1_29, "x", (F29(1), F29(1), F29(28)))
     assert len(line) == 30  # whole line: degenerate fiber
+
+
+# -- the scalar swap on plain residues ---------------------------------------------
+
+
+def test_qq_sigma_on_the_printed_orbit(w1_qq, w1_29, F29):
+    # The Vieta swap over QQ at the four printed W1 orbit points: six plain
+    # swaps pinned to their outputs and to sigma over F_29, two over a center.
+    want = {
+        (0, "y"): ((1, 0, -1), (1, 0, 1)),
+        (1, "x"): ((1, 0, 1), (1, 0, -1)),
+        (1, "y"): ((1, 1, -1), (1, -2, -1)),
+        (2, "y"): ((1, 0, 1), (1, 0, -1)),
+        (3, "x"): ((1, 0, -1), (1, 0, 1)),
+        (3, "y"): ((1, 1, 1), (1, -2, 1)),
+    }
+    for i, P in enumerate(W1_ORBIT):
+        for side in ("x", "y"):
+            if (i, side) not in want:
+                with pytest.raises(DegenerateFiber):
+                    sigma(w1_qq, side, P)
+                continue
+            got = sigma(w1_qq, side, P)
+            assert tuple(q.raw for q in got) == want[(i, side)]
+            assert all(isinstance(c, Fraction) for q in got for c in q.coords)
+            reduced = tuple(point2(F29, *(F29(c) for c in q.coords)) for q in got)
+            assert reduced == sigma(w1_29, side, P)
+    assert sorted(i for i in range(4) if (i, "x") not in want) == [0, 2]
+
+
+def test_scalar_swap_matches_the_oracle_on_every_branch():
+    # Every point and side of sparse surfaces whose bases reach all three
+    # SWAP_PAIRS choices (l_2 != 0; l_2 = 0 != l_1; l_2 = l_1 = 0), swapped by
+    # _cor1_partner from element coordinates and from unreduced ints, against
+    # the oracle.
+    used = set()
+    for p, seed in ((5, 4), (7, 9)):
+        s = _sparse_surface(p, seed)
+        for (a, b) in enumerate_points(s):
+            for side in ("x", "y"):
+                base, moving = (a, b) if side == "x" else (b, a)
+                try:
+                    partner = _cor1_partner(s, side, base.coords, moving.coords)
+                except DegenerateFiber:
+                    assert _fiber_restriction(s, side, base.coords)[0] != "finite"
+                    continue
+                ints = [tuple(v - p for v in q.raw) for q in (base, moving)]
+                assert _cor1_partner(s, side, *ints) == partner
+                got = point2(s.domain, *partner)
+                assert fiber_partner_oracle(s, side, (a, b)) == (
+                    (got, b) if side == "y" else (a, got))
+                lc = s.line_values(side, base.coords)
+                used.add(next(m for m in (2, 1, 0) if lc[m] != 0))
+    assert used == {0, 1, 2}
+
+
+def test_scalar_swap_rejects_a_point_off_the_fiber_line(F29):
+    # L = x0*y2 and Q = x0^2*y0^2: over the base (1 : 0 : 0), l = (0, 0, 1),
+    # so only the pair (k, l) = (0, 1) is usable, and (0 : 0 : 1), off the
+    # line y2 = 0, has y0 = y1 = 0 there.  The fiber itself is the double
+    # point (0 : 1 : 0).
+    s = WehlerSurface.from_terms(F29, [((0, 2), 1)], [((0, 0, 0, 0), 1)])
+    with pytest.raises(NotOnSurface, match="not on the fiber line"):
+        _cor1_partner(s, "x", (1, 0, 0), (0, 0, 1))
+    assert point2(F29, *_cor1_partner(s, "x", (1, 0, 0), (0, 1, 0))) == point2(F29, 0, 1, 0)
