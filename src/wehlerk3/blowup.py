@@ -13,18 +13,24 @@ then swaps the two roots line by line.
 The parametrization degenerates at s = (0,1), where the specialized
 coefficient triples can vanish identically; the common vanishing order of
 the triple at each parameter is stripped, which realizes the projective
-limit of the quadratic along the pencil.
+limit of the quadratic along the pencil.  Stripping reads one Taylor table
+per binary form (`BinaryForm.taylor_table`: its Taylor coefficients at all
+p+1 parameters), whose first nonzero row is the order and whose row at the
+order is the stripped value; root orders, rational roots and the s0 power
+of the branch form are read from the same table.
 
 Each chart keeps one membership table: the degenerate fiber's rational
 points (read from `pair_rows`) against the p+1 line parameters, filled
-by evaluating the stripped pair quadratics and L' at every point at once.
-Boundary points (`points_at`) and line parameters (`resolve_s`) are both
-read from it; `BlowupChart.matches` is the scalar form of the same test.
+by evaluating the stripped pair quadratics and L' at every point and every
+parameter at once.  Boundary points (`points_at`) and line parameters
+(`resolve_s`) are both read from it; `BlowupChart.matches` is the scalar
+form of one entry.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
+from math import comb
 
 import numpy as np
 
@@ -47,12 +53,23 @@ from .surface import (
     _fiber_restriction,
     coefficient_polys,
     pair_rows,
+    table_points,
 )
 
 PENCIL_VARS = ("s0", "s1", "eps")
 
 
 # -- binary forms in (s0, s1) -------------------------------------------------
+
+def line_parameters(p: int) -> list[tuple[int, int]]:
+    """The p + 1 points of P^1(F_p): (0, 1), then (1, t) for t = 0..p-1."""
+    return [(0, 1)] + [(1, t) for t in range(p)]
+
+
+def _parameter_index(p: int, s0: int, s1: int) -> int:
+    """Position of (s0 : s1) in `line_parameters(p)`."""
+    return 0 if s0 % p == 0 else 1 + s1 * pow(s0, p - 2, p) % p
+
 
 class BinaryForm:
     """Homogeneous form in (s0, s1) over F_p, as dense coefficients.
@@ -82,74 +99,59 @@ class BinaryForm:
                 acc += c * pow(s0, n - k, self.p) * pow(s1, k, self.p)
         return acc % self.p
 
+    def taylor_table(self) -> np.ndarray:
+        """(degree + 1, p + 1) Taylor coefficients at every line parameter.
+
+        Column j is the parameter `line_parameters(p)[j]`, and entry [m, j]
+        is the value at that parameter of f / ell^m, ell the linear form
+        vanishing there, whenever ell^m divides f.  At (1 : t) that is
+        T_m = sum_k C(k, m) c_k t^(k-m), the m-th coefficient of f(u) in
+        powers of u - t; at (0 : 1) it is c_(n-m), the coefficient left in
+        front of s1^(n-m) once s0^m is divided out.  The order of f at a
+        parameter is the first nonzero row of its column.
+
+        The unreduced sums are below p^2 * sum_k C(k, m) = C(n + 1, m + 1) p^2,
+        so entries stay < 35p^2 in int64 for degree <= 6; chart forms have
+        degree <= 6, and charts need the plane table, so p <= _ENUM_P_CAP.
+        """
+        p, n, c = self.p, self.degree, self.coeffs
+        shift = np.array([[comb(m + j, m) * c[m + j] if m + j <= n else 0
+                           for j in range(n + 1)] for m in range(n + 1)], dtype=np.int64)
+        t = np.arange(p, dtype=np.int64)
+        powers = np.ones((n + 1, p), dtype=np.int64)
+        for j in range(1, n + 1):
+            powers[j] = powers[j - 1] * t % p
+        table = np.empty((n + 1, p + 1), dtype=np.int64)
+        table[:, 0] = c[::-1]
+        table[:, 1:] = shift @ powers % p
+        return table
+
+    def orders(self) -> np.ndarray:
+        """Root multiplicity at every line parameter; degree + 1 for the zero form."""
+        nonzero = self.taylor_table() != 0
+        return np.where(nonzero.any(axis=0), nonzero.argmax(axis=0), self.degree + 1)
+
     def order_at(self, s0: int, s1: int) -> int:
         """Multiplicity of the root (s0, s1); degree + 1 for the zero form."""
-        if self.is_zero():
-            return self.degree + 1
-        return self._divide_out(s0, s1)[0]
-
-    def _divide_out(self, s0: int, s1: int) -> tuple[int, "BinaryForm"]:
-        """(m, f / ell^m) with m maximal, ell the linear form vanishing at (s0, s1).
-
-        The form must be nonzero.
-        """
-        f = self
-        m = 0
-        while True:
-            q = f.divide_root(s0, s1)
-            if q is None:
-                return m, f
-            f = q
-            m += 1
-
-    def divide_root(self, s0: int, s1: int) -> "BinaryForm | None":
-        """Exact quotient by (s1*s0_var - s0*s1_var), or None if not a root."""
-        p = self.p
-        n = self.degree
-        if s0 % p != 0:
-            # Work in the chart u = s1/s0; divide by (u - tau), tau = s1/s0.
-            tau = s1 * pow(s0, p - 2, p) % p
-            out = [0] * n
-            carry = 0
-            for k in range(n, 0, -1):
-                carry = (self.coeffs[k] + carry * tau) % p
-                out[k - 1] = carry
-            rem = (self.coeffs[0] + carry * tau) % p
-            if rem != 0:
-                return None
-            return BinaryForm(p, out)
-        # Root (0,1): the form must be divisible by s0.
-        if self.coeffs[-1] % p != 0:
-            return None
-        return BinaryForm(p, self.coeffs[:-1])
-
-    def stripped_value(self, s0: int, s1: int) -> tuple[int, int]:
-        """(order m, value of f / ell^m at (s0, s1)) for ell vanishing there.
-
-        The value carries a nonzero scalar that depends only on m and the
-        point, so forms stripped simultaneously to the same order stay
-        projectively consistent — which is all the chart solving needs.
-        """
-        if self.is_zero():
-            return self.degree + 1, 0
-        m, f = self._divide_out(s0, s1)
-        return m, f(s0, s1)
+        return int(self.orders()[_parameter_index(self.p, s0, s1)])
 
     def strip_power_of_s0(self) -> tuple[int, "BinaryForm"]:
-        """(k, f / s0^k) with k maximal; the zero form is returned unchanged."""
+        """(k, f / s0^k) with k maximal; the zero form is returned unchanged.
+
+        k is the order at (0 : 1), the number of trailing zero coefficients.
+        """
         if self.is_zero():
             return 0, self
-        return self._divide_out(0, 1)
+        k = self.order_at(0, 1)
+        return k, BinaryForm(self.p, self.coeffs[:len(self.coeffs) - k])
 
     def rational_roots(self) -> list[tuple[ProjectivePoint1, int]]:
         """Roots in P^1(F_p) with multiplicities."""
+        if self.is_zero():
+            return []
         field = PrimeField(self.p)
-        out = []
-        for (s0, s1) in [(0, 1)] + [(1, t) for t in range(self.p)]:
-            m = self.order_at(s0, s1)
-            if m and not self.is_zero():
-                out.append((point1(field, s0, s1), m))
-        return out
+        return [(point1(field, *s), m)
+                for s, m in zip(line_parameters(self.p), self.orders().tolist()) if m]
 
     def __repr__(self):
         return f"BinaryForm({self.coeffs})"
@@ -167,14 +169,24 @@ def _exceptional_form(poly: SparsePoly, p: int, degree: int) -> BinaryForm:
     return BinaryForm(p, coeffs)
 
 
-def _stripped(forms, s: tuple[int, int]):
-    """Values of a group of forms stripped to their common order at s.
+def _stripped_rows(forms) -> np.ndarray:
+    """(len(forms), p + 1): a group of forms stripped to their common order.
 
-    Forms of higher order read 0; None when every form vanishes identically.
+    Column j holds the group's row of the Taylor tables at the group's
+    minimum order there; forms of higher order read 0 in that row.  A column
+    is all zero only where every form vanishes identically.  A value carries
+    a nonzero scalar that depends only on the order and the parameter, so
+    forms stripped together to the same order stay projectively consistent,
+    which is all the chart solving needs.
     """
-    ov = [f.stripped_value(*s) for f in forms]
-    m = min(o for o, _ in ov)
-    vals = tuple(v if o == m else 0 for o, v in ov)
+    tables = np.stack([f.taylor_table() for f in forms])
+    order = (tables != 0).any(axis=0).argmax(axis=0)
+    return tables[:, order, np.arange(tables.shape[2])]
+
+
+def _column(rows: np.ndarray, s: tuple[int, int]):
+    """The column of stripped rows at parameter s, as ints; None if all zero."""
+    vals = tuple(rows[:, _parameter_index(rows.shape[1] - 1, *s)].tolist())
     return vals if any(vals) else None
 
 
@@ -260,10 +272,12 @@ class BlowupChart:
         """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
 
         The fiber points are the surface points over the center, in
-        `pair_rows` (lex) order.  Per parameter the stripped pair and L'
-        conditions become rows of coefficients over the moving monomials,
-        zero where a condition is None (skipped, as in `matches`), and every
-        point is tested at once: entries < p and 6 terms keep sums < 6p^3.
+        `pair_rows` (lex) order.  Each pair group (G'_k, H'_kl, G'_l) and the
+        L' group is stripped at every parameter at once (`_stripped_rows`),
+        so a condition is one column of coefficients per parameter, all zero
+        where the group vanishes identically (skipped, as in `matches`).
+        Every point is tested against every parameter at once: entries < p
+        and 3 terms keep sums < 3p^3.
 
         Q' (Q along the pencil, divided by its own power of eps and stripped
         the same way) never decides an entry, so it is not a row.  Fix a line
@@ -287,28 +301,22 @@ class BlowupChart:
         imply Q' at every s, (0, 1) included, whatever Q's power of eps.
         """
         p = self.p
+        self._stripped_pairs = {
+            (k, l): _stripped_rows((self.g_forms[k], self.h_forms[(k, l)], self.g_forms[l]))
+            for (k, l, _m) in SWAP_PAIRS}
+        self._stripped_line = _stripped_rows(self.l_forms)
         tbl = self.surface.engine().table
         pa, pb = pair_rows(self.surface)
         base, moving = (pa, pb) if self.side == "x" else (pb, pa)
-        fiber = tbl.pts[moving[base == tbl.index_of(np.array(self.center.raw))]]
-        cands = self.s_candidates()
-        quad = np.zeros((3, len(cands), len(PAIRS)), dtype=np.int64)
-        line = np.zeros((len(cands), 3), dtype=np.int64)
-        for j, s in enumerate(cands):
-            for n, (k, l, _m) in enumerate(SWAP_PAIRS):
-                triple = self.pair_triple((k, l), s)
-                if triple is not None:
-                    for kl, c in zip(((l, l), (k, l), (k, k)), triple):
-                        quad[n, j, PAIR_INDEX[kl]] = c
-            lc = self.line_at(s)
-            if lc is not None:
-                line[j] = lc
+        rows = moving[base == tbl.index_of(np.array(self.center.raw))]
+        fiber = tbl.pts[rows]
         mon = np.stack([fiber[:, k] * fiber[:, l] for (k, l) in PAIRS], axis=1)
-        hit = (fiber @ line.T) % p == 0
-        for cond in quad:
-            hit &= (mon @ cond.T) % p == 0
-        field = self.surface.domain
-        pts = [point2(field, *row) for row in fiber.tolist()]
+        hit = (fiber @ self._stripped_line) % p == 0
+        for (k, l, _m) in SWAP_PAIRS:
+            at = [PAIR_INDEX[kl] for kl in ((l, l), (k, l), (k, k))]
+            hit &= (mon[:, at] @ self._stripped_pairs[(k, l)]) % p == 0
+        pts = table_points(self.surface, rows)
+        cands = self.s_candidates()
         self.lines = {s: [pts[i] for i in np.flatnonzero(hit[:, j])]
                       for j, s in enumerate(cands)}
         self.params = {pt.raw: [cands[j] for j in np.flatnonzero(hit[i])]
@@ -319,16 +327,15 @@ class BlowupChart:
     def pair_triple(self, pair: tuple[int, int], s: tuple[int, int]):
         """Stripped (A, B, C) of the pair quadratic at parameter s, or None.
 
-        The common vanishing order of the three forms at s is divided out
-        first; None means the triple is identically zero even then.
+        `pair` is the (k, l) of a SWAP_PAIRS entry.  The common vanishing
+        order of the three forms at s is divided out first; None means the
+        triple is identically zero even then.
         """
-        k, l = pair
-        return _stripped(
-            (self.g_forms[k], self.h_forms[(min(k, l), max(k, l))], self.g_forms[l]), s)
+        return _column(self._stripped_pairs[pair], s)
 
     def line_at(self, s: tuple[int, int]):
         """Stripped coefficients of the divided L on the line s, or None."""
-        return _stripped(self.l_forms, s)
+        return _column(self._stripped_line, s)
 
     def matches(self, moving, s: tuple[int, int]) -> bool:
         """The membership predicate: all pair quadratics plus L'.
@@ -349,7 +356,7 @@ class BlowupChart:
         return lc is None or (lc[0] * mv[0] + lc[1] * mv[1] + lc[2] * mv[2]) % p == 0
 
     def s_candidates(self):
-        return [(0, 1)] + [(1, t) for t in range(self.p)]
+        return line_parameters(self.p)
 
     # -- table queries ------------------------------------------------------------
 
@@ -364,18 +371,6 @@ class BlowupChart:
             raise AmbiguousS(
                 f"{len(out)} boundary points on line {s} over {self.center}")
         return out
-
-    def roots_at(self, s: tuple[int, int]):
-        """points_at with multiplicities: a lone point counts doubly (ramified)."""
-        pts = self.points_at(s)
-        if len(pts) == 1:
-            return [(pts[0], 2)]
-        return [(pt, 1) for pt in pts]
-
-    def _pair_coords(self, moving_pt):
-        if self.side == "x":
-            return self.center.coords, moving_pt.coords
-        return moving_pt.coords, self.center.coords
 
     def __repr__(self):
         return (f"BlowupChart(side={self.side!r}, center={self.center}, "
@@ -429,15 +424,14 @@ def resolve_s(chart: BlowupChart, moving) -> ProjectivePoint1:
 
 
 def exceptional_points(chart: BlowupChart) -> list[BoundaryPoint]:
-    """All boundary points of the chart: per parameter, the rational roots."""
-    out = []
+    """All boundary points of the chart, ordered by (line, moving point).
+
+    Per line parameter in `s_candidates` order, the table's points on that
+    line in lex order.
+    """
     field = chart.surface.domain
-    for s in chart.s_candidates():
-        for (pt, _mult) in chart.roots_at(s):
-            out.append(BoundaryPoint(chart.side, chart.center,
-                                     point1(field, *s), pt))
-    out.sort(key=lambda bp: (bp.s.raw, bp.moving.raw))
-    return out
+    return [BoundaryPoint(chart.side, chart.center, point1(field, *s), pt)
+            for s in chart.s_candidates() for pt in chart.points_at(s)]
 
 
 def sigma_extended(chart: BlowupChart, P: BoundaryPoint) -> BoundaryPoint:

@@ -16,7 +16,7 @@ import numpy as np
 
 from ._engine import fiber_partner_rows, phase_key
 from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
-from .errors import NonBijective, PairingFailure
+from .errors import NonBijective, NotOnSurface, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
 from .surface import WehlerSurface, degenerate_fibers, pair_rows, table_points
@@ -95,13 +95,16 @@ def _context(s: WehlerSurface) -> _Context:
 def lift_pair(s: WehlerSurface, a, b) -> PhasePoint:
     """Attach line parameters to a raw surface point.
 
-    Raises NoRationalS/AmbiguousS when a degenerate side has no unique
-    parameter; those points are outside the phase space.
+    Raises NotOnSurface off L = Q = 0, and NoRationalS/AmbiguousS when a
+    degenerate side has no unique parameter; those points are outside the
+    phase space.
     """
     if not isinstance(a, ProjectivePoint2):
         a = point2(s.domain, *a)
     if not isinstance(b, ProjectivePoint2):
         b = point2(s.domain, *b)
+    if not s.contains(a.coords, b.coords):
+        raise NotOnSurface(f"({a}, {b}) does not satisfy L = Q = 0")
     ctx = _context(s)
     sx = sy = None
     if ctx.is_center("x", a.raw):

@@ -8,16 +8,17 @@ from wehlerk3.blowup import (
     BinaryForm,
     BoundaryPoint,
     _exceptional_form,
-    _stripped,
+    _stripped_rows,
     build_chart,
     chart_for,
     exceptional_points,
+    line_parameters,
     ramification_prime,
     resolve_s,
     sigma_extended,
 )
 from wehlerk3.errors import AmbiguousS, NoRationalS, NotDegenerate, NotOnSurface
-from wehlerk3.field import QQ
+from wehlerk3.field import QQ, PrimeField
 from wehlerk3.fixtures import w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import fiber_points
@@ -69,19 +70,12 @@ def test_chart_requires_degenerate_center(w1_29, F29):
 
 def test_generic_parameter_has_two_roots(chart29):
     # Away from finitely many parameters the line meets the fiber in two
-    # rational points or none (a conjugate pair); multiplicities always sum
-    # to 2 when the roots are rational.
-    full = empty = 0
-    for s in chart29.s_candidates():
-        roots = chart29.roots_at(s)
-        total = sum(m for _, m in roots)
-        assert total in (0, 2)
-        if total == 2:
-            full += 1
-        else:
-            empty += 1
-    assert full + empty == 30
-    assert full == 15  # each line carries 0 or 2 of the 30 fiber points
+    # rational points or none (a conjugate pair); this chart has no
+    # ramified line, which would carry a single point.
+    counts = [len(chart29.points_at(s)) for s in chart29.s_candidates()]
+    assert len(counts) == 30
+    assert set(counts) == {0, 2}
+    assert counts.count(2) == 15  # each line carries 0 or 2 of the 30 fiber points
 
 
 def test_resolve_s_worked_example(chart29, F29):
@@ -192,7 +186,9 @@ def test_all_charts_of_the_example(w1_29):
             eps = exceptional_points(chart)
             assert eps
             for bp in eps[:5]:
-                assert w1_29.contains(*chart._pair_coords(bp.moving))
+                a, b = ((chart.center, bp.moving) if side == "x"
+                        else (bp.moving, chart.center))
+                assert w1_29.contains(a.coords, b.coords)
 
 
 def test_vertical_parameter_is_stripped(chart29):
@@ -257,6 +253,122 @@ def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
     assert kinds == {"line", "conic", "plane"}
 
 
+# -- stripping by repeated division: the reference of the Taylor tables -----------
+
+
+def _divide_root(p, coeffs, s):
+    """Coefficients of the form divided by the linear form vanishing at s,
+    or None if s is not a root."""
+    s0, s1 = s
+    if s0 % p:
+        # Synthetic division by (u - tau) in the chart u = s1/s0.
+        tau = s1 * pow(s0, p - 2, p) % p
+        out = [0] * (len(coeffs) - 1)
+        carry = 0
+        for k in range(len(coeffs) - 1, 0, -1):
+            carry = (coeffs[k] + carry * tau) % p
+            out[k - 1] = carry
+        return out if (coeffs[0] + carry * tau) % p == 0 else None
+    # The root (0 : 1): divide by s0.
+    return coeffs[:-1] if coeffs[-1] % p == 0 else None
+
+
+def _divided_out(f, s):
+    """(m, coefficients of f / ell^m) with m maximal, for a nonzero form f."""
+    coeffs, m = f.coeffs, 0
+    while (q := _divide_root(f.p, coeffs, s)) is not None:
+        coeffs, m = q, m + 1
+    return m, coeffs
+
+
+def _stripped_value(f, s):
+    """(order m of f at s, value at s of f / ell^m); (degree + 1, 0) for zero."""
+    if f.is_zero():
+        return f.degree + 1, 0
+    m, q = _divided_out(f, s)
+    return m, BinaryForm(f.p, q)(*s)
+
+
+def _reference_stripped(forms, s):
+    """Values at s of a group of forms divided by their common order there.
+
+    Forms of higher order read 0; None when every form is the zero form.
+    """
+    ov = [_stripped_value(f, s) for f in forms]
+    m = min(o for o, _ in ov)
+    vals = tuple(v if o == m else 0 for o, v in ov)
+    return vals if any(vals) else None
+
+
+def _check_against_division(forms):
+    p = forms[0].p
+    cands = line_parameters(p)
+    stripped = _stripped_rows(forms)
+    for s, col in zip(cands, stripped.T.tolist()):
+        assert tuple(col) == (_reference_stripped(forms, s) or (0,) * len(forms))
+    field = PrimeField(p)
+    for f in forms:
+        orders = [f.degree + 1 if f.is_zero() else _divided_out(f, s)[0] for s in cands]
+        assert [f.order_at(*s) for s in cands] == orders
+        assert f.rational_roots() == ([] if f.is_zero() else [
+            (point1(field, *s), m) for s, m in zip(cands, orders) if m])
+        k, g = f.strip_power_of_s0()
+        assert (k, g.coeffs) == ((0, f.coeffs) if f.is_zero() else _divided_out(f, (0, 1)))
+
+
+def _times(p, *factors):
+    """Product of binary forms given as coefficient lists."""
+    out = [1]
+    for g in factors:
+        prod = [0] * (len(out) + len(g) - 1)
+        for i, a in enumerate(out):
+            for j, b in enumerate(g):
+                prod[i + j] = (prod[i + j] + a * b) % p
+        out = prod
+    return out
+
+
+def test_taylor_tables_strip_like_repeated_division(table_surfaces):
+    # Every chart form group (the three pair triples and L') of the fixture.
+    surfaces, reproducers = table_surfaces
+    groups = 0
+    for s in surfaces + reproducers:
+        for _info, chart in _charts(s):
+            for (k, l) in ((0, 1), (0, 2), (1, 2)):
+                _check_against_division(
+                    (chart.g_forms[k], chart.h_forms[(k, l)], chart.g_forms[l]))
+            _check_against_division(chart.l_forms)
+            groups += 4
+    assert groups == 352
+
+
+def test_taylor_tables_on_constructed_forms():
+    # p = 11: s0^2 + s1^2 has no rational root, s0 + s1 only (1 : 10).
+    p = 11
+    ell = {(1, 3): [3, -1], (0, 1): [1, 0]}  # linear forms vanishing there
+    zero = BinaryForm(p, [0] * 5)
+    forms = []
+    for root, lin in ell.items():
+        for m in range(1, 5):
+            cofactor = [[1, 0, 1]] * ((6 - m) // 2) + [[1, 1]] * ((6 - m) % 2)
+            f = BinaryForm(p, _times(p, *[lin] * m, *cofactor))
+            assert f.degree == 6 and f.order_at(*root) == m
+            forms.append(f)
+        # Degree 4, and a group of two orders at the same root.
+        f4 = BinaryForm(p, _times(p, lin, lin, [1, 0, 1]))
+        g4 = BinaryForm(p, _times(p, lin, lin, lin, [1, 1]))
+        assert (f4.order_at(*root), g4.order_at(*root)) == (2, 3)
+        _check_against_division((f4, g4))
+        _check_against_division((g4, zero, f4))
+    for f in forms:
+        _check_against_division((f,))
+    _check_against_division((zero,))
+    _check_against_division((zero, zero, zero))
+    _check_against_division((BinaryForm(p, [3, 5]), BinaryForm(p, [0, 0])))
+    _check_against_division(tuple(forms[:3]))
+    assert zero.order_at(1, 3) == 5 and zero.rational_roots() == []
+
+
 def _q_rows(chart):
     """Q' per line parameter: Q along the chart's pencil, divided by its power
     of eps and stripped at each s like L'; keyed by the moving monomial."""
@@ -274,7 +386,7 @@ def _q_rows(chart):
     e_q = min(f.vanishing_order("eps", 0) for f in forms if f)
     forms = [_exceptional_form(f.divide_linear_power("eps", 0, e_q), chart.p, 2)
              for f in forms]
-    return e_q, {s: _stripped(forms, s) for s in chart.s_candidates()}
+    return e_q, dict(zip(chart.s_candidates(), _stripped_rows(forms).T.tolist()))
 
 
 def test_q_prime_vanishes_wherever_the_table_accepts(table_surfaces):
@@ -290,7 +402,7 @@ def test_q_prime_vanishes_wherever_the_table_accepts(table_surfaces):
                 row = rows[sv]
                 for pt in pts:
                     mv = pt.raw
-                    assert row is not None
+                    assert any(row)  # Q' does not vanish identically on the line
                     assert sum(c * mv[k] * mv[l] for c, (k, l) in zip(row, PAIRS)) % p == 0
                     accepted["e_q > 0" if e_q else "e_q = 0"] += 1
     assert all(accepted.values()), accepted

@@ -4,6 +4,7 @@ from fractions import Fraction
 import pytest
 from test_engine import _sparse_surface
 
+from wehlerk3.dynamics import lift_pair
 from wehlerk3.errors import DegenerateFiber, NotOnSurface
 from wehlerk3.field import PrimeField
 from wehlerk3.fixtures import W1_ORBIT
@@ -235,3 +236,17 @@ def test_scalar_swap_rejects_a_point_off_the_fiber_line(F29):
     with pytest.raises(NotOnSurface, match="not on the fiber line"):
         _cor1_partner(s, "x", (1, 0, 0), (0, 0, 1))
     assert point2(F29, *_cor1_partner(s, "x", (1, 0, 0), (0, 1, 0))) == point2(F29, 0, 1, 0)
+
+
+def test_phi_and_psi_reject_a_start_off_the_surface(F29):
+    # ((1 : 0 : 0), (0 : 0 : 1)) is not on this surface, yet the x swap of
+    # its lifted point used to find a partner through a later SWAP_PAIRS
+    # choice; the lift itself now refuses it.
+    s = WehlerSurface.from_terms(
+        F29, [((0, 0), 1), ((0, 2), 1), ((1, 1), 1), ((2, 1), 1)],
+        [((0, 0, 1, 1), 1), ((1, 1, 0, 2), 1), ((2, 2, 2, 2), 1)])
+    start = ((1, 0, 0), (0, 0, 1))
+    assert not s.contains(*start)
+    for step in (lift_pair, lambda s, a, b: phi(s, (a, b)), lambda s, a, b: psi(s, (a, b))):
+        with pytest.raises(NotOnSurface, match="does not satisfy"):
+            step(s, *start)
