@@ -24,7 +24,9 @@ PAIR_AT = tuple(tuple(PAIR_INDEX[(min(i, j), max(i, j))] for j in range(3)) for 
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
-# Bulk kernels stay exact in int64 up to this cap:
+# Bulk kernels stay exact in int64 up to this cap.  The root pass's bounds are
+# per base, so they hold whatever its block size, each block forming the Q
+# monomials of its own rows:
 # _fiber_roots' unreduced coefficients of L(base, .) and Q(base, .) are < 3p^2
 # and < 6p^2, it forms e_i = -c_i / c2 as |c_i * inv(c2)| < 3p^3, its
 # unreduced A, B, C from those q's and the residues e0, e1 are at most
@@ -44,6 +46,14 @@ SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
 
+# Plane-table rows per block of the root pass, whose per-base temporaries are
+# therefore O(block), not O(p^2).  Measured on fiber_pairs("x"): at p = 503
+# and 1009 blocks of 2^12 to 2^15 rows tie, at about 2/3 of the unblocked
+# time; at p = 2039 2^12 is 10-15% slower than 2^13 and 2^14; and 2^14 holds
+# all 10,303 bases of p = 101 in one block, which raised the peak RSS of a
+# p = 101 run by 0.5 MB where 2^13 lowered it.
+_ROOT_BLOCK = 1 << 13
+
 
 def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.ndarray:
     """One int64 key per phase record from plane-table row indices and a code.
@@ -56,7 +66,13 @@ def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.nd
 
 
 class PlaneTable:
-    """Canonical P^2(F_p) points plus lookup tables, cached per prime."""
+    """Canonical P^2(F_p) points plus lookup tables, cached per prime.
+
+    Besides the points it holds only O(p) tables: the inverses, the square
+    roots, the Lagrange basis and the degenerate kernel's evaluation set.
+    Bulk passes form the Q monomials of the rows they read, a block at a
+    time (`blocks`), so the table keeps no (p^2 + p + 1, 6) monomial array.
+    """
 
     _cache: dict[int, "PlaneTable"] = {}
 
@@ -74,18 +90,23 @@ class PlaneTable:
         pts[0, 2] = 1
         pts[1:p + 1, 1] = 1
         pts[1:p + 1, 2] = np.arange(p)
-        pts[p + 1:, 0] = 1
-        pts[p + 1:, 1], pts[p + 1:, 2] = np.divmod(np.arange(p * p), p)
+        affine = pts[p + 1:].reshape(p, p, 3)
+        affine[:, :, 0] = 1
+        affine[:, :, 1] = np.arange(p)[:, None]
+        affine[:, :, 2] = np.arange(p)
         self.pts = pts
         self.inv = np.array(field.inv_table(), dtype=np.int64)
         self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
-        self.mon6 = self._monomials(self.pts)
         # Interpolation grid for quartics on the affine rows (1, y, z): the
         # table rows with y, z in 0..n-1, and the p x n Lagrange basis on the
-        # nodes 0..n-1 (the identity when p <= 5).
+        # nodes 0..n-1 (the identity when p <= 5).  `degenerate_bases`
+        # evaluates G and H at the p + 1 rows at infinity and the grid, whose
+        # points and monomials are kept here.
         n = min(p, 5)
         nodes = np.arange(n)
-        self.grid = (1 + p + p * nodes[:, None] + nodes).ravel()
+        grid = (1 + p + p * nodes[:, None] + nodes).ravel()
+        self.kernel_pts = pts[np.concatenate([np.arange(p + 1), grid])]
+        self.kernel_mon = self.monomials(self.kernel_pts)
         ys = np.arange(p, dtype=np.int64)
         self.lagrange = np.ones((p, n), dtype=np.int64)
         for i in range(n):
@@ -96,13 +117,24 @@ class PlaneTable:
         cls._cache[p] = self
         return self
 
-    def _monomials(self, pts: np.ndarray) -> np.ndarray:
-        p = self.p
-        cols = [pts[:, i] * pts[:, j] % p for (i, j) in PAIRS]
-        return np.stack(cols, axis=1)
-
     def monomials(self, pts: np.ndarray) -> np.ndarray:
-        return self._monomials(np.asarray(pts, dtype=np.int64))
+        """The 6 quadratic monomials of each point, in PAIRS order, mod p: (N, 6).
+
+        Returned as the transpose of a (6, N) array, which the root pass
+        multiplies by.
+        """
+        pts = np.asarray(pts, dtype=np.int64)
+        mon = np.empty((6, len(pts)), dtype=np.int64)
+        for k, (i, j) in enumerate(PAIRS):
+            np.multiply(pts[:, i], pts[:, j], out=mon[k])
+        mon %= self.p
+        return mon.T
+
+    def blocks(self):
+        """(first row, points, monomials) of consecutive runs of `_ROOT_BLOCK` rows."""
+        for start in range(0, len(self.pts), _ROOT_BLOCK):
+            pts = self.pts[start:start + _ROOT_BLOCK]
+            yield start, pts, self.monomials(pts)
 
     def coords(self, *rows: np.ndarray) -> np.ndarray:
         """The points at the given table rows side by side: (N, 3 * len(rows))."""
@@ -267,9 +299,8 @@ class SurfaceEngine:
         """
         p = self.p
         tbl = self.table
-        rows = np.concatenate([np.arange(p + 1), tbl.grid])
-        G, H = gh_eval(self.line_coeffs(side, tbl.pts[rows]),
-                       self.quad_coeffs(side, tbl.mon6[rows]), p)
+        G, H = gh_eval(self.line_coeffs(side, tbl.kernel_pts),
+                       self.quad_coeffs(side, tbl.kernel_mon), p)
         forms = np.concatenate([G, H], axis=1)
         at_infinity = np.nonzero(~forms[:p + 1].any(axis=1))[0]
         W = tbl.lagrange
@@ -283,7 +314,7 @@ class SurfaceEngine:
         found = np.concatenate([at_infinity, 1 + p + p * ys + zs])
         bases = tbl.pts[found]
         line = self.line_coeffs(side, bases).any(axis=1)
-        qc = self.quad_coeffs(side, tbl.mon6[found[~line]])
+        qc = self.quad_coeffs(side, tbl.monomials(bases[~line]))
         degenerate = [(base, "line") for base in bases[line]]
         degenerate += [(base, "conic" if q.any() else "plane")
                        for base, q in zip(bases[~line], qc)]
@@ -297,10 +328,12 @@ class SurfaceEngine:
     def fiber_pairs(self, side: str):
         """Solve every fiber of the chosen projection in plane-table rows.
 
-        `_fiber_roots` gives each base's fiber as rows in increasing order;
-        they are written at the base's offset in the running sum of the
-        per-base counts, so side x's pairs come out in order and no sort
-        runs.  Side y sorts its pairs by one int64 key.
+        `_fiber_roots` gives each base's fiber as rows in increasing order,
+        solving the bases a block at a time, so that besides its results
+        only its three per-base outputs span all p^2 + p + 1 bases.  The rows
+        are written at the base's offset in the running sum of the per-base
+        counts, so side x's pairs come out in order and no sort runs.  Side
+        y sorts its pairs by one int64 key.
 
         Returns (rows, degenerate) where rows is (x rows, y rows), the
         plane-table row indices of the two coordinates of each rational
@@ -341,79 +374,100 @@ class SurfaceEngine:
         of u + t v is a closed form increasing in t and v's row is below all
         of them.  Q(u + t v) = A + B t + C t^2 then gives the roots as rows.
 
+        The bases are solved in blocks of `_ROOT_BLOCK` table rows, each
+        with the Q monomials of its own rows, so the per-base temporaries
+        are O(block) and only lo, hi and size span all bases.  A base's
+        result does not depend on its block.
+
         Returns (lo, hi, size, fibers, degenerate): size[base] is the number
         of points over each base; a finite fiber's (0, 1 or 2) are at rows
         lo[base] < hi[base], lo alone for one point; fibers maps every
         degenerate base to its points' rows in increasing order, and
-        degenerate is the list `fiber_pairs` returns.  Its per-base temporaries are freed
-        when it returns, before `fiber_pairs` places the rows.
+        degenerate is the list `fiber_pairs` returns: the whole-line bases
+        of every block, then the bases where L vanishes identically, each
+        group in table order.
         """
         p = self.p
         tbl = self.table
         inv = tbl.inv
         n = len(tbl.pts)
         amat, bmat = (self.amat, self.bmat) if side == "x" else (self.amat.T, self.bmat.T)
-        # One row per coefficient of L(base, .) and Q(base, .), unreduced.
-        c0, c1, c2 = amat.T @ tbl.pts.T
-        q00, q01, q02, q11, q12, q22 = bmat.T @ tbl.mon6.T
-
-        # Chart where c2 != 0: u = (1, 0, e0), v = (0, 1, e1), e_i = -c_i/c2.
-        # u + t v = (1, t, e0 + e1 t) is row 1 + p + p t + (e0 + e1 t) % p,
-        # and v is row 1 + e1.
-        c2 %= p
-        e0 = -c0 * inv[c2] % p
-        e1 = -c1 * inv[c2] % p
-        A = (q00 + (q02 + q22 * e0) * e0) % p
-        B = (q01 + q02 * e1 + (q12 + 2 * q22 * e1) * e0) % p
-        C = (q11 + (q12 + q22 * e1) * e1) % p
-        v_row = 1 + e1
-        off = np.full(n, 1 + p)
-        step = np.full(n, p)
-        # Lines with c2 = 0 pass through v = (0, 0, 1), row 0.  Where c1 != 0,
-        # u = (1, f, 0) with f = -c0/c1, so u + t v = (1, f, t) is row
-        # 1 + p + p f + t; otherwise u = (0, 1, 0) and u + t v is row 1 + t.
-        flat = np.flatnonzero(c2 == 0)
-        f0, f1 = c0[flat] % p, c1[flat] % p
-        fq = np.stack([q[flat] for q in (q00, q01, q02, q11, q12, q22)]) % p
-        f = -f0 * inv[f1] % p
-        pivot1 = f1 != 0
-        A[flat] = np.where(pivot1, fq[0] + (fq[1] + fq[3] * f) * f, fq[3]) % p
-        B[flat] = np.where(pivot1, fq[2] + fq[4] * f, fq[4]) % p
-        C[flat] = fq[5]
-        v_row[flat] = 0
-        off[flat] = np.where(pivot1, 1 + p + p * f, 1)
-        step[flat] = 0
-        e0[flat] = 0
-        e1[flat] = 1
-
-        def rows_at(t, b=slice(None)):
-            return off[b] + step[b] * t + (e0[b] + e1[b] * t) % p
-
-        # Roots: v where C = 0, beside -A/B where B != 0; else (-B +- r)/2C
-        # with r^2 the discriminant: one root where r = 0, none where r = -1
-        # (the sqrt table's mark for a non-square).
-        r = tbl.sqrt[(B * B - 4 * A * C) % p]
-        half_c = inv[C] * ((p + 1) // 2)
-        t_plus = (r - B) * half_c % p
-        t_minus = (-r - B) * half_c % p
-        on_v = C == 0
-        lo = np.where(on_v, v_row, rows_at(np.minimum(t_plus, t_minus)))
-        hi = rows_at(np.where(on_v, -A * inv[B] % p, np.maximum(t_plus, t_minus)))
-        size = np.where(on_v, 1 + (B != 0), 1 + np.sign(r))
-
-        # Whole-line fibers (Q vanishes on the line): v and every u + t v.
-        # Special bases (L vanishes identically on the fiber plane): every
-        # plane point where Q vanishes, all of them when Q does too.
-        no_line = (f0 == 0) & (f1 == 0)
-        special = flat[no_line]
-        whole = (A == 0) & (B == 0) & (C == 0)
-        whole[special] = False
+        lo = np.empty(n, dtype=np.int64)
+        hi = np.empty_like(lo)
+        size = np.empty_like(lo)
+        fibers, special = {}, []
         ts = np.arange(p)
-        fibers = {b: np.concatenate([[v_row[b]], rows_at(ts, b)]) for b in np.flatnonzero(whole)}
+        for start, pts, mon in tbl.blocks():
+            # One row per coefficient of L(base, .) and Q(base, .), unreduced.
+            c0, c1, c2 = amat.T @ pts.T
+            q00, q01, q02, q11, q12, q22 = bmat.T @ mon.T
+
+            # Chart where c2 != 0: u = (1, 0, e0), v = (0, 1, e1), e_i = -c_i/c2.
+            # u + t v = (1, t, e0 + e1 t) is row 1 + p + p t + (e0 + e1 t) % p,
+            # and v is row 1 + e1.
+            c2 %= p
+            e0 = -c0 * inv[c2] % p
+            e1 = -c1 * inv[c2] % p
+            A = (q00 + (q02 + q22 * e0) * e0) % p
+            B = (q01 + q02 * e1 + (q12 + 2 * q22 * e1) * e0) % p
+            C = (q11 + (q12 + q22 * e1) * e1) % p
+            v_row = 1 + e1
+            off = np.full(len(pts), 1 + p)
+            step = np.full(len(pts), p)
+            # Lines with c2 = 0 pass through v = (0, 0, 1), row 0.  Where c1 != 0,
+            # u = (1, f, 0) with f = -c0/c1, so u + t v = (1, f, t) is row
+            # 1 + p + p f + t; otherwise u = (0, 1, 0) and u + t v is row 1 + t.
+            flat = np.flatnonzero(c2 == 0)
+            f0, f1 = c0[flat] % p, c1[flat] % p
+            fq = np.stack([q[flat] for q in (q00, q01, q02, q11, q12, q22)]) % p
+            f = -f0 * inv[f1] % p
+            pivot1 = f1 != 0
+            A[flat] = np.where(pivot1, fq[0] + (fq[1] + fq[3] * f) * f, fq[3]) % p
+            B[flat] = np.where(pivot1, fq[2] + fq[4] * f, fq[4]) % p
+            C[flat] = fq[5]
+            v_row[flat] = 0
+            off[flat] = np.where(pivot1, 1 + p + p * f, 1)
+            step[flat] = 0
+            e0[flat] = 0
+            e1[flat] = 1
+
+            def rows_at(t, b=slice(None)):
+                return off[b] + step[b] * t + (e0[b] + e1[b] * t) % p
+
+            # Roots: v where C = 0, beside -A/B where B != 0; else (-B +- r)/2C
+            # with r^2 the discriminant: one root where r = 0, none where r = -1
+            # (the sqrt table's mark for a non-square).
+            r = tbl.sqrt[(B * B - 4 * A * C) % p]
+            half_c = inv[C] * ((p + 1) // 2)
+            t_plus = (r - B) * half_c % p
+            t_minus = (-r - B) * half_c % p
+            on_v = C == 0
+            block = slice(start, start + len(pts))
+            lo[block] = np.where(on_v, v_row, rows_at(np.minimum(t_plus, t_minus)))
+            hi[block] = rows_at(np.where(on_v, -A * inv[B] % p, np.maximum(t_plus, t_minus)))
+            size[block] = np.where(on_v, 1 + (B != 0), 1 + np.sign(r))
+
+            # Whole-line fibers (Q vanishes on the line): v and every u + t v.
+            # Special bases (L vanishes identically on the fiber plane) are
+            # solved after the last block.
+            no_line = (f0 == 0) & (f1 == 0)
+            whole = (A == 0) & (B == 0) & (C == 0)
+            whole[flat[no_line]] = False
+            for b in np.flatnonzero(whole):
+                fibers[start + b] = np.concatenate([[v_row[b]], rows_at(ts, b)])
+            special += [(start + b, q) for b, q in zip(flat[no_line], fq[:, no_line].T)]
         degenerate = [(tbl.pts[b], "line") for b in fibers]
-        for b, q in zip(special, fq[:, no_line].T):
-            fibers[b] = np.flatnonzero(tbl.mon6 @ q % p == 0)
-            degenerate.append((tbl.pts[b], "conic" if q.any() else "plane"))
+
+        # A special base's fiber is every plane point where Q vanishes, all of
+        # them when Q does too; Q is evaluated a block of rows at a time.
+        if special:
+            zeros = [[] for _ in special]
+            for start, _, mon in tbl.blocks():
+                for found, (_, q) in zip(zeros, special):
+                    found.append(start + np.flatnonzero(mon @ q % p == 0))
+            for found, (b, q) in zip(zeros, special):
+                fibers[b] = np.concatenate(found)
+                degenerate.append((tbl.pts[b], "conic" if q.any() else "plane"))
         size[list(fibers)] = [len(rows) for rows in fibers.values()]
         return lo, hi, size, fibers, degenerate
 

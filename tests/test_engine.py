@@ -1,9 +1,11 @@
 import itertools
 import random
+import tracemalloc
 
 import numpy as np
 import pytest
 
+from wehlerk3 import _engine
 from wehlerk3._engine import (
     _ENUM_P_CAP,
     PAIRS,
@@ -37,7 +39,8 @@ def test_gh_bulk_scalar_and_symbolic_agree_at_every_base(seed, mode):
     eng = s.engine()
     bases = eng.table.pts
     for side in ("x", "y"):
-        G, H = gh_eval(eng.line_coeffs(side, bases), eng.quad_coeffs(side, eng.table.mon6), p)
+        G, H = gh_eval(eng.line_coeffs(side, bases),
+                       eng.quad_coeffs(side, eng.table.monomials(bases)), p)
         sys = gh_system(s, side)
         names = (side + "0", side + "1", side + "2")
         for n, base in enumerate(bases.tolist()):
@@ -178,6 +181,37 @@ def test_plane_table_points_are_the_canonical_enumeration(p):
     assert tbl.pts.tolist() == [list(pt) for pt in pts]
 
 
+def _traced_peak(build):
+    """build() and the tracemalloc peak in bytes of the allocations it made."""
+    tracemalloc.start()
+    try:
+        out = build()
+        return out, tracemalloc.get_traced_memory()[1]
+    finally:
+        tracemalloc.stop()
+
+
+def test_plane_table_holds_no_monomial_table(monkeypatch):
+    # Beside its (n, 3) int64 points, a cold build allocates less than one
+    # (n, 6) int64 array (48n bytes) in all, so it forms no monomial table.
+    p = 307
+    n = p * p + p + 1
+    monkeypatch.delitem(PlaneTable._cache, p, raising=False)
+    tbl, peak = _traced_peak(lambda: PlaneTable(p))
+    assert tbl.pts.nbytes == 24 * n and peak < 48 * n
+    assert not [name for name, v in vars(tbl).items() if np.shape(v)[:1] == (n,) and name != "pts"]
+
+
+def test_root_pass_memory_is_bounded_by_its_block():
+    # A fresh x root pass at p = 307 (n = 94,557 bases) keeps its per-base
+    # temporaries to one block: its peak is the few arrays over all bases that
+    # it returns and places, under 10 MiB.  The all-bases pass, with some twenty
+    # int64 arrays over n alive at once, peaked at 18.9 MiB on this surface.
+    eng = random_surface(307, 0).engine()
+    (rows, _), peak = _traced_peak(lambda: eng.fiber_pairs("x"))
+    assert len(rows[0]) == 95487 and peak < 10 * 2 ** 20
+
+
 @pytest.mark.parametrize("p", [29, 503])
 def test_plane_table_keys_strictly_increase(p):
     tbl = PlaneTable(p)
@@ -284,7 +318,8 @@ def _reference_fiber_pairs(eng, side):
     tbl = eng.table
     bases = tbl.pts
     lc = eng.line_coeffs(side, bases)
-    qc = eng.quad_coeffs(side, tbl.mon6)
+    mon = tbl.monomials(tbl.pts)
+    qc = eng.quad_coeffs(side, mon)
     line_ok = np.any(lc != 0, axis=1)
     idx = np.nonzero(line_ok)[0]
     u, v = _line_basis(lc[idx], p)
@@ -325,7 +360,7 @@ def _reference_fiber_pairs(eng, side):
         out_row.append(idx[qrows[sel]])
         out_fib.append(tbl.canonicalize((t0[sel][:, None] * u[qrows[sel]] + v[qrows[sel]]) % p))
     for row in special:
-        sols = tbl.pts[tbl.mon6 @ qc[row] % p == 0]
+        sols = tbl.pts[mon @ qc[row] % p == 0]
         out_row.append(np.full(len(sols), row))
         out_fib.append(sols)
     base_rows = np.concatenate(out_row)
@@ -337,17 +372,23 @@ def _reference_fiber_pairs(eng, side):
     return pairs, (x_rows, y_rows), degenerate
 
 
-@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
-def test_root_pass_matches_the_reference_solver(p):
-    # Random surfaces of every mode, and sparse ones whose degenerate fibers
-    # include lines, conics and planes and whose bases include lines with
-    # c2 = 0 (some surfaces have no other kind) and with c2 = c1 = 0.
+def _root_pass_surfaces(p):
+    """Random surfaces of every mode, and sparse ones.
+
+    The sparse ones' degenerate fibers include lines, conics and planes, and
+    their bases include lines with c2 = 0 (some surfaces have no other kind)
+    and with c2 = c1 = 0.
+    """
     surfaces = [random_surface(p, seed, mode=mode)
                 for seed in range(6) for mode in ("any", "degenerate", "nondegenerate")]
-    surfaces += [_sparse_surface(p, seed) for seed in range(12)]
+    return surfaces + [_sparse_surface(p, seed) for seed in range(12)]
+
+
+@pytest.mark.parametrize("p", [5, 7, 11, 13, 29])
+def test_root_pass_matches_the_reference_solver(p):
     charts = {"c2 != 0": 0, "c2 = 0 != c1": 0, "c2 = c1 = 0 != c0": 0, "no c2 != 0": 0}
     kinds = set()
-    for s in surfaces:
+    for s in _root_pass_surfaces(p):
         eng = s.engine()
         for side in ("x", "y"):
             rows, degenerate = eng.fiber_pairs(side)
@@ -366,6 +407,27 @@ def test_root_pass_matches_the_reference_solver(p):
             charts["no c2 != 0"] += not c2.any()
     assert kinds == {"line", "conic", "plane"}
     assert min(charts.values()) > 0
+
+
+@pytest.mark.parametrize("p", [13, 29])
+def test_root_pass_is_the_same_in_any_block_size(p, monkeypatch):
+    # At these primes the default block holds every base.  Smaller blocks put
+    # whole-line, conic and plane bases, and bases of every chart, in
+    # different blocks; both row arrays with their dtypes and the degenerate
+    # list with its order must not change.  (One-row blocks at p = 29 would
+    # add some 10 s.)
+    def result(eng, side):
+        (x_rows, y_rows), degenerate = eng.fiber_pairs(side)
+        return ([(rows.dtype, rows.tolist()) for rows in (x_rows, y_rows)],
+                [(base.tolist(), kind) for base, kind in degenerate])
+
+    engines = [s.engine() for s in _root_pass_surfaces(p)]
+    assert len(PlaneTable(p).pts) <= _engine._ROOT_BLOCK
+    want = [result(eng, side) for eng in engines for side in ("x", "y")]
+    assert {kind for _, degenerate in want for _, kind in degenerate} == {"line", "conic", "plane"}
+    for block in (1, 7, 97) if p == 13 else (7, 97):
+        monkeypatch.setattr(_engine, "_ROOT_BLOCK", block)
+        assert [result(eng, side) for eng in engines for side in ("x", "y")] == want
 
 
 @pytest.mark.parametrize("p", [5, 7])
