@@ -24,6 +24,32 @@ PAIR_AT = tuple(tuple(PAIR_INDEX[(min(i, j), max(i, j))] for j in range(3)) for 
 # with m the third index.
 SWAP_PAIRS = ((0, 1, 2), (0, 2, 1), (1, 2, 0))
 
+# The two sides, in the order of the factors of P^2 x P^2: side x's base is
+# a point's first coordinate, side y's its second.
+SIDES = ("x", "y")
+
+
+def side_index(side: str) -> int:
+    """Position of the side's base in a pair (a, b): 0 for "x", 1 for "y"."""
+    if side not in SIDES:
+        raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    return SIDES.index(side)
+
+
+def side_rows(a, b, side: str):
+    """(L rows, Q rows) of one side, from L's 3x3 matrix a and Q's 6x6 table b.
+
+    L restricted to the fiber over a base has coefficient j = L row j dotted
+    with the base, and Q coefficient K (PAIRS order) = Q row K dotted with
+    the base's PAIRS monomials.  Side "y" reads a and b as stored, side "x"
+    their transposes.  Any ring's entries work; this is the one place the
+    two sides' coefficients are told apart.
+    """
+    if side_index(side) == 0:
+        return tuple(zip(*a)), tuple(zip(*b))
+    return a, b
+
+
 # Bulk kernels stay exact in int64 up to this cap.  The root pass's bounds are
 # per base, so they hold whatever its block size, each block forming the Q
 # monomials of its own rows:
@@ -259,24 +285,27 @@ class SurfaceEngine:
         self.table = PlaneTable(p)
         self.amat = np.asarray(amat, dtype=np.int64) % p
         self.bmat = np.asarray(bmat, dtype=np.int64) % p
+        sides = (side_rows(self.amat, self.bmat, side) for side in SIDES)
+        self._rows = [tuple(np.array(m, dtype=np.int64) for m in rows) for rows in sides]
 
     # -- per-base coefficient collections ----------------------------------
+
+    def rows(self, side: str) -> tuple[np.ndarray, np.ndarray]:
+        """The side's (L rows, Q rows) of `side_rows` as int64 arrays."""
+        return self._rows[side_index(side)]
 
     def line_coeffs(self, side: str, bases: np.ndarray) -> np.ndarray:
         """L restricted to the fiber over each base: 3 linear coefficients.
 
         side 'x': bases are a in P^2_x, coefficients of y_j in L(a, .).
         side 'y': bases are b in P^2_y, coefficients of x_i in L(., b).
+        Both read the side's L rows (`rows`).
         """
-        if side == "x":
-            return bases @ self.amat % self.p
-        return bases @ self.amat.T % self.p
+        return bases @ self.rows(side)[0].T % self.p
 
     def quad_coeffs(self, side: str, mon: np.ndarray) -> np.ndarray:
-        """Q restricted to the fiber: 6 quadratic coefficients per base."""
-        if side == "x":
-            return mon @ self.bmat % self.p
-        return mon @ self.bmat.T % self.p
+        """Q restricted to the fiber: 6 quadratic coefficients per base, from its Q rows."""
+        return mon @ self.rows(side)[1].T % self.p
 
     # -- full fiber analysis over one side ----------------------------------
 
@@ -369,10 +398,11 @@ class SurfaceEngine:
         """The rational points of every fiber as plane-table rows, per base.
 
         Over each base the fiber is the zero set of Q(base, .) on the line
-        c.y = 0, c = L(base, .).  The line is parametrized in an affine chart,
-        u + t v for t in F_p plus the point v, chosen so that the table row
-        of u + t v is a closed form increasing in t and v's row is below all
-        of them.  Q(u + t v) = A + B t + C t^2 then gives the roots as rows.
+        c.y = 0, c = L(base, .), both restricted to the base by the side's
+        rows (`rows`).  The line is parametrized in an affine chart, u + t v
+        for t in F_p plus the point v, chosen so that the table row of u + t v
+        is a closed form increasing in t and v's row is below all of them.
+        Q(u + t v) = A + B t + C t^2 then gives the roots as rows.
 
         The bases are solved in blocks of `_ROOT_BLOCK` table rows, each
         with the Q monomials of its own rows, so the per-base temporaries
@@ -391,7 +421,7 @@ class SurfaceEngine:
         tbl = self.table
         inv = tbl.inv
         n = len(tbl.pts)
-        amat, bmat = (self.amat, self.bmat) if side == "x" else (self.amat.T, self.bmat.T)
+        lrows, qrows = self.rows(side)
         lo = np.empty(n, dtype=np.int64)
         hi = np.empty_like(lo)
         size = np.empty_like(lo)
@@ -399,8 +429,8 @@ class SurfaceEngine:
         ts = np.arange(p)
         for start, pts, mon in tbl.blocks():
             # One row per coefficient of L(base, .) and Q(base, .), unreduced.
-            c0, c1, c2 = amat.T @ pts.T
-            q00, q01, q02, q11, q12, q22 = bmat.T @ mon.T
+            c0, c1, c2 = lrows @ pts.T
+            q00, q01, q02, q11, q12, q22 = qrows @ mon.T
 
             # Chart where c2 != 0: u = (1, 0, e0), v = (0, 1, e1), e_i = -c_i/c2.
             # u + t v = (1, t, e0 + e1 t) is row 1 + p + p t + (e0 + e1 t) % p,
@@ -483,13 +513,14 @@ class SurfaceEngine:
         p = self.p
         a = pairs[:, :3]
         b = pairs[:, 3:]
-        # dL/dx_i depends only on b, dL/dy_j only on a.
-        jl = np.concatenate([b @ self.amat.T % p, a @ self.amat % p], axis=1)
-        # dQ/dx_i = sum_j q_ij(b) a_j with q_ii doubled, q the x-quadratic
-        # coefficients at b; dQ/dy_k likewise from the y ones at a.
+        # dL/dx_i is side y's line coefficient at b, dL/dy_j side x's at a.
+        # dQ/dx_i = sum_j q_ij(b) a_j with q_ii doubled, q side y's quadratic
+        # coefficients at b; dQ/dy_k likewise from side x's at a.
+        jl = np.empty((len(pairs), 6), dtype=np.int64)
         jq = np.empty_like(jl)
-        for off, qc, w in ((0, self.table.monomials(b) @ self.bmat.T % p, a),
-                           (3, self.table.monomials(a) @ self.bmat % p, b)):
+        for off, side, base, w in ((0, "y", b, a), (3, "x", a, b)):
+            jl[:, off:off + 3] = self.line_coeffs(side, base)
+            qc = self.quad_coeffs(side, self.table.monomials(base))
             for i in range(3):
                 jq[:, off + i] = sum((1 + (i == j)) * qc[:, PAIR_AT[i][j]]
                                      * w[:, j] for j in range(3))

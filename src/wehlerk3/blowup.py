@@ -34,10 +34,9 @@ from math import comb
 
 import numpy as np
 
-from ._engine import PAIR_INDEX, PAIRS, SWAP_PAIRS, gh_formula, pair_getter
+from ._engine import PAIR_INDEX, PAIRS, SWAP_PAIRS, gh_formula, pair_getter, side_index
 from .errors import (
     AmbiguousS,
-    InexactDivision,
     InexactQuotient,
     NoRationalS,
     NotDegenerate,
@@ -48,9 +47,9 @@ from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .poly import SparsePoly
 from .surface import (
     WehlerSurface,
-    XVARS,
-    YVARS,
     _fiber_restriction,
+    _side_vars,
+    branch_quotient,
     coefficient_polys,
     pair_rows,
     table_points,
@@ -236,9 +235,8 @@ class BlowupChart:
         # The pencil x(s, eps) = s0*center + eps*delta(s) in the base variables.
         s0, s1, eps = SparsePoly.gens(s.domain, PENCIL_VARS)
         delta = ((0, s0, s1), (s0, 0, s1), (s1, s0, 0))[d]
-        base_vars = XVARS if self.side == "x" else YVARS
         self.pencil = {name: s0 * center[i] + eps * delta[i]
-                       for i, name in enumerate(base_vars)}
+                       for i, name in enumerate(_side_vars(self.side))}
 
         cp = coefficient_polys(s, self.side)
         lc = [f.substitute(self.pencil) for f in cp.lc]
@@ -306,8 +304,9 @@ class BlowupChart:
             for (k, l, _m) in SWAP_PAIRS}
         self._stripped_line = _stripped_rows(self.l_forms)
         tbl = self.surface.engine().table
-        pa, pb = pair_rows(self.surface)
-        base, moving = (pa, pb) if self.side == "x" else (pb, pa)
+        own = side_index(self.side)
+        pairs = pair_rows(self.surface)
+        base, moving = pairs[own], pairs[1 - own]
         rows = moving[base == tbl.index_of(np.array(self.center.raw))]
         fiber = tbl.pts[rows]
         mon = np.stack([fiber[:, k] * fiber[:, l] for (k, l) in PAIRS], axis=1)
@@ -472,46 +471,16 @@ class RamificationPrime:
 def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     """((H'_ij)^2 - 4 G'_i G'_j) / (L'_k)^2 specialized to the exceptional fiber.
 
-    The quotient is computed exactly in the (s0, s1, eps) ring, any full
-    power of eps is removed before specializing, and finally the common s0
-    power is stripped.  Pair-independence is verified by cross-multiplying
-    the alternative numerators.
+    `branch_quotient` divides exactly in the (s0, s1, eps) ring and checks
+    that every index pair gives the same form; any full power of eps is
+    removed before specializing, and finally the common s0 power is stripped.
     """
     def build():
-        p = chart.p
-        lk = chart.lp
-        nums = {}
-        for (i, j, m) in SWAP_PAIRS:
-            h = chart.hp[(i, j)]
-            nums[m] = h * h - 4 * chart.gp[i] * chart.gp[j]
-        quotient = None
-        used_pair = None
-        for (i, j, m) in SWAP_PAIRS:
-            if lk[m].is_zero():
-                continue
-            den = lk[m] * lk[m]
-            try:
-                quotient = nums[m].divide_exact(den)
-            except InexactDivision as exc:
-                raise InexactQuotient(
-                    f"(L'_{m})^2 does not divide the chart discriminant") from exc
-            used_pair = (i, j)
-            break
-        if quotient is None:
-            raise InexactQuotient("all L' coefficients vanish on the chart")
-        # Cross-check pair independence: num_m * den_m' == num_m' * den_m.
-        ms = [m for (_, _, m) in SWAP_PAIRS]
-        for m1 in ms:
-            for m2 in ms:
-                if m1 >= m2:
-                    continue
-                if nums[m1] * (lk[m2] * lk[m2]) != nums[m2] * (lk[m1] * lk[m1]):
-                    raise InexactQuotient(
-                        "chart discriminant is not independent of the index pair")
+        quotient, used_pair = branch_quotient(chart.lp, chart.gp, chart.hp)
         if not quotient.is_zero():
             quotient = quotient.divide_linear_power(
                 "eps", 0, quotient.vanishing_order("eps", 0))
-        raw = _exceptional_form(quotient, p, 6)
+        raw = _exceptional_form(quotient, chart.p, 6)
         stripped_k, form = raw.strip_power_of_s0()
         return RamificationPrime(chart, form, stripped_k, used_pair)
     return chart.surface.cached(("ram_prime", chart.side, chart.center.raw), build)

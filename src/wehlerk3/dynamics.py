@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._engine import fiber_partner_rows, phase_key
+from ._engine import SIDES, fiber_partner_rows, phase_key, side_index
 from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
 from .errors import NonBijective, NotOnSurface, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
@@ -72,21 +72,10 @@ class PhasePoint:
         return f"PhasePoint({self.a}, {self.b}{extra})"
 
 
-class _Context:
-    """Degenerate centers of one surface, shared by all steps."""
-
-    def __init__(self, s: WehlerSurface):
-        self.centers = {}
-        for side in ("x", "y"):
-            infos = degenerate_fibers(s, side)
-            self.centers[side] = {info.base.raw: info for info in infos}
-
-    def is_center(self, side: str, raw: tuple) -> bool:
-        return raw in self.centers[side]
-
-
-def _context(s: WehlerSurface) -> _Context:
-    return s.cached(("dyn_ctx",), lambda: _Context(s))
+def _centers(s: WehlerSurface) -> dict:
+    """{side: set of the raw degenerate bases of that side}, built once per surface."""
+    return s.cached(("centers",), lambda: {
+        side: {info.base.raw for info in degenerate_fibers(s, side)} for side in SIDES})
 
 
 # -- standalone scalar stepping (orbits, public phi/psi) -------------------------
@@ -105,63 +94,35 @@ def lift_pair(s: WehlerSurface, a, b) -> PhasePoint:
         b = point2(s.domain, *b)
     if not s.contains(a.coords, b.coords):
         raise NotOnSurface(f"({a}, {b}) does not satisfy L = Q = 0")
-    ctx = _context(s)
-    sx = sy = None
-    if ctx.is_center("x", a.raw):
-        sx = resolve_s(chart_for(s, "x", a), b)
-    if ctx.is_center("y", b.raw):
-        sy = resolve_s(chart_for(s, "y", b), a)
+    centers = _centers(s)
+    sx = resolve_s(chart_for(s, "x", a), b) if a.raw in centers["x"] else None
+    sy = resolve_s(chart_for(s, "y", b), a) if b.raw in centers["y"] else None
     return PhasePoint(a, b, sx, sy)
 
 
 def phase_step(s: WehlerSurface, P: PhasePoint, side: str) -> PhasePoint:
-    """Apply sigma_side to a phase point, routing through charts as needed."""
-    ctx = _context(s)
-    if side == "x":
-        if P.sx is not None:
-            bp = BoundaryPoint("x", P.a, P.sx, P.b)
-            moved = sigma_extended(chart_for(s, "x", P.a), bp)
-            return _reattach(s, ctx, P.a, moved.moving, kept=P.sx,
-                             old_moving=P.b, old_other=P.sy, changed="b")
-        partner = _cor1_partner(s, "x", P.a.coords, P.b.coords)
-        new_b = point2(s.domain, *partner)
-        return _reattach(s, ctx, P.a, new_b, kept=None,
-                         old_moving=P.b, old_other=P.sy, changed="b")
-    if side == "y":
-        if P.sy is not None:
-            bp = BoundaryPoint("y", P.b, P.sy, P.a)
-            moved = sigma_extended(chart_for(s, "y", P.b), bp)
-            return _reattach(s, ctx, moved.moving, P.b, kept=P.sy,
-                             old_moving=P.a, old_other=P.sx, changed="a")
-        partner = _cor1_partner(s, "y", P.b.coords, P.a.coords)
-        new_a = point2(s.domain, *partner)
-        return _reattach(s, ctx, new_a, P.b, kept=None,
-                         old_moving=P.a, old_other=P.sx, changed="a")
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    """Apply sigma_side to a phase point, routing through charts as needed.
 
-
-def _reattach(s, ctx, a, b, kept, old_moving, old_other, changed):
-    """Rebuild the parameter fields after one coordinate moved.
-
-    `kept` is the stepped side's own parameter (unchanged by the swap);
-    the moved coordinate's parameter is rederived unless the swap was a
-    fixed point, in which case the old value survives.
+    The side's base keeps its point and its own line parameter.  The moving
+    point is swapped on that parameter's chart line when the base is a
+    chart center, else by Vieta.  The other side's parameter belongs to the
+    moving point, so it is derived again for the new one, unless the swap
+    fixed the point.
     """
-    if changed == "b":
-        if b == old_moving:
-            new_sy = old_other
-        elif ctx.is_center("y", b.raw):
-            new_sy = resolve_s(chart_for(s, "y", b), a)
-        else:
-            new_sy = None
-        return PhasePoint(a, b, kept, new_sy)
-    if a == old_moving:
-        new_sx = old_other
-    elif ctx.is_center("x", a.raw):
-        new_sx = resolve_s(chart_for(s, "x", a), b)
+    own = side_index(side)
+    pts, params = [P.a, P.b], [P.sx, P.sy]
+    base, moving = pts[own], pts[1 - own]
+    if params[own] is not None:
+        bp = BoundaryPoint(side, base, params[own], moving)
+        new = sigma_extended(chart_for(s, side, base), bp).moving
     else:
-        new_sx = None
-    return PhasePoint(a, b, new_sx, kept)
+        new = point2(s.domain, *_cor1_partner(s, side, base.coords, moving.coords))
+    if new != moving:
+        other = SIDES[1 - own]
+        params[1 - own] = (resolve_s(chart_for(s, other, new), base)
+                           if new.raw in _centers(s)[other] else None)
+    pts[1 - own] = new
+    return PhasePoint(*pts, *params)
 
 
 def phi_step(s: WehlerSurface, P: PhasePoint) -> PhasePoint:
@@ -198,7 +159,6 @@ class PhaseSpace:
     def __init__(self, s: WehlerSurface):
         self.surface = s
         self.p = s.domain.p
-        self.ctx = _context(s)
         self.exceptions: list[str] = []
         self._tbl = s.engine().table
         self._build_points()
@@ -214,7 +174,7 @@ class PhaseSpace:
         code of its line.
         """
         s = self.surface
-        centers = sorted(self.ctx.centers[side])
+        centers = sorted(_centers(s)[side])
         line, moving = [], []
         for j, raw in enumerate(centers):
             for bp in exceptional_points(chart_for(s, side, point2(s.domain, *raw))):
@@ -378,14 +338,12 @@ class PhaseSpace:
         blow-up chart, so it moves as `sigma_extended` moves it.
         """
         p = self.p
+        k = side_index(side)
         code = self._codes[side]
         plain = code == p + 1
         chart = ~plain
-        pa, pb = pair_rows(self.surface)
-        if side == "x":
-            base, own, pair_base, pair_moving = self._ia, self._ib, pa, pb
-        else:
-            base, own, pair_base, pair_moving = self._ib, self._ia, pb, pa
+        rows, pairs = [self._ia, self._ib], pair_rows(self.surface)
+        base, own, pair_base, pair_moving = rows[k], rows[1 - k], pairs[k], pairs[1 - k]
         centers, line, line_moving = self._lines[side]
         moved = np.empty_like(own)
         moved[plain] = fiber_partner_rows(pair_base, pair_moving, base[plain], own[plain],
@@ -393,7 +351,8 @@ class PhaseSpace:
         on_line = np.searchsorted(centers, base[chart]) * (p + 1) + code[chart]
         moved[chart] = fiber_partner_rows(line, line_moving, on_line, own[chart],
                                           len(centers) * (p + 1))
-        ia, ib = (self._ia, moved) if side == "x" else (moved, self._ib)
+        rows[1 - k] = moved
+        ia, ib = rows
         first, count = self._find(side, phase_key(ia, ib, code, p))
         # Notes list the plain rows first, then the chart rows.
         bad = count != 1

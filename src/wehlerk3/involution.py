@@ -11,7 +11,7 @@ brute-force fiber solver provides an independent oracle for every swap.
 
 from __future__ import annotations
 
-from ._engine import SWAP_PAIRS, gh_formula, pair_getter
+from ._engine import SWAP_PAIRS, gh_formula, pair_getter, side_index
 from .errors import DegenerateFiber, NotOnSurface
 from .geometry import ProjectivePoint2, _raw, point2
 from .surface import (
@@ -91,13 +91,10 @@ def sigma(s: WehlerSurface, side: str, P):
     a, b = _as_pair(s, P)
     if not s.contains(a.coords, b.coords):
         raise NotOnSurface(f"({a}, {b}) does not satisfy L = Q = 0")
-    if side == "y":
-        partner = _cor1_partner(s, "y", b.coords, a.coords)
-        return point2(s.domain, *partner), b
-    if side == "x":
-        partner = _cor1_partner(s, "x", a.coords, b.coords)
-        return a, point2(s.domain, *partner)
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    own = side_index(side)
+    pts = [a, b]
+    pts[1 - own] = point2(s.domain, *_cor1_partner(s, side, pts[own].coords, pts[1 - own].coords))
+    return tuple(pts)
 
 
 def fiber_partner_oracle(s: WehlerSurface, side: str, P):
@@ -113,17 +110,17 @@ def fiber_partner_oracle(s: WehlerSurface, side: str, P):
     a, b = _as_pair(s, P)
     if not s.contains(a.coords, b.coords):
         raise NotOnSurface(f"({a}, {b}) does not satisfy L = Q = 0")
-    base = b.coords if side == "y" else a.coords
-    moving = a.coords if side == "y" else b.coords
-    roots = fiber_points(s, side, base)
+    own = side_index(side)
+    pts = [a, b]
+    base, mv = pts[own], pts[1 - own]
+    roots = fiber_points(s, side, base.coords)
     if len(roots) > 2:
-        raise DegenerateFiber(f"fiber over {base} has {len(roots)} rational points")
-    mv = point2(s.domain, *moving)
+        raise DegenerateFiber(f"fiber over {base.coords} has {len(roots)} rational points")
     others = [r for r in roots if r != mv]
     if mv not in roots:
         raise NotOnSurface(f"{mv} not found on its fiber")
-    partner = others[0] if others else mv
-    return (partner, b) if side == "y" else (a, partner)
+    pts[1 - own] = others[0] if others else mv
+    return tuple(pts)
 
 
 def fiber_points(s: WehlerSurface, side: str, base):

@@ -19,8 +19,10 @@ from __future__ import annotations
 import json
 import math
 import os
+from bisect import bisect_right
 from concurrent.futures import ProcessPoolExecutor
 from dataclasses import dataclass, field as dc_field
+from itertools import accumulate
 
 from .dynamics import CycleCensus, cycle_decomposition
 from .errors import (
@@ -124,19 +126,15 @@ def _curve_from_lengths(sym, asym, total, fix_sum, variant, step):
 
 
 def _cumulative(xs, z, weighted_lengths, denom):
-    """Cumulative mass of (length, weight) pairs with length <= x*z."""
+    """Cumulative mass of (length, weight) pairs with length <= x*z.
+
+    Running sums of the weights in sorted order, starting from 0, so each
+    value is the same float as adding the weights one by one.
+    """
     pairs = sorted(weighted_lengths)
-    values = []
-    for x in xs:
-        cut = x * z
-        acc = 0
-        for length, weight in pairs:
-            if length <= cut:
-                acc += weight
-            else:
-                break
-        values.append(acc / denom)
-    return tuple(values)
+    lengths = [length for length, _ in pairs]
+    sums = list(accumulate((weight for _, weight in pairs), initial=0))
+    return tuple(sums[bisect_right(lengths, x * z)] / denom for x in xs)
 
 
 def area_error(curve: DistributionCurve, upper: float = GRID_MAX) -> float:

@@ -18,7 +18,16 @@ from operator import add, mul
 
 import numpy as np
 
-from ._engine import PAIR_INDEX, PAIRS, SWAP_PAIRS, SurfaceEngine, gh_formula, pair_getter
+from ._engine import (
+    PAIR_INDEX,
+    PAIRS,
+    SWAP_PAIRS,
+    SurfaceEngine,
+    gh_formula,
+    pair_getter,
+    side_index,
+    side_rows,
+)
 from .errors import (
     BadModulus,
     DegenerateFiber,
@@ -39,11 +48,7 @@ YVARS = ("y0", "y1", "y2")
 
 
 def _side_vars(side: str):
-    if side == "x":
-        return XVARS
-    if side == "y":
-        return YVARS
-    raise ValueError(f"side must be 'x' or 'y', got {side!r}")
+    return (XVARS, YVARS)[side_index(side)]
 
 
 class WehlerSurface:
@@ -67,8 +72,8 @@ class WehlerSurface:
         "raw" (the coefficient rows of `_raw_rows`), "coeff", "gh",
         "sextic", "degenerate" and "pairs" (this module; the plane-table rows
         of the rational points, see `pair_rows`),
-        "dyn_ctx" and "phase_space" (`dynamics`), "chart" and "ram_prime"
-        (`blowup`).
+        "centers" (`dynamics`; the raw degenerate bases of each side) and
+        "phase_space" (`dynamics`), "chart" and "ram_prime" (`blowup`).
         """
         if key not in self._cache:
             self._cache[key] = build()
@@ -194,18 +199,15 @@ def _fiber_residues(s: WehlerSurface, side: str, base):
 def _raw_rows(s: WehlerSurface, side: str):
     """(L rows, Q rows, red) of one side as plain residues, built once per side.
 
-    L_j is row j of the first block dotted with the base, Q_K row K of the
-    second dotted with the base's PAIRS monomials: a and b as stored for side
-    "y", their transposes for side "x".  `red` is x -> x mod p, or the
+    The rows are `side_rows` of a and b; `red` is x -> x mod p, or the
     identity over QQ.
     """
     def build():
         a, b = ([[_raw(v) for v in row] for row in m] for m in (s.a, s.b))
-        if side == "x":
-            a, b = zip(*a), zip(*b)
+        lrows, qrows = side_rows(a, b, side)
         p = s.p
         red = (lambda v: v) if p is None else (lambda v: v % p)
-        return tuple(map(tuple, a)), tuple(map(tuple, b)), red
+        return tuple(map(tuple, lrows)), tuple(map(tuple, qrows)), red
     return s.cached(("raw", side), build)
 
 
@@ -323,35 +325,15 @@ class RamificationSextic:
 
 
 def coefficient_polys(s: WehlerSurface, side: str) -> CoefficientPolys:
+    """L_j and Q_kl as forms in the side's own variables, from its `side_rows`."""
     def build():
+        lrows, qrows = side_rows(s.a, s.b, side)
         names = _side_vars(side)
         gens = SparsePoly.gens(s.domain, names)
-        if side == "x":
-            lc = tuple(
-                sum((gens[i] * s.a[i][j] for i in range(3)),
-                    SparsePoly.zero(s.domain, names))
-                for j in range(3)
-            )
-            qc = {
-                (k, l): sum(
-                    (gens[i] * gens[j] * s.b[I][PAIR_INDEX[(k, l)]]
-                     for I, (i, j) in enumerate(PAIRS)),
-                    SparsePoly.zero(s.domain, names))
-                for (k, l) in PAIRS
-            }
-        else:
-            lc = tuple(
-                sum((gens[j] * s.a[i][j] for j in range(3)),
-                    SparsePoly.zero(s.domain, names))
-                for i in range(3)
-            )
-            qc = {
-                (i, j): sum(
-                    (gens[k] * gens[l] * s.b[PAIR_INDEX[(i, j)]][K]
-                     for K, (k, l) in enumerate(PAIRS)),
-                    SparsePoly.zero(s.domain, names))
-                for (i, j) in PAIRS
-            }
+        mons = [gens[i] * gens[j] for (i, j) in PAIRS]
+        zero = SparsePoly.zero(s.domain, names)
+        lc = tuple(sum(map(mul, gens, row), zero) for row in lrows)
+        qc = {kl: sum(map(mul, mons, row), zero) for kl, row in zip(PAIRS, qrows)}
         return CoefficientPolys(side, lc, qc)
     return s.cached(("coeff", side), build)
 
@@ -394,36 +376,38 @@ def fiber_quadratic(s: WehlerSurface, side: str, base, pair: tuple[int, int]):
     return g[k], h[(min(k, l), max(k, l))], g[l]
 
 
+def branch_quotient(lc, g, h):
+    """(q, (i, j)) with q = ((H_ij)^2 - 4 G_i G_j) / (L_k)^2, the same for every pair.
+
+    lc holds L_0..L_2, g G_0..G_2 and h the H_ij as `gh_formula` keys them,
+    all `SparsePoly`s of one ring.  q is the exact quotient at the first
+    (i, j, k) of SWAP_PAIRS with L_k != 0, and num_k = q * L_k^2 is checked
+    for every k.  InexactQuotient is raised when every L_k vanishes, when
+    (L_k)^2 does not divide, or when the index pairs disagree.
+    """
+    nums = {k: h[(i, j)] * h[(i, j)] - 4 * g[i] * g[j] for (i, j, k) in SWAP_PAIRS}
+    usable = [ijk for ijk in SWAP_PAIRS if lc[ijk[2]]]
+    if not usable:
+        raise InexactQuotient("every linear coefficient form L_k vanishes")
+    i, j, k = usable[0]
+    try:
+        q = nums[k].divide_exact(lc[k] * lc[k])
+    except InexactDivision as exc:
+        raise InexactQuotient(f"(L_{k})^2 does not divide H_{i}{j}^2 - 4 G_{i} G_{j}") from exc
+    if any(nums[m] != q * (lc[m] * lc[m]) for (_, _, m) in SWAP_PAIRS):
+        raise InexactQuotient("the branch form disagrees between index pairs")
+    return q, (i, j)
+
+
 def ramification_sextic(s: WehlerSurface, side: str) -> RamificationSextic:
     """The degree-6 branch form ((H_ij)^2 - 4 G_i G_j) / (L_k)^2.
 
-    The quotient is computed exactly and checked to be independent of the
-    index pair: for every other permutation the identity
-    H_ij^2 - 4 G_i G_j = g * L_k^2 must hold on the nose.
+    `branch_quotient` divides exactly and checks that every index pair
+    gives the same form.
     """
     def build():
-        cp = coefficient_polys(s, side)
         sys = gh_system(s, side)
-        nums = {}
-        dens = {}
-        for (i, j, k) in SWAP_PAIRS:
-            nums[k] = sys.h[(i, j)] * sys.h[(i, j)] - 4 * sys.g[i] * sys.g[j]
-            dens[k] = cp.lc[k] * cp.lc[k]
-        g_poly = None
-        for k in (2, 1, 0):
-            if cp.lc[k]:
-                try:
-                    g_poly = nums[k].divide_exact(dens[k])
-                except InexactDivision as exc:
-                    raise InexactQuotient(
-                        f"(L_{k})^2 does not divide H^2 - 4GG on side {side}") from exc
-                break
-        if g_poly is None:
-            raise InexactQuotient("all linear coefficient forms vanish")
-        for k in (2, 1, 0):
-            if nums[k] != g_poly * dens[k]:
-                raise InexactQuotient(
-                    f"ramification form disagrees between index pairs on side {side}")
+        g_poly, _ = branch_quotient(coefficient_polys(s, side).lc, sys.g, sys.h)
         if g_poly and g_poly.total_degree() > 6:
             raise InexactQuotient("ramification form has degree > 6")
         return RamificationSextic(side, g_poly)

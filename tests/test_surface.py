@@ -4,21 +4,26 @@ import random
 import numpy as np
 import pytest
 
+from wehlerk3.dynamics import lift_pair, phase_step
 from wehlerk3.errors import (
     BadModulus,
     DegenerateFiber,
     ExhaustedAttempts,
+    InexactQuotient,
     ParseError,
     ZeroForm,
 )
 from wehlerk3.field import PrimeField, QQ
 from wehlerk3.fixtures import w1_surface
 from wehlerk3.geometry import point2
+from wehlerk3.involution import fiber_points, sigma
 from wehlerk3.poly import SparsePoly
 from wehlerk3.surface import (
     VARS6,
     SmoothnessReport,
+    YVARS,
     WehlerSurface,
+    branch_quotient,
     coefficient_polys,
     degenerate_fibers,
     enumerate_points,
@@ -289,6 +294,53 @@ def test_sextic_zero_iff_repeated_fiber_point():
         disc = B * B - 4 * A * C
         val = rs.g.evaluate({"y0": b[0], "y1": b[1], "y2": b[2]})
         assert (int(disc) == 0) == (int(val) == 0)
+
+
+def _branch_inputs(case):
+    """(lc, g, h) over F_29 in y0..y2 with every G zero, for `branch_quotient`."""
+    F = PrimeField(29)
+    y0, y1, _ = SparsePoly.gens(F, YVARS)
+    zero = SparsePoly.zero(F, YVARS)
+    lc, h = {
+        # num_2 / L_2^2 = y1^2, but num_1 = 0 is not y1^2 * L_1^2.
+        "pairs disagree": ((y0, y0, y0), (y0 * y1, zero, zero)),
+        "no exact division": ((zero, zero, y0), (y1, zero, zero)),
+        "every L_k zero": ((zero, zero, zero), (y1, y1, y1)),
+        "agree": ((y0, y0, y0), (y0 * y1, y0 * y1, y0 * y1)),
+    }[case]
+    return lc, (zero, zero, zero), dict(zip(((0, 1), (0, 2), (1, 2)), h))
+
+
+@pytest.mark.parametrize("case, match", [
+    ("pairs disagree", "disagrees between index pairs"),
+    ("no exact division", "does not divide"),
+    ("every L_k zero", "every linear coefficient form"),
+])
+def test_branch_quotient_failures_raise_inexact_quotient(case, match):
+    with pytest.raises(InexactQuotient, match=match):
+        branch_quotient(*_branch_inputs(case))
+
+
+def test_branch_quotient_returns_the_first_usable_pair():
+    q, pair = branch_quotient(*_branch_inputs("agree"))
+    y1 = SparsePoly.gens(PrimeField(29), YVARS)[1]
+    assert (q, pair) == (y1 * y1, (0, 1))
+
+
+@pytest.mark.parametrize("call", [
+    lambda s: degenerate_fibers(s, "z"),
+    lambda s: s.line_values("z", (1, 0, 1)),
+    lambda s: s.quad_values("z", (1, 0, 1)),
+    lambda s: fiber_points(s, "z", (1, 0, 1)),
+    lambda s: s.engine().fiber_pairs("z"),
+    lambda s: s.engine().degenerate_bases("z"),
+    lambda s: phase_step(s, lift_pair(s, (-1, -1, 1), (1, 0, 1)), "z"),
+    lambda s: sigma(s, "z", ((1, 0, 1), (-1, 2, 1))),
+], ids=["degenerate_fibers", "line_values", "quad_values", "fiber_points",
+        "fiber_pairs", "degenerate_bases", "phase_step", "sigma"])
+def test_unknown_side_raises_value_error(w1_29, call):
+    with pytest.raises(ValueError, match="side must be 'x' or 'y', got 'z'"):
+        call(w1_29)
 
 
 def test_degenerate_fibers_worked_example(w1_qq):
