@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from .errors import BadModulus, DegenerateFiber
+from .errors import BadModulus
 from .field import PrimeField
 
 # x_i*x_j (or y_k*y_l) monomials in canonical order; cross terms carry the
@@ -66,9 +66,8 @@ def side_rows(a, b, side: str):
 # the pair keys (row of x) * (p^2 + p + 1) + (row of y) that fiber_pairs sorts
 # side y by and that PhaseSpace merges both-side boundary points by are
 # < (p^2 + p + 1)^2 < 2^45 (side x emits its pairs in order and sorts nothing),
-# fiber_partner_rows' row sums are at most a plane fiber's, the sum of all
-# p^2 + p + 1 row indices, < (p^2 + p + 1)^2 < 2^45, so exact in the float64
-# that np.bincount accumulates weights in (< 2^53),
+# the (base row) * (p + 2) + (line code) keys that PhaseSpace groups a side's
+# records by are < (p^2 + p + 1)(p + 2) < 2^35,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 _ENUM_P_CAP = 2048
 
@@ -255,28 +254,6 @@ def binary_other_root(A, B, C, alpha, beta, p: int):
     return gamma, delta
 
 
-def fiber_partner_rows(pair_base: np.ndarray, pair_moving: np.ndarray,
-                       base: np.ndarray, moving: np.ndarray, n: int) -> np.ndarray:
-    """Plane-table row of the partner of each point in its fiber of 1 or 2 points.
-
-    pair_base / pair_moving hold the fiber index (< n) and the moving row of
-    every point of every fiber; base / moving are those of the points to
-    swap.  Let S[r] be the sum of pair_moving over fiber r, doubled where it
-    has one point: S[base] - moving is then the other point, or the point
-    itself.  The census's fibers are the rational points over each base row
-    that is not degenerate, where by Vieta the second root of the fiber's
-    binary quadratic is rational whenever one is, and the boundary points on
-    each line of a blow-up chart.  A swapped point whose fiber does not have
-    1 or 2 points raises DegenerateFiber.
-    """
-    size = np.bincount(pair_base, minlength=n)
-    if not np.all((size[base] == 1) | (size[base] == 2)):
-        raise DegenerateFiber("a swapped point's fiber has neither 1 nor 2 points")
-    total = np.bincount(pair_base, weights=pair_moving, minlength=n)
-    total[size == 1] *= 2
-    return total[base].astype(np.int64) - moving
-
-
 class SurfaceEngine:
     """Bulk operations for one Wehler surface over F_p."""
 
@@ -350,9 +327,8 @@ class SurfaceEngine:
         return degenerate
 
     def analyze(self, side: str):
-        """`fiber_pairs` with coordinates: (pairs, degenerate), pairs (N, 6) [x | y]."""
-        rows, degenerate = self.fiber_pairs(side)
-        return self.table.coords(*rows), degenerate
+        """`fiber_pairs` as (N, 6) coordinates [x | y], and `degenerate_bases`."""
+        return self.table.coords(*self.fiber_pairs(side)), self.degenerate_bases(side)
 
     def fiber_pairs(self, side: str):
         """Solve every fiber of the chosen projection in plane-table rows.
@@ -364,17 +340,13 @@ class SurfaceEngine:
         counts, so side x's pairs come out in order and no sort runs.  Side
         y sorts its pairs by one int64 key.
 
-        Returns (rows, degenerate) where rows is (x rows, y rows), the
-        plane-table row indices of the two coordinates of each rational
-        point, lex sorted (table rows are in lex order), and degenerate lists
-        (base_row, kind) for positive-dimensional fibers with kind in
-        {"line", "conic", "plane"}: the whole-line bases, then the bases
-        where L vanishes identically.  `degenerate_bases` gives the
-        same list without the roots.
+        Returns (x rows, y rows): the plane-table row indices of the two
+        coordinates of each rational point, lex sorted (table rows are in
+        lex order).
         """
         tbl = self.table
         n = len(tbl.pts)
-        lo, hi, size, fibers, degenerate = self._fiber_roots(side)
+        lo, hi, size, fibers = self._fiber_roots(side)
         one = np.flatnonzero(size >= 1)
         two = np.flatnonzero(size == 2)
         end = np.cumsum(size)
@@ -392,7 +364,7 @@ class SurfaceEngine:
             # Table rows are in lex order, so this one key sorts the pairs lex.
             order = np.argsort(fib_rows * n + base_rows)
             x_rows, y_rows = fib_rows[order], base_rows[order]
-        return (x_rows, y_rows), degenerate
+        return x_rows, y_rows
 
     def _fiber_roots(self, side: str):
         """The rational points of every fiber as plane-table rows, per base.
@@ -409,13 +381,10 @@ class SurfaceEngine:
         are O(block) and only lo, hi and size span all bases.  A base's
         result does not depend on its block.
 
-        Returns (lo, hi, size, fibers, degenerate): size[base] is the number
-        of points over each base; a finite fiber's (0, 1 or 2) are at rows
+        Returns (lo, hi, size, fibers): size[base] is the number of points
+        over each base; a finite fiber's (0, 1 or 2) are at rows
         lo[base] < hi[base], lo alone for one point; fibers maps every
-        degenerate base to its points' rows in increasing order, and
-        degenerate is the list `fiber_pairs` returns: the whole-line bases
-        of every block, then the bases where L vanishes identically, each
-        group in table order.
+        degenerate base to its points' rows in increasing order.
         """
         p = self.p
         tbl = self.table
@@ -486,7 +455,6 @@ class SurfaceEngine:
             for b in np.flatnonzero(whole):
                 fibers[start + b] = np.concatenate([[v_row[b]], rows_at(ts, b)])
             special += [(start + b, q) for b, q in zip(flat[no_line], fq[:, no_line].T)]
-        degenerate = [(tbl.pts[b], "line") for b in fibers]
 
         # A special base's fiber is every plane point where Q vanishes, all of
         # them when Q does too; Q is evaluated a block of rows at a time.
@@ -495,11 +463,10 @@ class SurfaceEngine:
             for start, _, mon in tbl.blocks():
                 for found, (_, q) in zip(zeros, special):
                     found.append(start + np.flatnonzero(mon @ q % p == 0))
-            for found, (b, q) in zip(zeros, special):
+            for found, (b, _) in zip(zeros, special):
                 fibers[b] = np.concatenate(found)
-                degenerate.append((tbl.pts[b], "conic" if q.any() else "plane"))
         size[list(fibers)] = [len(rows) for rows in fibers.values()]
-        return lo, hi, size, fibers, degenerate
+        return lo, hi, size, fibers
 
     # -- rational-point Jacobian rank scan -----------------------------------
 
@@ -545,8 +512,9 @@ class SurfaceEngine:
         side 'x': bases in P^2_x, moving points are the y coordinates.
         side 'y': bases in P^2_y, moving points are the x coordinates.
         Bases must be non-degenerate; double roots return the input point.
-        The census takes its partners from `fiber_partner_rows`; this G/H
-        Vieta kernel is the bulk reference that tests compare it with.
+        The census swaps records within their fiber groups
+        (`PhaseSpace.perm`); this G/H Vieta kernel is the bulk reference that
+        tests compare it with.
         """
         p = self.p
         tbl = self.table

@@ -14,7 +14,7 @@ from dataclasses import dataclass, field as dc_field
 
 import numpy as np
 
-from ._engine import SIDES, fiber_partner_rows, phase_key, side_index
+from ._engine import SIDES, phase_key, side_index
 from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
 from .errors import NonBijective, NotOnSurface, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
@@ -153,7 +153,11 @@ class PhaseSpace:
 
     A record is stored as the plane-table rows of a and b (`_ia`, `_ib`) and
     one line-parameter code per side (`_codes`): t for s = (1 : t), p for
-    s = (0 : 1) and p + 1 where the side carries no parameter.
+    s = (0 : 1) and p + 1 where the side carries no parameter.  Records are
+    sorted by their x key (`phase_key` of the rows and the sx code, `_key`),
+    then by the sy code.  Each involution is a product of disjoint
+    transpositions, one per two-point fiber, and `perm` swaps the records
+    of each fiber.
     """
 
     def __init__(self, s: WehlerSurface):
@@ -162,7 +166,7 @@ class PhaseSpace:
         self.exceptions: list[str] = []
         self._tbl = s.engine().table
         self._build_points()
-        self._perms: dict[str, np.ndarray] = {}
+        self._perms: dict[str, np.ndarray | str] = {}  # a perm or why it failed
 
     # -- construction ------------------------------------------------------
 
@@ -226,16 +230,11 @@ class PhaseSpace:
                           for k in range(4))
         # Plane-table rows are in lex order, so (row of a, row of b, sx code)
         # orders like (a, b, sx) and one key replaces seven sort columns.
-        order = np.lexsort((cy, phase_key(ia, ib, cx, p)))
+        key = phase_key(ia, ib, cx, p)
+        order = np.lexsort((cy, key))
+        self._key = key[order]
         self._ia, self._ib = ia[order], ib[order]
         self._codes = {"x": cx[order], "y": cy[order]}
-        # The x key follows the record order by construction; the y key does
-        # only because no (a, b) carries both several sx and several sy.
-        self._keys = {side: phase_key(self._ia, self._ib, self._codes[side], p)
-                      for side in ("x", "y")}
-        for side, keys in self._keys.items():
-            if np.any(keys[1:] < keys[:-1]):
-                raise NonBijective(f"phase records are not sorted by their {side} key")
 
     def _scode(self, s_raw: tuple) -> int:
         s0, s1 = int(s_raw[0]), int(s_raw[1])
@@ -277,42 +276,15 @@ class PhaseSpace:
             columns.append([decoded[c] for c in codes])
         return [PhasePoint(*fields) for fields in zip(*columns)]
 
-    def _key(self, a: np.ndarray, b: np.ndarray, code) -> np.ndarray:
-        return phase_key(self._tbl.index_of(a), self._tbl.index_of(b), code, self.p)
-
-    def _find(self, side: str, keys: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
-        """First record whose `side` key equals each key, and how many do.
-
-        One left search: a key occurs exactly once iff it sits at `first` and
-        not at `first + 1`.  Only the keys that occur more often are counted
-        by a second search.  The left search runs on the keys in sorted order
-        and is scattered back, so its reads of the stored keys move forwards
-        instead of jumping across them.  Keys that already come in order at
-        every 64th one, as side x's do (an image stays over its own base),
-        are searched as given: sorting them would cost as much as the search.
-        """
-        sorted_keys = self._keys[side]
-        n = len(sorted_keys)
-        every = keys[::64]
-        order = np.argsort(keys) if np.any(every[1:] < every[:-1]) else slice(None)
-        first = np.empty(len(keys), dtype=np.intp)
-        first[order] = np.searchsorted(sorted_keys, keys[order])
-        count = np.zeros(len(keys), dtype=np.int64)
-        hit = np.flatnonzero(first < n)
-        hit = hit[sorted_keys[first[hit]] == keys[hit]]
-        count[hit] = 1
-        more = hit[first[hit] + 1 < n]
-        more = more[sorted_keys[first[more] + 1] == keys[more]]
-        count[more] = np.searchsorted(sorted_keys, keys[more], side="right") - first[more]
-        return first, count
-
     def index_of(self, P: PhasePoint) -> int:
+        """The record of P: a left and right search of its x key, then its sy code."""
         none_code = self.p + 1
         sx, sy = (none_code if t is None else self._scode(t.raw) for t in (P.sx, P.sy))
-        first, count = self._find("x", self._key(np.array([P.a.raw]), np.array([P.b.raw]), sx))
+        rows = (self._tbl.index_of(np.array(Q.raw)) for Q in (P.a, P.b))
+        key = phase_key(*rows, sx, self.p)
+        lo, hi = (np.searchsorted(self._key, key, side=end) for end in ("left", "right"))
         # Records sharing an x key differ only in sy.
-        group = self._codes["y"][first[0]:first[0] + count[0]]
-        hit = first[0] + np.flatnonzero(group == sy)
+        hit = lo + np.flatnonzero(self._codes["y"][lo:hi] == sy)
         if len(hit) != 1:
             raise KeyError(f"{P} is not in the phase space")
         return int(hit[0])
@@ -320,61 +292,75 @@ class PhaseSpace:
     # -- the involution permutations --------------------------------------------
 
     def perm(self, side: str) -> np.ndarray:
+        """sigma_side as a permutation of the records, built once per side.
+
+        Where sigma_side is not an involution of the records, this call and
+        every later one raise the same NonBijective.
+        """
         if side not in self._perms:
-            self._perms[side] = self._build_perm(side)
-            self._check_involution(side)
-        return self._perms[side]
+            perm = self._build_perm(side)
+            self._perms[side] = self._check_involution(side, perm) or perm
+        perm = self._perms[side]
+        if isinstance(perm, str):
+            raise NonBijective(perm)
+        return perm
 
     def _build_perm(self, side: str) -> np.ndarray:
-        """Swap the moving coordinate of every record, then look all images up.
+        """Swap the records within each fiber of sigma_side.
 
-        The swap side's own parameter is kept, so the image is the unique
-        record with the moved (a, b) and the same code on that side.  Every
-        record moves to the other point of its fiber of one or two points, or
-        stays at a single one, by row sums (`fiber_partner_rows`).  A plain
-        record (no parameter on the swap side) sits over a base that is not
-        degenerate, whose fiber is its rational points in `pair_rows`.  A chart
-        record's fiber is the boundary points on its line of its center's
-        blow-up chart, so it moves as `sigma_extended` moves it.
+        sigma_side keeps a record's base (its row on that side) and its own
+        line code, and moves it within the fiber they name, which has one or
+        two points.  A plain record (no code on the side) sits over a base
+        that is not degenerate, whose fiber is its rational points in
+        `pair_rows`.  A chart record's fiber is the boundary points on its
+        line of its center's blow-up chart, as `sigma_extended` moves it.
+        One argsort groups the records by (base, code).  A group that holds
+        exactly its fiber's points, at distinct moving rows, swaps its two
+        records or fixes its one.  Any other group is noted in `exceptions`,
+        in the order of its smallest record, and its records get -1.
         """
         p = self.p
         k = side_index(side)
-        code = self._codes[side]
-        plain = code == p + 1
-        chart = ~plain
-        rows, pairs = [self._ia, self._ib], pair_rows(self.surface)
-        base, own, pair_base, pair_moving = rows[k], rows[1 - k], pairs[k], pairs[1 - k]
-        centers, line, line_moving = self._lines[side]
-        moved = np.empty_like(own)
-        moved[plain] = fiber_partner_rows(pair_base, pair_moving, base[plain], own[plain],
-                                          len(self._tbl.pts))
-        on_line = np.searchsorted(centers, base[chart]) * (p + 1) + code[chart]
-        moved[chart] = fiber_partner_rows(line, line_moving, on_line, own[chart],
-                                          len(centers) * (p + 1))
-        rows[1 - k] = moved
-        ia, ib = rows
-        first, count = self._find(side, phase_key(ia, ib, code, p))
-        # Notes list the plain rows first, then the chart rows.
-        bad = count != 1
-        pts = self._tbl.pts
-        for i in np.concatenate([np.flatnonzero(plain & bad), np.flatnonzero(chart & bad)]):
-            at = f"({tuple(pts[ia[i]].tolist())}, {tuple(pts[ib[i]].tolist())})"
-            if count[i] == 0:
-                self.exceptions.append(f"sigma_{side} image of record {i} has no phase point {at}")
-            else:
-                self.exceptions.append(
-                    f"sigma_{side} image of record {i} is ambiguous: "
-                    f"{count[i]} candidates at {at}")
-        return np.where(count == 1, first, -1)
+        rows = (self._ia, self._ib)
+        base, moving, code = rows[k], rows[1 - k], self._codes[side]
+        key = base * (p + 2) + code
+        order = np.argsort(key)
+        start = np.flatnonzero(np.diff(key[order], prepend=-1))
+        size = np.diff(np.append(start, len(order)))
+        first = order[start]
+        gbase, gcode = base[first], code[first]
 
-    def _check_involution(self, side: str):
-        perm = self._perms[side]
+        # Each group's fiber size: the rational points over a plain base, the
+        # boundary points on a chart line.
+        chart = gcode != p + 1
+        points = np.bincount(pair_rows(self.surface)[k], minlength=len(self._tbl.pts))[gbase]
+        centers, line, _ = self._lines[side]
+        on_line = np.searchsorted(centers, gbase[chart]) * (p + 1) + gcode[chart]
+        points[chart] = np.bincount(line, minlength=len(centers) * (p + 1))[on_line]
+
+        last = order[start + size - 1]
+        valid = (size == points) & (size <= 2) & ((size == 1) | (moving[first] != moving[last]))
+        perm = np.full(len(order), -1, dtype=np.intp)
+        perm[first[valid]], perm[last[valid]] = last[valid], first[valid]
+
+        pts = self._tbl.pts
+        bad = [(order[start[g]:start[g] + size[g]], g) for g in np.flatnonzero(~valid).tolist()]
+        for held, g in sorted(bad, key=lambda item: item[0].min()):
+            at = tuple(pts[gbase[g]].tolist())
+            on = f" on line s = {self._sdecode(int(gcode[g]))}" if chart[g] else ""
+            self.exceptions.append(
+                f"sigma_{side} fiber over {at}{on}: points={points[g]}, records={size[g]}, "
+                f"distinct rows={len(np.unique(moving[held]))}, smallest record={held.min()}")
+        return perm
+
+    def _check_involution(self, side: str, perm: np.ndarray) -> str | None:
+        """Why `perm` is not an involution of the records, or None if it is one."""
         if np.any(perm < 0):
-            raise NonBijective(
-                f"sigma_{side} is not total on the phase space; "
-                f"first notes: {self.exceptions[:3]}")
+            return (f"sigma_{side} is not total on the phase space; "
+                    f"first notes: {self.exceptions[:3]}")
         if not np.array_equal(perm[perm], np.arange(len(perm))):
-            raise NonBijective(f"sigma_{side} is not an involution")
+            return f"sigma_{side} is not an involution"
+        return None
 
     def perm_phi(self) -> np.ndarray:
         return self.perm("y")[self.perm("x")]

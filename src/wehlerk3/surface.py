@@ -504,7 +504,7 @@ def pair_rows(s: WehlerSurface) -> tuple[np.ndarray, np.ndarray]:
     They come from the x-side root pass, which runs once per surface; only
     these rows are cached, not the points' coordinates.
     """
-    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x")[0])
+    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x"))
 
 
 def surface_pairs(s: WehlerSurface) -> np.ndarray:

@@ -1,4 +1,3 @@
-import bisect
 import hashlib
 import random
 from collections import Counter
@@ -8,7 +7,7 @@ import pytest
 from test_engine import _sparse_surface
 
 from wehlerk3 import dynamics
-from wehlerk3._engine import SurfaceEngine, fiber_partner_rows
+from wehlerk3._engine import SurfaceEngine
 from wehlerk3.dynamics import (
     PhasePoint,
     _cycles,
@@ -22,7 +21,7 @@ from wehlerk3.dynamics import (
     phi_step,
     psi_step,
 )
-from wehlerk3.errors import DegenerateFiber, NonBijective, PairingFailure
+from wehlerk3.errors import NonBijective, PairingFailure
 from wehlerk3.fixtures import w1_orbit_points, w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import _cor1_partner
@@ -146,29 +145,29 @@ _PARTNER_SURFACES = {
 
 @pytest.mark.parametrize("name", list(_PARTNER_SURFACES))
 def test_row_sum_partners_match_the_vieta_swap(name):
-    # Every plain record of both sides: the fiber-row-sum partner equals the
-    # bulk G/H Vieta kernel's partner, and a sample equals the scalar swap's.
+    # Every plain record of both sides: perm(side) keeps its base and its code
+    # on that side and moves it to the bulk G/H Vieta kernel's partner, and in
+    # a sample to the scalar swap's partner.
     s = _PARTNER_SURFACES[name]()
     space = build_phase_space(s)
     eng = s.engine()
-    tbl = eng.table
     rec = space.records
     cols = {"x": slice(0, 3), "y": slice(3, 6)}
-    rows = {side: tbl.index_of(rec[:, c]) for side, c in cols.items()}
-    pair = dict(zip("xy", pair_rows(s)))
     rng = random.Random(0)
     for side, other, code_col in (("x", "y", 6), ("y", "x", 7)):
         plain = np.flatnonzero(rec[:, code_col] == s.domain.p + 1)
-        got = fiber_partner_rows(pair[side], pair[other], rows[side][plain],
-                                 rows[other][plain], len(tbl.pts))
-        want = tbl.index_of(eng.cor1_swap(side, rec[plain, cols[side]], rec[plain, cols[other]]))
+        image = rec[space.perm(side)[plain]]
+        assert np.array_equal(image[:, cols[side]], rec[plain, cols[side]])
+        assert np.all(image[:, code_col] == s.domain.p + 1)
+        got = image[:, cols[other]]
+        want = eng.cor1_swap(side, rec[plain, cols[side]], rec[plain, cols[other]])
         assert len(plain) > 0 and np.array_equal(got, want)
-        assert np.any(got != rows[other][plain])
+        assert np.any(got != rec[plain, cols[other]])
         for k in rng.sample(range(len(plain)), 25):
             base, moving = (point2(s.domain, *rec[plain[k], cols[t]].tolist())
                             for t in (side, other))
             partner = point2(s.domain, *_cor1_partner(s, side, base.coords, moving.coords))
-            assert tbl.index_of(np.array(partner.raw)) == got[k]
+            assert partner.raw == tuple(got[k].tolist())
 
 
 def _arrays(obj):
@@ -183,8 +182,8 @@ def _arrays(obj):
 
 
 def test_census_stores_rows_and_moves_chart_records_without_the_scalar_route(monkeypatch):
-    # The bulk permutations move chart records by their line's row sum, with
-    # no BoundaryPoint or sigma_extended; the surface cache and the phase
+    # The bulk permutations swap chart records within their line's group,
+    # with no BoundaryPoint or sigma_extended; the surface cache and the phase
     # space hold one-dimensional row, code and key arrays, no coordinates.
     def scalar_route(*args, **kwargs):
         raise AssertionError("a bulk permutation took the scalar chart route")
@@ -197,26 +196,6 @@ def test_census_stores_rows_and_moves_chart_records_without_the_scalar_route(mon
     assert np.any(space._codes["x"] != space.p + 1) and np.any(space._codes["y"] != space.p + 1)
     held = _arrays(pair_rows(s)) + _arrays(vars(space))
     assert len(held) >= 12 and all(a.ndim == 1 for a in held)
-
-
-def test_row_sum_partner_rejects_fibers_without_one_or_two_points():
-    # A center's fiber (a conic here) and an empty fiber both raise.
-    s = random_surface(29, 5, mode="degenerate")
-    tbl = s.engine().table
-    pa, pb = pair_rows(s)
-    n = len(tbl.pts)
-    size = np.bincount(pa, minlength=n)
-    (center,) = degenerate_fibers(s, "x")
-    center_row = int(tbl.index_of(np.array(center.base.raw)))
-    empty_row = int(np.flatnonzero(size == 0)[0])
-    assert size[center_row] > 2
-    for row in (center_row, empty_row):
-        with pytest.raises(DegenerateFiber):
-            fiber_partner_rows(pa, pb, np.array([row]), np.array([0]), n)
-    # Together with good rows too.
-    good = np.flatnonzero(size == 2)[:3]
-    with pytest.raises(DegenerateFiber):
-        fiber_partner_rows(pa, pb, np.append(good, center_row), np.zeros(4, dtype=np.int64), n)
 
 
 def test_index_of_rejects_points_outside_the_phase_space(w1_29, F29):
@@ -390,48 +369,6 @@ def test_records_and_pairs_are_in_lex_order(name):
         assert np.array_equal(np.lexsort(arr.T[::-1]), np.arange(len(arr)))
 
 
-def test_find_counts_present_shared_and_absent_keys():
-    # On sparse_13_1 some records share a key; the one-search count must
-    # equal a left-and-right search for every key, its neighbours and keys
-    # outside the range.
-    space = build_phase_space(_sparse_surface(13, 1))
-    for side in ("x", "y"):
-        keys = space._keys[side]
-        queries = np.concatenate([keys, keys - 1, keys + 1, [-5, keys[-1] + 7]])
-        first, count = space._find(side, queries)
-        assert np.array_equal(first, np.searchsorted(keys, queries))
-        assert np.array_equal(count, np.searchsorted(keys, queries, side="right") - first)
-        assert count.max() >= 2 and count.min() == 0
-
-
-def test_find_agrees_with_a_dict_on_unsorted_queries(w1_29):
-    # _find searches unordered queries in sorted order and scatters the
-    # answers back, and ordered ones as given: shuffled queries, each asked
-    # twice, with absent keys between the stored ones and beyond both ends,
-    # and the same queries sorted, must get the first index and count of a
-    # dict built from the stored keys (bisect for absent ones).
-    rng = np.random.default_rng(0)
-    for s in (_sparse_surface(13, 1), w1_29):
-        space = build_phase_space(s)
-        for side in ("x", "y"):
-            stored = space._keys[side].tolist()
-            where: dict[int, list[int]] = {}
-            for i, key in enumerate(stored):
-                where.setdefault(key, []).append(i)
-            keys = np.array(stored)
-            queries = np.concatenate([keys, keys, keys - 1, keys + 1,
-                                      [keys[0] - 1, -5, keys[-1] + 1, keys[-1] + 7]])
-            for queries in (queries[rng.permutation(len(queries))], np.sort(queries)):
-                first, count = space._find(side, queries)
-                for key, f, c in zip(queries.tolist(), first.tolist(), count.tolist()):
-                    if key in where:
-                        assert (f, c) == (where[key][0], len(where[key]))
-                    else:
-                        assert (f, c) == (bisect.bisect_left(stored, key), 0)
-                assert count.max() >= 2 or s is w1_29
-                assert np.any(count == 0) and np.any(count == 1)
-
-
 def test_reversibility_census_phi_equals_psi(w1_29):
     census = cycle_decomposition(w1_29)
     space = census.space
@@ -516,14 +453,57 @@ def test_known_small_prime_charts_are_not_bijective(p, seed):
     cycle_decomposition(random_surface(p, seed, mode="degenerate"))
 
 
-def test_failure_notes_name_the_missing_image():
+def test_failure_notes_name_the_missing_image(monkeypatch):
     space = build_phase_space(random_surface(5, 75, mode="degenerate"))
     space.perm("x")
     assert not space.exceptions
     with pytest.raises(NonBijective):
         space.perm("y")
     assert space.exceptions[0] == (
-        "sigma_y image of record 2 has no phase point ((1, 0, 4), (1, 0, 4))")
+        "sigma_y fiber over (1, 0, 4): points=2, records=1, distinct rows=1, smallest record=2")
+
+    # The notes and permutations do not depend on the order of tied keys:
+    # sparse_13_1 has fibers holding two records, valid and not.
+    def outcomes(argsort):
+        monkeypatch.setattr(np, "argsort", argsort)
+        space = dynamics.PhaseSpace(_sparse_surface(13, 1))
+        return [_perm_outcome(space, side) for side in ("x", "y")], space.exceptions
+
+    argsort = np.argsort
+    forward = outcomes(lambda a: argsort(a, kind="stable"))
+    backward = outcomes(lambda a: len(a) - 1 - argsort(a[::-1], kind="stable"))
+    assert forward == backward
+    assert any("records=2, distinct rows=1" in note for note in forward[1])
+    monkeypatch.undo()
+
+    # Two records at one point of a two-point fiber are not swapped.
+    space = dynamics.PhaseSpace(w1_surface(29))
+    i, j = next((i, int(j)) for i, j in enumerate(space.perm("x")) if j != i)
+    space = dynamics.PhaseSpace(w1_surface(29))
+    space._ib[j] = space._ib[i]
+    with pytest.raises(NonBijective):
+        space.perm("x")
+    at = tuple(int(v) for v in space.records[i, :3])
+    assert space.exceptions == [f"sigma_x fiber over {at}: points=2, records=2, "
+                                f"distinct rows=1, smallest record={min(i, j)}"]
+
+
+def test_a_failed_permutation_raises_on_every_call():
+    # The failed side-y permutation is not cached with its -1 entries: every
+    # later call raises the same NonBijective and adds no note.
+    s = random_surface(5, 75, mode="degenerate")
+    errors = []
+    for _ in range(2):
+        with pytest.raises(NonBijective) as exc:
+            cycle_decomposition(s)
+        errors.append(str(exc.value))
+    space = build_phase_space(s)
+    notes = list(space.exceptions)
+    with pytest.raises(NonBijective) as exc:
+        space.perm("y")
+    errors.append(str(exc.value))
+    assert errors == [errors[0]] * 3 and errors[0].startswith("sigma_y is not total")
+    assert space.exceptions == notes and len(set(notes)) == len(notes) > 0
 
 
 # Per surface: the phase space size and the sha256 of its records, both
@@ -546,19 +526,19 @@ PHASE_SPACE_PINS = [
     ("degenerate_29_2", 991, "3d062b6c03093320d8de29eaf15d7f0e4d990dcb7a7bb090c46b0732887b8bd4"),
     ("degenerate_29_5", 923, "2d52511ce7619ee32ad128c05a6cee2b244566adaa6c8ea97388c8e21806316c"),
     ("degenerate_29_9", 956, "f2aa9e22a3b4aa38d82ab48663846ea25952942b5d0a7dc331424df9543ff662"),
-    ("sparse_13_1", 219, "fda578039ce08ab954ef404b181364d53cabcb3d4f8892b2d0f566158f91a145"),
+    ("sparse_13_1", 219, "94d56f60e55e563d3c7e05f43b79ca9f9368ea0d3445252027f6fbb50694f529"),
     ("random_101_1", 10452, "f72debccf512df481415db4e0755dc76b85cbb4fff7c25c0d4110b31af3ac46f"),
-    ("degenerate_5_75", 30, "5b8d4ae9010cec3941051ca00769fb79658d0753357997a30761e7c984970d0d"),
-    ("degenerate_5_93", 40, "f866393ef40ad842781c0468193ef9d08e878ce905291dfd2b583b010aa1e394"),
-    ("degenerate_7_35", 54, "c1945bbfc6fef603ca429ad110abd8d1f9419043b23069746a692b975f1898c1"),
-    ("degenerate_7_40", 66, "78b5e8166f0e567d136745fba4f0335b40ed612b862b70c9f627421b01e3dbb7"),
-    ("degenerate_7_133", 64, "8365f80c976117173c8b45dbb4f57a18bee7290c50e1b4f714ed99b93209886c"),
-    ("degenerate_11_133", 154, "1b50970eb11d79fffa2746e47d11660378d788a9fd26b17021f092a2a31b8a0a"),
+    ("degenerate_5_75", 30, "ce3deeaf4d503e751912f117b44a3f9f29abd53b4ccae5147459fa8fd64a084a"),
+    ("degenerate_5_93", 40, "a291c6def4a798bcf599ce815ee4609fddd6acf033e1e9525bb984e524f97314"),
+    ("degenerate_7_35", 54, "93f2de17bd6eb9395ab68ebd6edf21c68faf7d1f26a1cf7690dfd95cdceda73f"),
+    ("degenerate_7_40", 66, "e1701747cd0ff9051af52b5e141ef4cd86ca1dba16e6f208e517b02257206e41"),
+    ("degenerate_7_133", 64, "c8a2527ef6b0cc007b53e9ccc123c210d4b66347b08ef786f7a663d627af5cc8"),
+    ("degenerate_11_133", 154, "22b3d108b1a27d5dde7e9b475f39600708ec0630b244f3b226f63d925e107b13"),
     ("sparse_5_0", 0, "ef3c91fa9407820cdd1b77e40d9ff193ee83509ba2dd831b1e90fa3c5f8e20b4"),
-    ("sparse_5_1", 36, "590106e68e5641206ee7d12d75974d26cee726dea8c4585e29d2060c42ef4661"),
+    ("sparse_5_1", 36, "9c501fb0a5aebf912ef4823c590ac0d73a6726c5421b3dade18cf32d9960abea"),
     ("sparse_5_2", 0, "98c5ce65c3d37545dab8dcfc01790554ca763ab8489500ed7075573158e2e9dc"),
-    ("sparse_5_3", 1, "3251fd5870d7d805a8d037fc8d3b12a2358152f30f39a85364664ba4f9bf66b3"),
-    ("sparse_5_4", 33, "9f250e5c3add5aaf8de46e523fb126da70a9f87a0da878f40b7f41aff07a4be7"),
+    ("sparse_5_3", 1, "f42f291372a377032e52e7bf2cdcdac53a2ed054d265110cce48b26def073a86"),
+    ("sparse_5_4", 33, "7f804207093b893f069c8b03371dbb5fdaff809fa2c615ea2e75a1a71c468d3c"),
 ]
 
 

@@ -10,13 +10,12 @@ from wehlerk3._engine import (
     _ENUM_P_CAP,
     PAIRS,
     PlaneTable,
-    fiber_partner_rows,
     gh_eval,
     gh_formula,
     pair_getter,
     phase_key,
 )
-from wehlerk3.errors import DegenerateFiber, ZeroForm
+from wehlerk3.errors import ZeroForm
 from wehlerk3.field import PrimeField
 from wehlerk3.surface import (
     VARS6,
@@ -102,6 +101,10 @@ def test_phase_key_int64_headroom():
     keys = phase_key(ia, ib, np.full(len(rows), p + 1, dtype=np.int64), p)
     assert keys.tolist() == [(a * n + b) * (p + 2) + p + 1 for a, b in rows]
     assert keys[-1] == (n * n - 1) * (p + 2) + p + 1 == keys.max()
+    # PhaseSpace.perm groups a side's records by (base row) * (p + 2) + (code).
+    assert (cap * cap + cap + 1) * (cap + 2) < 2 ** 35
+    group = ia * (p + 2) + np.full(len(rows), p + 1, dtype=np.int64)
+    assert group.max() == (n - 1) * (p + 2) + p + 1
 
 
 def test_analyze_sort_key_int64_headroom():
@@ -120,25 +123,6 @@ def test_analyze_sort_key_int64_headroom():
     assert [row[pt] for pt in last] == [n - 2, n - 1]
     assert keys.tolist() == [row[a] * n + row[b] for a, b in rows]
     assert keys[-1] == n * n - 1
-
-
-def test_fiber_row_sums_headroom():
-    # fiber_partner_rows sums row indices per base with np.bincount, in float64;
-    # the largest sum, a plane fiber over all p^2 + p + 1 rows, must be exact
-    # near the cap, and the partners of the last rows must match Python ints.
-    p = 2039
-    assert p <= _ENUM_P_CAP and (_ENUM_P_CAP ** 2 + _ENUM_P_CAP + 1) ** 2 < 2 ** 45 < 2 ** 53
-    n = p * p + p + 1
-    # Row 0: a plane fiber; row n - 1: two points, the last two rows; row n - 2:
-    # the double root n - 1.
-    pair_base = np.concatenate([np.zeros(n, dtype=np.int64), [n - 1, n - 1, n - 2]])
-    pair_moving = np.concatenate([np.arange(n), [n - 2, n - 1, n - 1]])
-    assert np.bincount(pair_base, weights=pair_moving)[0] == n * (n - 1) // 2
-    got = fiber_partner_rows(pair_base, pair_moving, np.array([n - 1, n - 1, n - 2]),
-                             np.array([n - 2, n - 1, n - 1]), n)
-    assert got.dtype == np.int64 and got.tolist() == [n - 1, n - 2, n - 1]
-    with pytest.raises(DegenerateFiber):
-        fiber_partner_rows(pair_base, pair_moving, np.array([0]), np.array([5]), n)
 
 
 def _jacobian_rank_below_2(s, rows):
@@ -208,7 +192,7 @@ def test_root_pass_memory_is_bounded_by_its_block():
     # it returns and places, under 10 MiB.  The all-bases pass, with some twenty
     # int64 arrays over n alive at once, peaked at 18.9 MiB on this surface.
     eng = random_surface(307, 0).engine()
-    (rows, _), peak = _traced_peak(lambda: eng.fiber_pairs("x"))
+    rows, peak = _traced_peak(lambda: eng.fiber_pairs("x"))
     assert len(rows[0]) == 95487 and peak < 10 * 2 ** 20
 
 
@@ -253,9 +237,10 @@ SMALL_P_SURFACES = (
 
 
 def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
-    # The G/H common-zero kernel, the root pass and the scalar restriction at
-    # every base agree on the degenerate list, row for row and kind for kind:
-    # the "line" bases in table order, then the "conic" and "plane" ones.
+    # The G/H common-zero kernel, the scalar restriction at every base and the
+    # reference root solver agree on the degenerate list, row for row and kind
+    # for kind: the "line" bases in table order, then the "conic" and "plane"
+    # ones.
     surfaces = [parse_surface(text) for text in SMALL_P_SURFACES]
     surfaces += [_sparse_surface(p, seed) for p in (5, 7, 11, 13, 17, 23) for seed in (0, 1)]
     surfaces.append(w1_29)
@@ -266,11 +251,11 @@ def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
         eng = s.engine()
         for side in ("x", "y"):
             fast = [(base.tolist(), kind) for base, kind in eng.degenerate_bases(side)]
-            full = [(base.tolist(), kind) for base, kind in eng.analyze(side)[1]]
             scalar = [(base, _fiber_restriction(s, side, base)[0]) for base in eng.table.pts.tolist()]
             scalar = ([r for r in scalar if r[1] == "line"]
                       + [r for r in scalar if r[1] in ("conic", "plane")])
-            assert fast == full == scalar
+            ref = [(base.tolist(), kind) for base, kind in _reference_fiber_pairs(eng, side)[2]]
+            assert fast == scalar == ref
             kinds.update(kind for _, kind in fast)
     assert kinds == {"line", "conic", "plane"}
     assert [PlaneTable(p).lagrange.tolist() for p in (3, 5)] == [
@@ -391,7 +376,7 @@ def test_root_pass_matches_the_reference_solver(p):
     for s in _root_pass_surfaces(p):
         eng = s.engine()
         for side in ("x", "y"):
-            rows, degenerate = eng.fiber_pairs(side)
+            rows, degenerate = eng.fiber_pairs(side), eng.degenerate_bases(side)
             ref_pairs, ref_rows, ref_degenerate = _reference_fiber_pairs(eng, side)
             pairs = eng.table.coords(*rows)
             assert pairs.dtype == ref_pairs.dtype and np.array_equal(pairs, ref_pairs)
@@ -413,18 +398,16 @@ def test_root_pass_matches_the_reference_solver(p):
 def test_root_pass_is_the_same_in_any_block_size(p, monkeypatch):
     # At these primes the default block holds every base.  Smaller blocks put
     # whole-line, conic and plane bases, and bases of every chart, in
-    # different blocks; both row arrays with their dtypes and the degenerate
-    # list with its order must not change.  (One-row blocks at p = 29 would
-    # add some 10 s.)
+    # different blocks; both row arrays with their dtypes must not change.
+    # (One-row blocks at p = 29 would add some 10 s.)
     def result(eng, side):
-        (x_rows, y_rows), degenerate = eng.fiber_pairs(side)
-        return ([(rows.dtype, rows.tolist()) for rows in (x_rows, y_rows)],
-                [(base.tolist(), kind) for base, kind in degenerate])
+        return [(rows.dtype, rows.tolist()) for rows in eng.fiber_pairs(side)]
 
     engines = [s.engine() for s in _root_pass_surfaces(p)]
     assert len(PlaneTable(p).pts) <= _engine._ROOT_BLOCK
+    kinds = {kind for eng in engines for side in ("x", "y") for _, kind in eng.degenerate_bases(side)}
+    assert kinds == {"line", "conic", "plane"}
     want = [result(eng, side) for eng in engines for side in ("x", "y")]
-    assert {kind for _, degenerate in want for _, kind in degenerate} == {"line", "conic", "plane"}
     for block in (1, 7, 97) if p == 13 else (7, 97):
         monkeypatch.setattr(_engine, "_ROOT_BLOCK", block)
         assert [result(eng, side) for eng in engines for side in ("x", "y")] == want
