@@ -10,6 +10,14 @@ the exceptional fiber eps = 0 cuts each line's two intersection points with
 the degenerate fiber; L is divided by its own power of eps.  The involution
 then swaps the two roots line by line.
 
+Charts exist only over F_p, and every form along the pencil is built as an
+int64 grid over (power of eps, power of s1), the power of s0 following from
+homogeneity.  A product is one convolution of grids mod p, so `gh_formula`
+runs on grids unchanged; the power of eps divided out is the first nonzero
+row, and an exceptional form is the row at that power.  Only
+`ramification_prime` (and `debug_dump`) lift the divided grids to
+`SparsePoly`, for the exact division of `branch_quotient`.
+
 The parametrization degenerates at s = (0,1), where the specialized
 coefficient triples can vanish identically; the common vanishing order of
 the triple at each parameter is stripped, which realizes the projective
@@ -48,9 +56,7 @@ from .poly import SparsePoly
 from .surface import (
     WehlerSurface,
     _fiber_restriction,
-    _side_vars,
     branch_quotient,
-    coefficient_polys,
     pair_rows,
     table_points,
 )
@@ -189,6 +195,63 @@ def _column(rows: np.ndarray, s: tuple[int, int]):
     return vals if any(vals) else None
 
 
+# -- forms along the pencil ------------------------------------------------------
+
+# A form of s-degree n <= 4 in (s0, s1, eps) is a flat int64 grid with row
+# stride 5: entry 5*e + j multiplies eps^e s1^j s0^(n - j), the power of s0
+# following from homogeneity.  The pencil's coordinates have eps- and
+# s1-degree <= 1 and the chart's forms are at most quartic in them, so every
+# form fits with e, j <= 4, a product of grids is their 1-D convolution (j
+# sums never pass 4, so no term crosses into the next row) and its first 25
+# entries hold every term.  Entries are residues, so a convolution's sums
+# are < 25p^2.
+_STRIDE = 5
+_GRID = _STRIDE * _STRIDE
+# The s1 power of delta_i in the pencil, per dehomogenizing index d: delta
+# is (0, s0, s1), (s0, 0, s1) or (s1, s0, 0); None for its zero entry.
+_DELTA_S1 = ((None, 0, 1), (0, None, 1), (1, 0, None))
+
+
+def _product(a: np.ndarray, b: np.ndarray, p: int) -> np.ndarray:
+    return np.convolve(a, b)[:_GRID] % p
+
+
+class _Grid:
+    """A grid under the ring operations `gh_formula` uses, mod p."""
+
+    __slots__ = ("c", "p")
+
+    def __init__(self, c: np.ndarray, p: int):
+        self.c = c
+        self.p = p
+
+    def __add__(self, other):
+        return _Grid((self.c + other.c) % self.p, self.p)
+
+    def __sub__(self, other):
+        return _Grid((self.c - other.c) % self.p, self.p)
+
+    def __mul__(self, other):
+        if isinstance(other, _Grid):
+            return _Grid(_product(self.c, other.c, self.p), self.p)
+        return _Grid(self.c * other % self.p, self.p)
+
+    __rmul__ = __mul__
+
+
+def _eps_order(grids: np.ndarray):
+    """The lowest power of eps in a stack of (5, 5) grids; None if all are zero."""
+    rows = grids.any(axis=(0, 2))
+    return int(rows.argmax()) if rows.any() else None
+
+
+def _lift(grid: np.ndarray, degree: int, domain) -> SparsePoly:
+    """A (rows, 5) grid of s-degree `degree` as a poly in (s0, s1, eps)."""
+    return SparsePoly(domain, PENCIL_VARS, {
+        (degree - j, j, e): c
+        for e, row in enumerate(grid.tolist()) for j, c in enumerate(row) if c})
+
+
 # -- charts ---------------------------------------------------------------------
 
 
@@ -223,7 +286,6 @@ class BlowupChart:
     # -- construction -------------------------------------------------------
 
     def _build(self):
-        s = self.surface
         p = self.p
         center = [int(c) for c in self.center.raw]
         d = next(i for i, c in enumerate(center) if c)
@@ -232,39 +294,50 @@ class BlowupChart:
         # t1 is the center's w = x_j / x_d, with j = 0 if d == 1 else 1.
         self.t1 = center[0 if d == 1 else 1] % p
 
-        # The pencil x(s, eps) = s0*center + eps*delta(s) in the base variables.
-        s0, s1, eps = SparsePoly.gens(s.domain, PENCIL_VARS)
-        delta = ((0, s0, s1), (s0, 0, s1), (s1, s0, 0))[d]
-        self.pencil = {name: s0 * center[i] + eps * delta[i]
-                       for i, name in enumerate(_side_vars(self.side))}
-
-        cp = coefficient_polys(s, self.side)
-        lc = [f.substitute(self.pencil) for f in cp.lc]
-        g, h = gh_formula(lc, pair_getter([cp.q(k, l).substitute(self.pencil)
-                                           for (k, l) in PAIRS]))
-        orders = [f.vanishing_order("eps", 0) for f in (*g, *h.values()) if f]
-        if not orders:
+        # The pencil x(s, eps) = s0*center + eps*delta(s) in the side's
+        # variables, delta = (0, s0, s1), (s0, 0, s1) or (s1, s0, 0).
+        pencil = np.zeros((3, _GRID), dtype=np.int64)
+        pencil[:, 0] = center
+        for i, j in enumerate(_DELTA_S1[d]):
+            if j is not None:
+                pencil[i, _STRIDE + j] = 1
+        lrows, qrows = self.surface.engine().rows(self.side)
+        mons = np.stack([_product(pencil[i], pencil[j], p) for (i, j) in PAIRS])
+        lc = lrows @ pencil % p
+        qc = qrows @ mons % p
+        g, h = gh_formula([_Grid(f, p) for f in lc],
+                          pair_getter([_Grid(f, p) for f in qc]))
+        self._gh = np.stack([f.c for f in (*g, *h.values())]).reshape(6, _STRIDE, _STRIDE)
+        self._l = lc.reshape(3, _STRIDE, _STRIDE)
+        e = _eps_order(self._gh)
+        if e is None:
             raise NotDegenerate(f"G/H system vanishes identically at {self.center}")
-        self.e = min(orders)
-        if self.e == 0:
+        if e == 0:
             raise NotDegenerate(
                 f"{self.center} is not a degenerate {self.side}-side base point")
-        self.gp = {k: f.divide_linear_power("eps", 0, self.e) for k, f in enumerate(g)}
-        self.hp = {ij: f.divide_linear_power("eps", 0, self.e) for ij, f in h.items()}
-        e_l = min(f.vanishing_order("eps", 0) for f in lc if f)
-        self.lp = tuple(f.divide_linear_power("eps", 0, e_l) for f in lc)
+        self.e = e
+        self._e_l = _eps_order(self._l)
 
-        # Specializations at the exceptional fiber eps = 0, as binary s-forms.
-        self.g_forms = {k: _exceptional_form(v, p, 4) for k, v in self.gp.items()}
-        self.h_forms = {ij: _exceptional_form(v, p, 4) for ij, v in self.hp.items()}
-        if all(f.is_zero() for f in self.g_forms.values()) and all(
-            f.is_zero() for f in self.h_forms.values()
-        ):
-            raise NotDegenerate(
-                f"divided G/H system still vanishes on the exceptional fiber "
-                f"over {self.center}")
-        self.l_forms = [_exceptional_form(f, p, 1) for f in self.lp]
+        # Specializations at the exceptional fiber eps = 0, as binary s-forms:
+        # the rows at e and at L's own order.  Row e is nonzero, so the divided
+        # system never vanishes on the exceptional fiber.
+        forms = [BinaryForm(p, row) for row in self._gh[:, e].tolist()]
+        self.g_forms = dict(enumerate(forms[:3]))
+        self.h_forms = dict(zip(h, forms[3:]))
+        self.l_forms = [BinaryForm(p, row[:2]) for row in self._l[:, self._e_l].tolist()]
         self._build_table()
+
+    def divided_system(self):
+        """(L', G', H'): the divided system as polys in (s0, s1, eps).
+
+        L' is (L'_0, L'_1, L'_2), G' maps k to G'_k and H' (i, j) to H'_ij.
+        Each is its grid with the rows below its power of eps dropped, so
+        the exceptional forms are the polys at eps = 0.
+        """
+        dom = self.surface.domain
+        lp = tuple(_lift(f[self._e_l:], 1, dom) for f in self._l)
+        gh = [_lift(f[self.e:], 4, dom) for f in self._gh]
+        return lp, dict(enumerate(gh[:3])), dict(zip(self.h_forms, gh[3:]))
 
     def _build_table(self):
         """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
@@ -377,13 +450,14 @@ class BlowupChart:
 
     def debug_dump(self) -> str:
         """Sorted term lists of the divided system, for golden tests."""
+        lp, gp, hp = self.divided_system()
         lines = [repr(self)]
         for k in range(3):
-            lines.append(f"G'{k} = {self.gp[k]}")
-        for ij in sorted(self.hp):
-            lines.append(f"H'{ij} = {self.hp[ij]}")
+            lines.append(f"G'{k} = {gp[k]}")
+        for ij in sorted(hp):
+            lines.append(f"H'{ij} = {hp[ij]}")
         for m in range(3):
-            lines.append(f"L'{m} = {self.lp[m]}")
+            lines.append(f"L'{m} = {lp[m]}")
         return "\n".join(lines)
 
 
@@ -471,12 +545,13 @@ class RamificationPrime:
 def ramification_prime(chart: BlowupChart) -> RamificationPrime:
     """((H'_ij)^2 - 4 G'_i G'_j) / (L'_k)^2 specialized to the exceptional fiber.
 
-    `branch_quotient` divides exactly in the (s0, s1, eps) ring and checks
-    that every index pair gives the same form; any full power of eps is
-    removed before specializing, and finally the common s0 power is stripped.
+    `branch_quotient` divides the chart's `divided_system` exactly in the
+    (s0, s1, eps) ring and checks that every index pair gives the same form;
+    any full power of eps is removed before specializing, and finally the
+    common s0 power is stripped.
     """
     def build():
-        quotient, used_pair = branch_quotient(chart.lp, chart.gp, chart.hp)
+        quotient, used_pair = branch_quotient(*chart.divided_system())
         if not quotient.is_zero():
             quotient = quotient.divide_linear_power(
                 "eps", 0, quotient.vanishing_order("eps", 0))

@@ -298,8 +298,10 @@ class PhaseSpace:
         every later one raise the same NonBijective.
         """
         if side not in self._perms:
+            first = len(self.exceptions)
             perm = self._build_perm(side)
-            self._perms[side] = self._check_involution(side, perm) or perm
+            notes = self.exceptions[first:first + 3]
+            self._perms[side] = self._check_involution(side, perm, notes) or perm
         perm = self._perms[side]
         if isinstance(perm, str):
             raise NonBijective(perm)
@@ -353,11 +355,14 @@ class PhaseSpace:
                 f"distinct rows={len(np.unique(moving[held]))}, smallest record={held.min()}")
         return perm
 
-    def _check_involution(self, side: str, perm: np.ndarray) -> str | None:
-        """Why `perm` is not an involution of the records, or None if it is one."""
+    def _check_involution(self, side: str, perm: np.ndarray, notes: list) -> str | None:
+        """Why `perm` is not an involution of the records, or None if it is one.
+
+        `notes` are the first notes that building `perm` added.
+        """
         if np.any(perm < 0):
             return (f"sigma_{side} is not total on the phase space; "
-                    f"first notes: {self.exceptions[:3]}")
+                    f"first notes: {notes}")
         if not np.array_equal(perm[perm], np.arange(len(perm))):
             return f"sigma_{side} is not an involution"
         return None

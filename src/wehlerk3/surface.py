@@ -21,6 +21,7 @@ import numpy as np
 from ._engine import (
     PAIR_INDEX,
     PAIRS,
+    SIDES,
     SWAP_PAIRS,
     SurfaceEngine,
     gh_formula,
@@ -605,7 +606,9 @@ def random_surface(
     the x-side root pass.  A draw is accepted when it is smooth and meets the
     mode, and every draw consumes the same 45 rng values whatever its fate,
     so a seed gives the same surface after the same number of draws in
-    either test order.
+    either test order.  The mode test runs on a `SurfaceEngine` of the raw
+    coefficient rows; a `WehlerSurface` is made only for a draw that meets
+    the mode, with that engine and its degenerate lists in its cache.
     """
     if p < 5:
         raise BadModulus(f"random surfaces need p >= 5, got {p}")
@@ -616,16 +619,20 @@ def random_surface(
     for _ in range(max_draws):
         a = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
         b = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
-        try:
-            cand = WehlerSurface(field, a, b)
-        except ZeroForm:
+        if not any(map(any, a)) or not any(map(any, b)):
+            continue  # ZeroForm: L or Q is identically zero
+        eng = SurfaceEngine(a, b, p)
+        sides = SIDES if mode != "any" else ()
+        degenerate = {side: eng.degenerate_bases(side) for side in sides}
+        n_deg = sum(map(len, degenerate.values()))
+        if mode == "nondegenerate" and n_deg:
             continue
-        if mode != "any":
-            n_deg = len(degenerate_fibers(cand, "x")) + len(degenerate_fibers(cand, "y"))
-            if mode == "nondegenerate" and n_deg:
-                continue
-            if mode == "degenerate" and n_deg < min_degenerate:
-                continue
+        if mode == "degenerate" and n_deg < min_degenerate:
+            continue
+        cand = WehlerSurface(field, a, b)
+        cand.cached(("engine",), lambda: eng)
+        for side, bases in degenerate.items():
+            cand.cached(("degenerate", side), lambda: bases)
         if not is_smooth_rational(cand):
             continue
         return cand

@@ -1,11 +1,13 @@
 import hashlib
 
 import pytest
-from test_engine import _sparse_surface
+from test_engine import SMALL_P_SURFACES, _sparse_surface
 
+from wehlerk3._engine import PAIRS, gh_formula, pair_getter
 from wehlerk3.blowup import (
     PENCIL_VARS,
     BinaryForm,
+    BlowupChart,
     BoundaryPoint,
     _exceptional_form,
     _stripped_rows,
@@ -17,19 +19,28 @@ from wehlerk3.blowup import (
     resolve_s,
     sigma_extended,
 )
-from wehlerk3.errors import AmbiguousS, NoRationalS, NotDegenerate, NotOnSurface
+from wehlerk3.errors import (
+    AmbiguousS,
+    InexactQuotient,
+    NoRationalS,
+    NotDegenerate,
+    NotOnSurface,
+)
 from wehlerk3.field import QQ, PrimeField
 from wehlerk3.fixtures import w1_surface
 from wehlerk3.geometry import point1, point2
 from wehlerk3.involution import fiber_points
 from wehlerk3.poly import SparsePoly
 from wehlerk3.surface import (
-    PAIRS,
     XVARS,
     YVARS,
+    _side_vars,
+    coefficient_polys,
     degenerate_fibers,
+    parse_surface,
     ramification_sextic,
     random_surface,
+    serialize_surface,
 )
 
 # The accepted surfaces whose census raises NonBijective (tests/test_dynamics.py).
@@ -253,6 +264,96 @@ def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
     assert kinds == {"line", "conic", "plane"}
 
 
+# -- the SparsePoly chart construction: the reference of the (eps, s) grids --------
+
+
+def _pencil(s, side, center):
+    """x(s, eps) = s0*center + eps*delta(s) as polys in PENCIL_VARS, keyed by
+    the side's variable names."""
+    c = [int(v) for v in center.raw]
+    d = next(i for i, v in enumerate(c) if v)
+    s0, s1, eps = SparsePoly.gens(s.domain, PENCIL_VARS)
+    delta = ((0, s0, s1), (s0, 0, s1), (s1, s0, 0))[d]
+    return {name: s0 * c[i] + eps * delta[i] for i, name in enumerate(_side_vars(side))}
+
+
+class _ReferenceChart(BlowupChart):
+    """A chart whose divided system is built by symbolic substitution.
+
+    The coefficient polys are substituted along the pencil, G/H are formed
+    on SparsePolys and eps powers are divided out exactly; the membership
+    table is then built from the resulting exceptional forms as usual.
+    """
+
+    def _build(self):
+        s, p = self.surface, self.p
+        pencil = _pencil(s, self.side, self.center)
+        cp = coefficient_polys(s, self.side)
+        lc = [f.substitute(pencil) for f in cp.lc]
+        g, h = gh_formula(lc, pair_getter([cp.q(k, l).substitute(pencil) for (k, l) in PAIRS]))
+        orders = [f.vanishing_order("eps", 0) for f in (*g, *h.values()) if f]
+        if not orders:
+            raise NotDegenerate(f"G/H system vanishes identically at {self.center}")
+        self.e = min(orders)
+        if self.e == 0:
+            raise NotDegenerate(f"{self.center} is not a degenerate {self.side}-side base point")
+        self.gp = {k: f.divide_linear_power("eps", 0, self.e) for k, f in enumerate(g)}
+        self.hp = {ij: f.divide_linear_power("eps", 0, self.e) for ij, f in h.items()}
+        e_l = min(f.vanishing_order("eps", 0) for f in lc if f)
+        self.lp = tuple(f.divide_linear_power("eps", 0, e_l) for f in lc)
+        self.g_forms = {k: _exceptional_form(v, p, 4) for k, v in self.gp.items()}
+        self.h_forms = {ij: _exceptional_form(v, p, 4) for ij, v in self.hp.items()}
+        self.l_forms = [_exceptional_form(f, p, 1) for f in self.lp]
+        self._build_table()
+
+    def divided_system(self):
+        return self.lp, self.gp, self.hp
+
+
+def _reference_chart(chart):
+    """The reference chart of `chart`'s center, on a fresh copy of its surface
+    (so that neither shares the other's cached charts or branch forms)."""
+    copy = parse_surface(serialize_surface(chart.surface))
+    return _ReferenceChart(copy, chart.side, point2(copy.domain, *chart.center.raw))
+
+
+def _ramification_outcome(chart):
+    try:
+        rp = ramification_prime(chart)
+    except InexactQuotient as exc:
+        return type(exc).__name__
+    return rp.form.coeffs, rp.s0_stripped, rp.pair
+
+
+def test_grid_charts_match_the_sparse_poly_construction(table_surfaces):
+    # Every chart of the fixture and of the p = 3 and 5 surfaces (where a
+    # product of grids cannot be read from values at 5 nodes): e, the
+    # exceptional forms, L', the membership table, resolve_s at every fiber
+    # point and the branch form.
+    surfaces, reproducers = table_surfaces
+    small = [parse_surface(text) for text in SMALL_P_SURFACES]
+    charts = ramified = 0
+    for s in surfaces + reproducers + small:
+        for info, chart in _charts(s):
+            ref = _reference_chart(chart)
+            assert chart.e == ref.e
+            for k in range(3):
+                assert chart.g_forms[k].coeffs == ref.g_forms[k].coeffs
+            assert list(chart.h_forms) == list(ref.h_forms)
+            for ij, f in chart.h_forms.items():
+                assert f.coeffs == ref.h_forms[ij].coeffs
+            assert [f.coeffs for f in chart.l_forms] == [f.coeffs for f in ref.l_forms]
+            assert chart.divided_system() == ref.divided_system()
+            assert chart.lines == ref.lines and chart.params == ref.params
+            for pt in fiber_points(s, chart.side, info.base.coords):
+                assert _resolve_outcome(chart, pt) == _resolve_outcome(ref, pt)
+            outcome = _ramification_outcome(chart)
+            assert outcome == _ramification_outcome(ref)
+            charts += 1
+            ramified += not isinstance(outcome, str)
+    assert charts == 88 + 42 and ramified
+
+
 # -- stripping by repeated division: the reference of the Taylor tables -----------
 
 
@@ -375,7 +476,7 @@ def _q_rows(chart):
     q = chart.surface.q_poly()
     moving = YVARS if chart.side == "x" else XVARS
     images = dict.fromkeys(q.vars, SparsePoly.zero(q.domain, PENCIL_VARS))
-    images.update(chart.pencil)
+    images.update(_pencil(chart.surface, chart.side, chart.center))
     forms = []
     for (k, l) in PAIRS:
         if k == l:

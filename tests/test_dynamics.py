@@ -506,6 +506,22 @@ def test_a_failed_permutation_raises_on_every_call():
     assert space.exceptions == notes and len(set(notes)) == len(notes) > 0
 
 
+def test_a_failed_permutation_quotes_only_its_own_notes():
+    # sparse_13_1's phase space notes ambiguous both-side boundary points, and
+    # both permutations fail; each error quotes the first notes of its side.
+    space = dynamics.PhaseSpace(_sparse_surface(13, 1))
+    assert space.exceptions
+    assert all(note.startswith("ambiguous both-side") for note in space.exceptions)
+    for side in ("x", "y"):
+        start = len(space.exceptions)
+        with pytest.raises(NonBijective) as exc:
+            space.perm(side)
+        own = space.exceptions[start:]
+        assert own and all(note.startswith(f"sigma_{side} fiber") for note in own)
+        assert str(exc.value) == (f"sigma_{side} is not total on the phase space; "
+                                  f"first notes: {own[:3]}")
+
+
 # Per surface: the phase space size and the sha256 of its records, both
 # permutations (or the NonBijective text a permutation raises) and every
 # exception note.  degenerate_5_93, sparse_13_1 and the sparse p = 5
@@ -526,19 +542,19 @@ PHASE_SPACE_PINS = [
     ("degenerate_29_2", 991, "3d062b6c03093320d8de29eaf15d7f0e4d990dcb7a7bb090c46b0732887b8bd4"),
     ("degenerate_29_5", 923, "2d52511ce7619ee32ad128c05a6cee2b244566adaa6c8ea97388c8e21806316c"),
     ("degenerate_29_9", 956, "f2aa9e22a3b4aa38d82ab48663846ea25952942b5d0a7dc331424df9543ff662"),
-    ("sparse_13_1", 219, "94d56f60e55e563d3c7e05f43b79ca9f9368ea0d3445252027f6fbb50694f529"),
+    ("sparse_13_1", 219, "f42a423c84983ed938ada99c4663ad5453c09e58a7c762e395f91eadb04e3456"),
     ("random_101_1", 10452, "f72debccf512df481415db4e0755dc76b85cbb4fff7c25c0d4110b31af3ac46f"),
     ("degenerate_5_75", 30, "ce3deeaf4d503e751912f117b44a3f9f29abd53b4ccae5147459fa8fd64a084a"),
-    ("degenerate_5_93", 40, "a291c6def4a798bcf599ce815ee4609fddd6acf033e1e9525bb984e524f97314"),
+    ("degenerate_5_93", 40, "00fcb8f3e354c972b32ffad2b37c3d067e1039de46b1a33da7a967ff6200f8d3"),
     ("degenerate_7_35", 54, "93f2de17bd6eb9395ab68ebd6edf21c68faf7d1f26a1cf7690dfd95cdceda73f"),
     ("degenerate_7_40", 66, "e1701747cd0ff9051af52b5e141ef4cd86ca1dba16e6f208e517b02257206e41"),
     ("degenerate_7_133", 64, "c8a2527ef6b0cc007b53e9ccc123c210d4b66347b08ef786f7a663d627af5cc8"),
     ("degenerate_11_133", 154, "22b3d108b1a27d5dde7e9b475f39600708ec0630b244f3b226f63d925e107b13"),
     ("sparse_5_0", 0, "ef3c91fa9407820cdd1b77e40d9ff193ee83509ba2dd831b1e90fa3c5f8e20b4"),
-    ("sparse_5_1", 36, "9c501fb0a5aebf912ef4823c590ac0d73a6726c5421b3dade18cf32d9960abea"),
+    ("sparse_5_1", 36, "03c46b02d6b32d7f44feb303ea099c62b501b9d3a9418a6c28df2dc074d09797"),
     ("sparse_5_2", 0, "98c5ce65c3d37545dab8dcfc01790554ca763ab8489500ed7075573158e2e9dc"),
-    ("sparse_5_3", 1, "f42f291372a377032e52e7bf2cdcdac53a2ed054d265110cce48b26def073a86"),
-    ("sparse_5_4", 33, "7f804207093b893f069c8b03371dbb5fdaff809fa2c615ea2e75a1a71c468d3c"),
+    ("sparse_5_3", 1, "f2b51b3d2423a500a53635538dd7e023252a6cc0a67d2c3a15f332d5d199f584"),
+    ("sparse_5_4", 33, "a9747c015a8bbaeef5a353ecdffda651b5db5cdf0cf6b39db54907170c3ab77b"),
 ]
 
 

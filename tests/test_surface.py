@@ -585,6 +585,35 @@ def test_random_surface_pinned_outputs(p, seed, mode, draws, digest):
             random_surface(p, seed, mode=mode, max_draws=draws - 1)
 
 
+@pytest.mark.parametrize("mode", ["nondegenerate", "degenerate", "any"])
+def test_random_surface_caches_what_a_fresh_surface_builds(mode):
+    # The accepted surface carries the engine (and, outside mode "any", the
+    # degenerate lists) of its raw draw; a fresh copy builds the same.
+    for p, seed in ((13, 21), (29, 36), (11, 133)):
+        s = random_surface(p, seed, mode=mode)
+        fresh = parse_surface(serialize_surface(s))
+        assert (("degenerate", "x") in s._cache) == (mode != "any")
+        for side in ("x", "y"):
+            for got, want in zip(s.engine().rows(side), fresh.engine().rows(side)):
+                assert np.array_equal(got, want)
+            assert degenerate_fibers(s, side) == degenerate_fibers(fresh, side)
+
+
+def test_random_surface_builds_surfaces_only_for_draws_that_meet_the_mode(monkeypatch):
+    # random_surface(29, 36, mode="degenerate") takes 31 draws: 29 fail the
+    # mode test, one meets it but is singular, and the last is accepted.
+    made = []
+    init = WehlerSurface.__init__
+
+    def counting_init(self, *args):
+        made.append(self)
+        init(self, *args)
+
+    monkeypatch.setattr(WehlerSurface, "__init__", counting_init)
+    s = random_surface(29, 36, mode="degenerate")
+    assert len(made) == 2 and made[-1] is s
+
+
 def test_reduce_mod_bad_prime(w1_qq):
     from fractions import Fraction
     s = WehlerSurface.from_terms(
