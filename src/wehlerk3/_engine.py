@@ -93,10 +93,11 @@ def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.nd
 class PlaneTable:
     """Canonical P^2(F_p) points plus lookup tables, cached per prime.
 
-    Besides the points it holds only O(p) tables: the inverses, the square
-    roots, the Lagrange basis and the degenerate kernel's evaluation set.
-    Bulk passes form the Q monomials of the rows they read, a block at a
-    time (`blocks`), so the table keeps no (p^2 + p + 1, 6) monomial array.
+    Besides the points it holds only O(p) tables, all built here: the
+    inverses, the square roots, the Lagrange basis and the degenerate
+    kernel's evaluation set.  Bulk passes form the Q monomials of the rows
+    they read, a block at a time (`blocks`), so the table keeps no
+    (p^2 + p + 1, 6) monomial array.
     """
 
     _cache: dict[int, "PlaneTable"] = {}
@@ -108,7 +109,7 @@ class PlaneTable:
             raise BadModulus(f"plane enumeration capped at p <= {_ENUM_P_CAP}, got {p}")
         self = super().__new__(cls)
         self.p = p
-        field = PrimeField(p)
+        PrimeField(p)  # raises BadModulus for a bad p
         # (0, 0, 1), then (0, 1, z), then (1, y, z), each in lexicographic
         # order: index_of's closed form and phase_key's order rely on it.
         pts = np.zeros((p * p + p + 1, 3), dtype=np.int64)
@@ -120,8 +121,12 @@ class PlaneTable:
         affine[:, :, 1] = np.arange(p)[:, None]
         affine[:, :, 2] = np.arange(p)
         self.pts = pts
-        self.inv = np.array(field.inv_table(), dtype=np.int64)
-        self.sqrt = np.array(field.sqrt_table(), dtype=np.int64)
+        # inv[0] = 0; sqrt holds the smaller root of each square and -1 for a
+        # non-residue: r -> r^2 is one-to-one on r <= (p - 1) / 2.
+        self.inv = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
+        self.sqrt = np.full(p, -1, dtype=np.int64)
+        roots = np.arange((p + 1) // 2, dtype=np.int64)
+        self.sqrt[roots * roots % p] = roots
         # Interpolation grid for quartics on the affine rows (1, y, z): the
         # table rows with y, z in 0..n-1, and the p x n Lagrange basis on the
         # nodes 0..n-1 (the identity when p <= 5).  `degenerate_bases`

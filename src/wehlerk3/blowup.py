@@ -55,7 +55,6 @@ from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .poly import SparsePoly
 from .surface import (
     WehlerSurface,
-    _fiber_restriction,
     branch_quotient,
     pair_rows,
     table_points,
@@ -462,14 +461,11 @@ class BlowupChart:
 
 
 def build_chart(surface: WehlerSurface, side: str, center) -> BlowupChart:
-    """Chart at a degenerate base point; NotDegenerate otherwise."""
+    """Chart at a degenerate base point; `BlowupChart` raises NotDegenerate otherwise."""
     if not surface.is_finite():
         raise ValueError("blow-up charts need a finite field surface")
     if not isinstance(center, ProjectivePoint2):
         center = point2(surface.domain, *center)
-    kind, _ = _fiber_restriction(surface, side, center.coords)
-    if kind == "finite":
-        raise NotDegenerate(f"fiber over {center} is zero-dimensional")
     return BlowupChart(surface, side, center)
 
 

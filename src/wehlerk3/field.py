@@ -15,10 +15,6 @@ from .errors import BadModulus, ZeroInverse
 
 _MR_BASES = (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37)
 
-# Precomputing square-root tables pays off for the enumeration loops but is
-# wasteful for large ad-hoc moduli; cap the table at 2**16 entries.
-_TABLE_LIMIT = 1 << 16
-
 _WORD_LIMIT = 1 << 62
 
 
@@ -26,7 +22,7 @@ def is_prime(n: int) -> bool:
     """Deterministic Miller-Rabin, valid far beyond word size."""
     if n < 2:
         return False
-    for q in (2, 3, 5, 7, 11, 13, 17, 19, 23, 29, 31, 37):
+    for q in _MR_BASES:
         if n % q == 0:
             return n == q
     d = n - 1
@@ -60,7 +56,7 @@ def next_prime(n: int) -> int:
 
 
 class PrimeField:
-    """The field F_p for an odd prime p, with cached inverse/sqrt tables.
+    """The field F_p for an odd prime p.
 
     Instances are immutable and interned per modulus, so identity comparison
     of fields is safe and cheap.
@@ -75,8 +71,6 @@ class PrimeField:
             raise BadModulus(f"modulus must be an odd word-sized prime, got {p!r}")
         self = super().__new__(cls)
         self.p = p
-        self._sqrt_table = None
-        self._inv_table = None
         cls._cache[p] = self
         return self
 
@@ -94,34 +88,7 @@ class PrimeField:
         sqrt(0) = 0.  Of the two roots r and p-r the smaller canonical
         residue is returned, so the output is reproducible.
         """
-        a %= self.p
-        if self._sqrt_table is not None:
-            r = self._sqrt_table[a]
-            return None if r < 0 else r
-        return _tonelli(a, self.p)
-
-    def sqrt_table(self):
-        """Array of smallest roots (-1 for non-residues); built on first use."""
-        if self._sqrt_table is None:
-            if self.p > _TABLE_LIMIT:
-                raise BadModulus(f"sqrt table requested for oversized p={self.p}")
-            tab = [-1] * self.p
-            for r in range(self.p):
-                sq = r * r % self.p
-                if tab[sq] < 0 or r < tab[sq]:
-                    tab[sq] = r
-            self._sqrt_table = tab
-        return self._sqrt_table
-
-    def inv_table(self):
-        if self._inv_table is None:
-            if self.p > _TABLE_LIMIT:
-                raise BadModulus(f"inverse table requested for oversized p={self.p}")
-            tab = [0] * self.p
-            for a in range(1, self.p):
-                tab[a] = pow(a, self.p - 2, self.p)
-            self._inv_table = tab
-        return self._inv_table
+        return _tonelli(a % self.p, self.p)
 
     # -- element construction ----------------------------------------------
 

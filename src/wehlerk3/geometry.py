@@ -32,14 +32,10 @@ def _raw(v) -> int | Fraction:
 
 
 @dataclass(frozen=True)
-class ProjectivePoint2:
-    """A point of P^2 in canonical form (first nonzero coordinate = 1)."""
+class ProjectivePoint:
+    """A projective point in canonical form (first nonzero coordinate = 1)."""
 
     coords: tuple
-
-    @classmethod
-    def make(cls, domain, c0, c1, c2) -> "ProjectivePoint2":
-        return cls(_normalize((c0, c1, c2), domain))
 
     @property
     def raw(self) -> tuple:
@@ -56,33 +52,17 @@ class ProjectivePoint2:
         return "(" + " : ".join(str(_raw(c)) for c in self.coords) + ")"
 
 
-@dataclass(frozen=True)
-class ProjectivePoint1:
+class ProjectivePoint2(ProjectivePoint):
+    """A point of P^2 in canonical form."""
+
+
+class ProjectivePoint1(ProjectivePoint):
     """A point of P^1 in canonical form."""
-
-    coords: tuple
-
-    @classmethod
-    def make(cls, domain, c0, c1) -> "ProjectivePoint1":
-        return cls(_normalize((c0, c1), domain))
-
-    @property
-    def raw(self) -> tuple:
-        return tuple(_raw(c) for c in self.coords)
-
-    def __iter__(self):
-        return iter(self.coords)
-
-    def __getitem__(self, i):
-        return self.coords[i]
-
-    def __repr__(self) -> str:
-        return "(" + " : ".join(str(_raw(c)) for c in self.coords) + ")"
 
 
 def point2(domain, c0, c1, c2) -> ProjectivePoint2:
-    return ProjectivePoint2.make(domain, c0, c1, c2)
+    return ProjectivePoint2(_normalize((c0, c1, c2), domain))
 
 
 def point1(domain, c0, c1) -> ProjectivePoint1:
-    return ProjectivePoint1.make(domain, c0, c1)
+    return ProjectivePoint1(_normalize((c0, c1), domain))

@@ -14,6 +14,8 @@ from __future__ import annotations
 import random
 from dataclasses import dataclass
 from fractions import Fraction
+from itertools import product
+from math import gcd
 from operator import add, mul
 
 import numpy as np
@@ -312,10 +314,6 @@ class GHSystem:
     g: tuple             # g[k], quartic
     h: dict              # h[(i,j)] (i < j), quartic
 
-    def triple(self, k: int, l: int):
-        """(G_k, H_kl, G_l) for the quadratic in the (k, l) moving coordinates."""
-        return self.g[k], self.h[(min(k, l), max(k, l))], self.g[l]
-
 
 @dataclass(frozen=True)
 class RamificationSextic:
@@ -450,24 +448,12 @@ def _fiber_restriction(s: WehlerSurface, side: str, base):
 
 
 def _qq_candidates(height: int):
-    """Primitive integer triples of height <= `height`, canonical signs."""
-    from math import gcd
-    for c0 in range(0, height + 1):
-        r1 = range(-height, height + 1) if c0 else range(0, height + 1)
-        for c1 in r1:
-            if c0 == 0 and c1 == 0:
-                r2 = [1]
-            elif (c0, c1) != (0, 0):
-                r2 = range(-height, height + 1)
-            for c2 in r2:
-                if (c0, c1, c2) == (0, 0, 0):
-                    continue
-                lead = c0 if c0 else (c1 if c1 else c2)
-                if lead < 0:
-                    continue
-                if gcd(gcd(abs(c0), abs(c1)), abs(c2)) != 1:
-                    continue
-                yield (Fraction(c0), Fraction(c1), Fraction(c2))
+    """Primitive integer triples of height <= `height`, first nonzero entry positive."""
+    box = range(-height, height + 1)
+    for c in product(box, repeat=3):
+        lead = next((v for v in c if v), 0)
+        if lead > 0 and gcd(*c) == 1:
+            yield tuple(map(Fraction, c))
 
 
 def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
@@ -484,8 +470,10 @@ def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
             result.append(DegenerateFiberInfo(point2(s.domain, *[int(v) for v in base_row]), kind))
     else:
         for cand in _qq_candidates(height):
+            # A non-finite fiber has Q = 0 on its line or L = 0, and every
+            # G and H has degree 2 in L, so the G/H system vanishes there too.
             kind, _ = _fiber_restriction(s, side, cand)
-            if kind != "finite" and gh_vanishes(*gh_values(s, side, cand)):
+            if kind != "finite":
                 result.append(DegenerateFiberInfo(point2(QQ, *cand), kind))
     result.sort(key=lambda d: d.base.raw)
     return result

@@ -3,7 +3,7 @@ import hashlib
 import pytest
 from test_engine import SMALL_P_SURFACES, _sparse_surface
 
-from wehlerk3._engine import PAIRS, gh_formula, pair_getter
+from wehlerk3._engine import PAIRS, PlaneTable, gh_formula, pair_getter
 from wehlerk3.blowup import (
     PENCIL_VARS,
     BinaryForm,
@@ -75,8 +75,28 @@ def test_chart_construction(chart29):
 
 
 def test_chart_requires_degenerate_center(w1_29, F29):
-    with pytest.raises(NotDegenerate):
-        build_chart(w1_29, "x", point2(F29, 1, 0, 1))
+    for side, center in (("x", (1, 0, 1)), ("y", (-1, -1, 1))):
+        with pytest.raises(NotDegenerate):
+            build_chart(w1_29, side, point2(F29, *center))
+
+
+def test_build_chart_succeeds_exactly_at_degenerate_bases(w1_29):
+    surfaces = [w1_29, random_surface(29, 0, mode="degenerate")]
+    surfaces += [_sparse_surface(p, seed) for p in (5, 7) for seed in range(6)]
+    outcomes = {"chart": 0, "not degenerate": 0}
+    for s in surfaces:
+        for side in ("x", "y"):
+            degenerate = {d.base.raw for d in degenerate_fibers(s, side)}
+            for row in PlaneTable(s.p).pts.tolist():
+                try:
+                    build_chart(s, side, row)
+                except NotDegenerate:
+                    assert tuple(row) not in degenerate
+                    outcomes["not degenerate"] += 1
+                else:
+                    assert tuple(row) in degenerate
+                    outcomes["chart"] += 1
+    assert outcomes == {"chart": 192, "not degenerate": 4348}
 
 
 def test_generic_parameter_has_two_roots(chart29):

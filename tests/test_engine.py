@@ -165,6 +165,18 @@ def test_plane_table_points_are_the_canonical_enumeration(p):
     assert tbl.pts.tolist() == [list(pt) for pt in pts]
 
 
+@pytest.mark.parametrize("p", [3, 5, 13, 29, 101, 2039])
+def test_plane_table_inverses_and_roots_by_brute_force(p):
+    tbl = PlaneTable(p)
+    assert tbl.inv.dtype == tbl.sqrt.dtype == np.int64
+    inv = tbl.inv.tolist()
+    assert inv[0] == 0 and all(a * inv[a] % p == 1 for a in range(1, p))
+    roots = [-1] * p
+    for r in reversed(range(p)):  # the smaller root of each square is written last
+        roots[r * r % p] = r
+    assert tbl.sqrt.tolist() == roots
+
+
 def _traced_peak(build):
     """build() and the tracemalloc peak in bytes of the allocations it made."""
     tracemalloc.start()

@@ -1,7 +1,7 @@
 import pytest
 
 from wehlerk3.field import PrimeField, QQ
-from wehlerk3.geometry import point1, point2
+from wehlerk3.geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 
 
 @pytest.mark.parametrize("p", [3, 5, 7, 11, 13])
@@ -32,6 +32,11 @@ def test_points_hash_and_index():
     assert a == b and hash(a) == hash(b)
     assert a[1] == F(2)
     assert tuple(a.raw) == (1, 2, 3)
+    s, t = point1(F, 3, 6), point1(F, 1, 2)
+    assert s == t and hash(s) == hash(t) and s.raw == (1, 2)
+    assert type(a) is ProjectivePoint2 and type(s) is ProjectivePoint1
+    assert not isinstance(s, ProjectivePoint2) and not isinstance(a, ProjectivePoint1)
+    assert repr(a) == "(1 : 2 : 3)" and repr(s) == "(1 : 2)"
 
 
 def test_rational_points():
