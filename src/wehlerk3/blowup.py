@@ -30,9 +30,9 @@ of the branch form are read from the same table.
 Each chart keeps one membership table: the degenerate fiber's rational
 points (read from `pair_rows`) against the p+1 line parameters, filled
 by evaluating the stripped pair quadratics and L' at every point and every
-parameter at once.  Boundary points (`points_at`) and line parameters
-(`resolve_s`) are both read from it; `BlowupChart.matches` is the scalar
-form of one entry.
+parameter at once, and stored as its true (line, fiber row) pairs.  Boundary
+points (`points_at`) and line parameters (`resolve_s`) are both read from
+it; `BlowupChart.matches` is the scalar form of one entry.
 """
 
 from __future__ import annotations
@@ -73,6 +73,11 @@ def line_parameters(p: int) -> list[tuple[int, int]]:
 def _parameter_index(p: int, s0: int, s1: int) -> int:
     """Position of (s0 : s1) in `line_parameters(p)`."""
     return 0 if s0 % p == 0 else 1 + s1 * pow(s0, p - 2, p) % p
+
+
+def _parameter(j: int) -> tuple[int, int]:
+    """Entry j of `line_parameters`, the inverse of `_parameter_index`."""
+    return (0, 1) if j == 0 else (1, j - 1)
 
 
 class BinaryForm:
@@ -339,15 +344,17 @@ class BlowupChart:
         return lp, dict(enumerate(gh[:3])), dict(zip(self.h_forms, gh[3:]))
 
     def _build_table(self):
-        """`lines[s]`: the fiber points on line s; `params[raw]`: the lines of a point.
+        """`rows`: the fiber's plane-table rows; (`line`, `moving`): its true entries.
 
         The fiber points are the surface points over the center, in
-        `pair_rows` (lex) order.  Each pair group (G'_k, H'_kl, G'_l) and the
-        L' group is stripped at every parameter at once (`_stripped_rows`),
-        so a condition is one column of coefficients per parameter, all zero
-        where the group vanishes identically (skipped, as in `matches`).
-        Every point is tested against every parameter at once: entries < p
-        and 3 terms keep sums < 3p^3.
+        `pair_rows` (lex) order; an entry is a position in `line_parameters`
+        and a fiber row on that line, sorted by line, then lex.  Each pair
+        group (G'_k, H'_kl, G'_l) and the L' group is stripped at every
+        parameter at once (`_stripped_rows`), so a condition is one column
+        of coefficients per parameter, all zero where the group vanishes
+        identically (skipped, as in `matches`).  Every point is tested
+        against every parameter at once: entries < p and 3 terms keep
+        sums < 3p^3.
 
         Q' (Q along the pencil, divided by its own power of eps and stripped
         the same way) never decides an entry, so it is not a row.  Fix a line
@@ -386,12 +393,9 @@ class BlowupChart:
         for (k, l, _m) in SWAP_PAIRS:
             at = [PAIR_INDEX[kl] for kl in ((l, l), (k, l), (k, k))]
             hit &= (mon[:, at] @ self._stripped_pairs[(k, l)]) % p == 0
-        pts = table_points(self.surface, rows)
-        cands = self.s_candidates()
-        self.lines = {s: [pts[i] for i in np.flatnonzero(hit[:, j])]
-                      for j, s in enumerate(cands)}
-        self.params = {pt.raw: [cands[j] for j in np.flatnonzero(hit[i])]
-                       for i, pt in enumerate(pts)}
+        self.rows = rows
+        self.line, at = np.nonzero(hit.T)
+        self.moving = rows[at]
 
     # -- per-parameter data ---------------------------------------------------
 
@@ -403,10 +407,6 @@ class BlowupChart:
         triple is identically zero even then.
         """
         return _column(self._stripped_pairs[pair], s)
-
-    def line_at(self, s: tuple[int, int]):
-        """Stripped coefficients of the divided L on the line s, or None."""
-        return _column(self._stripped_line, s)
 
     def matches(self, moving, s: tuple[int, int]) -> bool:
         """The membership predicate: all pair quadratics plus L'.
@@ -423,13 +423,15 @@ class BlowupChart:
             A, B, C = triple
             if (A * mv[l] * mv[l] + B * mv[k] * mv[l] + C * mv[k] * mv[k]) % p:
                 return False
-        lc = self.line_at(s)
+        lc = _column(self._stripped_line, s)
         return lc is None or (lc[0] * mv[0] + lc[1] * mv[1] + lc[2] * mv[2]) % p == 0
 
-    def s_candidates(self):
-        return line_parameters(self.p)
-
     # -- table queries ------------------------------------------------------------
+
+    def _at_most_two(self, j: int, count: int):
+        """AmbiguousS when line j holds `count` > 2 entries of the table."""
+        if count > 2:
+            raise AmbiguousS(f"{count} boundary points on line {_parameter(j)} over {self.center}")
 
     def points_at(self, s: tuple[int, int]) -> list:
         """The distinct rational boundary points on the line s (at most two).
@@ -437,11 +439,10 @@ class BlowupChart:
         These are the fiber points the membership table puts on s, in lex
         order; more than two raise AmbiguousS.
         """
-        out = self.lines[s]
-        if len(out) > 2:
-            raise AmbiguousS(
-                f"{len(out)} boundary points on line {s} over {self.center}")
-        return out
+        j = _parameter_index(self.p, *s)
+        lo, hi = self.line.searchsorted((j, j + 1)).tolist()
+        self._at_most_two(j, hi - lo)
+        return table_points(self.surface, self.moving[lo:hi])
 
     def __repr__(self):
         return (f"BlowupChart(side={self.side!r}, center={self.center}, "
@@ -450,14 +451,9 @@ class BlowupChart:
     def debug_dump(self) -> str:
         """Sorted term lists of the divided system, for golden tests."""
         lp, gp, hp = self.divided_system()
-        lines = [repr(self)]
-        for k in range(3):
-            lines.append(f"G'{k} = {gp[k]}")
-        for ij in sorted(hp):
-            lines.append(f"H'{ij} = {hp[ij]}")
-        for m in range(3):
-            lines.append(f"L'{m} = {lp[m]}")
-        return "\n".join(lines)
+        return "\n".join([repr(self), *(f"G'{k} = {gp[k]}" for k in range(3)),
+                          *(f"H'{ij} = {hp[ij]}" for ij in sorted(hp)),
+                          *(f"L'{m} = {lp[m]}" for m in range(3))])
 
 
 def build_chart(surface: WehlerSurface, side: str, center) -> BlowupChart:
@@ -476,31 +472,38 @@ def chart_for(surface: WehlerSurface, side: str, center: ProjectivePoint2) -> Bl
 def resolve_s(chart: BlowupChart, moving) -> ProjectivePoint1:
     """The unique line parameter whose chart system vanishes at the point.
 
-    Reads the point's lines from the chart's membership table: NotOnSurface
-    off the fiber, NoRationalS / AmbiguousS for no line / several lines.
+    Finds the point among the fiber's rows and reads its lines from the
+    chart's (line, row) pairs: NotOnSurface off the fiber, NoRationalS /
+    AmbiguousS for no line / several lines.
     """
     if not isinstance(moving, ProjectivePoint2):
         moving = point2(chart.surface.domain, *moving)
     mv = moving.raw
-    hits = chart.params.get(mv)
-    if hits is None:
-        raise NotOnSurface(f"({mv}) is not on the fiber over {chart.center}")
+    try:
+        at = chart.surface.engine().table.pts[chart.rows].tolist().index(list(mv))
+    except ValueError:
+        raise NotOnSurface(f"({mv}) is not on the fiber over {chart.center}") from None
+    hits = chart.line[chart.moving == chart.rows[at]].tolist()
     if not hits:
         raise NoRationalS(f"no rational line parameter for {mv} over {chart.center}")
     if len(hits) > 1:
         raise AmbiguousS(f"{len(hits)} line parameters match {mv} over {chart.center}")
-    return point1(chart.surface.domain, *hits[0])
+    return point1(chart.surface.domain, *_parameter(hits[0]))
 
 
 def exceptional_points(chart: BlowupChart) -> list[BoundaryPoint]:
     """All boundary points of the chart, ordered by (line, moving point).
 
-    Per line parameter in `s_candidates` order, the table's points on that
-    line in lex order.
+    Per line parameter in `line_parameters` order, the table's points on
+    that line in lex order.
     """
-    field = chart.surface.domain
-    return [BoundaryPoint(chart.side, chart.center, point1(field, *s), pt)
-            for s in chart.s_candidates() for pt in chart.points_at(s)]
+    counts = np.bincount(chart.line, minlength=1)
+    j = int((counts > 2).argmax())
+    chart._at_most_two(j, int(counts[j]))
+    line, field = chart.line.tolist(), chart.surface.domain
+    lines = {k: point1(field, *_parameter(k)) for k in set(line)}
+    return [BoundaryPoint(chart.side, chart.center, lines[j], pt)
+            for j, pt in zip(line, table_points(chart.surface, chart.moving))]
 
 
 def sigma_extended(chart: BlowupChart, P: BoundaryPoint) -> BoundaryPoint:

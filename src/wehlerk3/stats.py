@@ -40,6 +40,7 @@ from .surface import degenerate_fibers, point_count, random_surface
 
 GRID_MAX = 10.0
 DEFAULT_STEP = 0.1
+MAX_PRIME_ADVANCES = 8  # how often a surface job may move on to the next prime
 
 # Prime list used for the published experiments.
 EXPERIMENT_PRIMES = (
@@ -81,7 +82,10 @@ class DistributionCurve:
 
 
 def make_grid(step: float = DEFAULT_STEP) -> tuple:
-    n = round(GRID_MAX / step)
+    """0, step, ..., GRID_MAX; BadDomain unless step is positive and reaches GRID_MAX."""
+    n = round(GRID_MAX / step) if step > 0 else 0
+    if not abs(n * step - GRID_MAX) <= 1e-9:  # the tolerance of `area_error`
+        raise BadDomain(f"grid step {step} must be positive and reach {GRID_MAX}")
     return tuple(i * step for i in range(n + 1))
 
 
@@ -230,7 +234,6 @@ class ExperimentConfig:
     z_variant: str = "symmetric-mean"
     grid_step: float = DEFAULT_STEP
     threads: int = 1
-    max_prime_advances: int = 8
 
 
 @dataclass
@@ -337,7 +340,7 @@ def _derive_seed(seed: int, p: int, idx: int) -> int:
 
 
 def _surface_job(args) -> SurfaceSummary:
-    (p_listed, idx, cfg_seed, mode, z_variant, step, max_adv) = args
+    (p_listed, idx, cfg_seed, mode, z_variant, step) = args
     notes = []
     p = p_listed
     advances = 0
@@ -357,12 +360,12 @@ def _surface_job(args) -> SurfaceSummary:
                 continue
             bump = 0
             advances += 1
-            if advances > max_adv:
+            if advances > MAX_PRIME_ADVANCES:
                 raise
             p = next_prime(p)
     curve = empirical_curve(census, z_variant, step)
     err = area_error(curve)
-    summary = SurfaceSummary(
+    return SurfaceSummary(
         prime_listed=p_listed,
         prime_used=p,
         index=idx,
@@ -379,7 +382,6 @@ def _surface_job(args) -> SurfaceSummary:
         curve=curve,
         notes=notes,
     )
-    return summary
 
 
 def average_curves(curves: list[DistributionCurve]) -> DistributionCurve:
@@ -429,9 +431,9 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     generation or census fails at a listed prime advance to the next prime,
     mirroring the original experiment's footnote rule.
     """
+    make_grid(config.grid_step)
     jobs = [
-        (p, i, config.seed, config.mode, config.z_variant,
-         config.grid_step, config.max_prime_advances)
+        (p, i, config.seed, config.mode, config.z_variant, config.grid_step)
         for p in config.primes
         for i in range(config.count)
     ]

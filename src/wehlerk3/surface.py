@@ -48,6 +48,7 @@ from .poly import SparsePoly
 VARS6 = ("x0", "x1", "x2", "y0", "y1", "y2")
 XVARS = ("x0", "x1", "x2")
 YVARS = ("y0", "y1", "y2")
+QQ_SEARCH_HEIGHT = 8  # the naive height of the QQ degenerate-base search
 
 
 def _side_vars(side: str):
@@ -225,11 +226,11 @@ def quad_at(qv, w, zero):
 def parse_surface(text: str) -> WehlerSurface:
     """Parse the line-oriented surface format.
 
-    Line 1 is `p <modulus|Q>`; remaining non-comment lines are `L i j c` or
-    `Q i j k l c` with integer c, accumulated and symmetrized.
+    Line 1 is `p <modulus|Q>`; remaining lines are `L i j c` or
+    `Q i j k l c` with integer c, accumulated and symmetrized.  A `#` starts
+    a comment that runs to the end of its line.
     """
-    lines = [ln.strip() for ln in text.splitlines()]
-    lines = [ln for ln in lines if ln and not ln.startswith("#")]
+    lines = [ln for ln in (raw.partition("#")[0].strip() for raw in text.splitlines()) if ln]
     if not lines:
         raise ParseError("empty surface file")
     head = lines[0].split()
@@ -447,36 +448,30 @@ def _fiber_restriction(s: WehlerSurface, side: str, base):
     return "line", (u, v)
 
 
-def _qq_candidates(height: int):
-    """Primitive integer triples of height <= `height`, first nonzero entry positive."""
-    box = range(-height, height + 1)
-    for c in product(box, repeat=3):
-        lead = next((v for v in c if v), 0)
-        if lead > 0 and gcd(*c) == 1:
-            yield tuple(map(Fraction, c))
+def _qq_candidates():
+    """Primitive integer triples of height <= QQ_SEARCH_HEIGHT, first nonzero entry positive."""
+    box = range(-QQ_SEARCH_HEIGHT, QQ_SEARCH_HEIGHT + 1)
+    return (tuple(map(Fraction, c)) for c in product(box, repeat=3)
+            if c > (0, 0, 0) and gcd(*c) == 1)
 
 
-def degenerate_fibers(s: WehlerSurface, side: str, height: int = 8):
+def degenerate_fibers(s: WehlerSurface, side: str):
     """Base points with positive-dimensional fiber and vanishing G/H system.
 
     Over F_p the list is exhaustive: `SurfaceEngine.degenerate_bases` finds
     every rational common zero of G and H.  Over QQ candidates are searched up to
-    the given naive height; the returned list is complete only within that
-    box (the worked example's centers have height 1).
+    naive height QQ_SEARCH_HEIGHT; the returned list is complete only within
+    that box (the worked example's centers have height 1).
     """
-    result = []
     if s.is_finite():
-        for base_row, kind in _degenerate_rows(s, side):
-            result.append(DegenerateFiberInfo(point2(s.domain, *[int(v) for v in base_row]), kind))
+        found = [(point2(s.domain, *map(int, row)), kind)
+                 for row, kind in _degenerate_rows(s, side)]
     else:
-        for cand in _qq_candidates(height):
-            # A non-finite fiber has Q = 0 on its line or L = 0, and every
-            # G and H has degree 2 in L, so the G/H system vanishes there too.
-            kind, _ = _fiber_restriction(s, side, cand)
-            if kind != "finite":
-                result.append(DegenerateFiberInfo(point2(QQ, *cand), kind))
-    result.sort(key=lambda d: d.base.raw)
-    return result
+        # A non-finite fiber has Q = 0 on its line or L = 0, and every
+        # G and H has degree 2 in L, so the G/H system vanishes there too.
+        found = [(point2(QQ, *cand), kind) for cand in _qq_candidates()
+                 if (kind := _fiber_restriction(s, side, cand)[0]) != "finite"]
+    return sorted((DegenerateFiberInfo(*f) for f in found), key=lambda d: d.base.raw)
 
 
 def _degenerate_rows(s: WehlerSurface, side: str) -> list:

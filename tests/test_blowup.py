@@ -1,5 +1,7 @@
 import hashlib
+import re
 
+import numpy as np
 import pytest
 from test_engine import SMALL_P_SURFACES, _sparse_surface
 
@@ -103,7 +105,7 @@ def test_generic_parameter_has_two_roots(chart29):
     # Away from finitely many parameters the line meets the fiber in two
     # rational points or none (a conjugate pair); this chart has no
     # ramified line, which would carry a single point.
-    counts = [len(chart29.points_at(s)) for s in chart29.s_candidates()]
+    counts = [len(chart29.points_at(s)) for s in line_parameters(chart29.p)]
     assert len(counts) == 30
     assert set(counts) == {0, 2}
     assert counts.count(2) == 15  # each line carries 0 or 2 of the 30 fiber points
@@ -157,7 +159,7 @@ def test_vieta_relation_on_boundary_pairs(chart29):
     # [m_k m'_k, m_k m'_l + m_l m'_k, m_l m'_l] = [A, -B, C] for every
     # usable index pair of the stripped chart quadratic.
     p = chart29.p
-    for s in chart29.s_candidates():
+    for s in line_parameters(p):
         pts = chart29.points_at(s)
         if not pts:
             continue
@@ -258,10 +260,21 @@ def table_surfaces(w1_29):
     return surfaces, reproducers
 
 
+def _raws(chart, rows):
+    return [tuple(r) for r in chart.surface.engine().table.pts[rows].tolist()]
+
+
+def _points_outcome(chart, s):
+    try:
+        return [pt.raw for pt in chart.points_at(s)]
+    except AmbiguousS as exc:
+        return type(exc).__name__
+
+
 def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
     # Every (line parameter, fiber point) entry of the table against the
-    # scalar `matches`, and `resolve_s` against a `matches` scan; the fiber
-    # itself against the scalar fiber solver.
+    # scalar `matches`, through the stored (line, moving) pairs, `points_at`
+    # and `resolve_s`; the fiber itself against the scalar fiber solver.
     surfaces, reproducers = table_surfaces
     kinds = set()
     for s in surfaces + reproducers:
@@ -269,19 +282,45 @@ def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
         for info, chart in _charts(s):
             kinds.add(info.kind)
             fiber = sorted(pt.raw for pt in fiber_points(s, chart.side, info.base.coords))
-            assert list(chart.params) == fiber
-            on = {mv: [sv for sv in chart.s_candidates() if chart.matches(mv, sv)]
-                  for mv in fiber}
-            for sv in chart.s_candidates():
-                assert [pt.raw for pt in chart.lines[sv]] == [mv for mv in fiber if sv in on[mv]]
+            assert _raws(chart, chart.rows) == fiber
+            cands = line_parameters(chart.p)
+            on = {mv: [sv for sv in cands if chart.matches(mv, sv)] for mv in fiber}
+            entries = [(j, mv) for j, sv in enumerate(cands) for mv in fiber if sv in on[mv]]
+            assert list(zip(chart.line.tolist(), _raws(chart, chart.moving))) == entries
+            for sv in cands:
+                on_line = [mv for mv in fiber if sv in on[mv]]
+                expected = on_line if len(on_line) <= 2 else "AmbiguousS"
+                assert _points_outcome(chart, sv) == expected
             for mv, hits in on.items():
-                assert chart.params[mv] == hits
                 expected = hits[0] if len(hits) == 1 else ("AmbiguousS" if hits else "NoRationalS")
                 assert _resolve_outcome(chart, mv) == expected
                 uncovered += not hits
         if s in reproducers:
             assert uncovered
     assert kinds == {"line", "conic", "plane"}
+
+
+def test_a_line_with_three_points_is_ambiguous(w1_29, F29):
+    # No fixture chart has a line with more than two points, so one is made:
+    # a third pair is added to a two-point line of a freshly built chart.
+    chart = build_chart(w1_29, "x", point2(F29, -1, -1, 1))
+    pairs = list(zip(chart.line.tolist(), chart.moving.tolist()))
+    full = sorted({j for j, _ in pairs})
+    j, k, m = full[:3]
+    extra = next(row for line, row in pairs if line == k)
+    pairs = sorted(pairs + [(j, extra)])
+    chart.line, chart.moving = (np.array(col, dtype=np.int64) for col in zip(*pairs))
+    s = line_parameters(chart.p)[j]
+    message = re.escape(f"3 boundary points on line {s} over {chart.center}")
+    with pytest.raises(AmbiguousS, match=message):
+        chart.points_at(s)
+    with pytest.raises(AmbiguousS, match=message):
+        exceptional_points(chart)
+    # A point on another line still resolves, and so do that line's points.
+    on_m = chart.points_at(line_parameters(chart.p)[m])
+    assert len(on_m) == 2
+    assert all(resolve_s(chart, pt).raw == line_parameters(chart.p)[m] for pt in on_m)
+    assert _resolve_outcome(chart, _raws(chart, [extra])[0]) == "AmbiguousS"
 
 
 # -- the SparsePoly chart construction: the reference of the (eps, s) grids --------
@@ -364,7 +403,11 @@ def test_grid_charts_match_the_sparse_poly_construction(table_surfaces):
                 assert f.coeffs == ref.h_forms[ij].coeffs
             assert [f.coeffs for f in chart.l_forms] == [f.coeffs for f in ref.l_forms]
             assert chart.divided_system() == ref.divided_system()
-            assert chart.lines == ref.lines and chart.params == ref.params
+            for name in ("rows", "line", "moving"):
+                got, want = getattr(chart, name), getattr(ref, name)
+                assert got.dtype == want.dtype == np.int64 and np.array_equal(got, want)
+            for sv in line_parameters(chart.p):
+                assert _points_outcome(chart, sv) == _points_outcome(ref, sv)
             for pt in fiber_points(s, chart.side, info.base.coords):
                 assert _resolve_outcome(chart, pt) == _resolve_outcome(ref, pt)
             outcome = _ramification_outcome(chart)
@@ -507,25 +550,27 @@ def _q_rows(chart):
     e_q = min(f.vanishing_order("eps", 0) for f in forms if f)
     forms = [_exceptional_form(f.divide_linear_power("eps", 0, e_q), chart.p, 2)
              for f in forms]
-    return e_q, dict(zip(chart.s_candidates(), _stripped_rows(forms).T.tolist()))
+    return e_q, _stripped_rows(forms).T.tolist()
 
 
 def test_q_prime_vanishes_wherever_the_table_accepts(table_surfaces):
     # The proof in `BlowupChart._build_table`: L' and the pair quadratics
-    # imply Q', so the table needs no Q' row.
+    # imply Q', so the table needs no Q' row.  Checked at every stored
+    # (line, moving) entry, and at the points `points_at` returns.
     surfaces, reproducers = table_surfaces
     accepted = {"e_q = 0": 0, "e_q > 0": 0}
     for s in surfaces + reproducers:
         for _info, chart in _charts(s):
             p = chart.p
             e_q, rows = _q_rows(chart)
-            for sv, pts in chart.lines.items():
-                row = rows[sv]
-                for pt in pts:
-                    mv = pt.raw
-                    assert any(row)  # Q' does not vanish identically on the line
-                    assert sum(c * mv[k] * mv[l] for c, (k, l) in zip(row, PAIRS)) % p == 0
-                    accepted["e_q > 0" if e_q else "e_q = 0"] += 1
+            entries = list(zip(chart.line.tolist(), _raws(chart, chart.moving)))
+            assert entries == [(j, pt.raw) for j, sv in enumerate(line_parameters(p))
+                               for pt in chart.points_at(sv)]
+            for j, mv in entries:
+                row = rows[j]
+                assert any(row)  # Q' does not vanish identically on the line
+                assert sum(c * mv[k] * mv[l] for c, (k, l) in zip(row, PAIRS)) % p == 0
+                accepted["e_q > 0" if e_q else "e_q = 0"] += 1
     assert all(accepted.values()), accepted
 
 

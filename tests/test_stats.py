@@ -121,6 +121,25 @@ def test_area_error_bounds():
         area_error(DistributionCurve((0.0, 1.0), (0.0, 0.5), 1.0, "definition"))
 
 
+@pytest.mark.parametrize("step,points", [(0.1, 101), (0.25, 41), (0.5, 21)])
+def test_make_grid_reaches_grid_max(step, points):
+    xs = make_grid(step)
+    assert len(xs) == points and xs[0] == 0.0
+    assert abs(xs[-1] - stats.GRID_MAX) <= 1e-9
+
+
+@pytest.mark.parametrize("step", [0.3, 0.0, -0.1])
+def test_a_bad_grid_step_fails_before_any_surface_is_drawn(monkeypatch, step):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_surface was called")
+
+    monkeypatch.setattr(stats, "random_surface", no_draw)
+    with pytest.raises(BadDomain, match="grid step"):
+        make_grid(step)
+    with pytest.raises(BadDomain, match="grid step"):
+        run_experiment(ExperimentConfig(count=1, primes=(29,), grid_step=step))
+
+
 def test_curve_monotonicity_enforced():
     with pytest.raises(BadDomain):
         DistributionCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.6), 1.0, "definition")
@@ -212,7 +231,7 @@ def _fail_first_census(monkeypatch, exc):
     monkeypatch.setattr(stats, "cycle_decomposition", census)
 
 
-JOB = (13, 0, 1, "nondegenerate", "symmetric-mean", 0.1, 2)
+JOB = (13, 0, 1, "nondegenerate", "symmetric-mean", 0.1)
 
 
 @pytest.mark.parametrize("exc", [NoRationalS, AmbiguousS])

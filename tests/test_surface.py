@@ -1,5 +1,7 @@
 import hashlib
 import random
+import re
+from pathlib import Path
 
 import numpy as np
 import pytest
@@ -99,6 +101,15 @@ def test_serialize_roundtrip_random():
         except ZeroForm:
             continue
         assert parse_surface(serialize_surface(s)) == s
+
+
+def test_parse_reads_the_readme_example_with_inline_comments():
+    readme = (Path(__file__).resolve().parents[1] / "README.md").read_text()
+    block = readme.split("### Surface file format", 1)[1].split("```\n", 2)[1]
+    bare = re.sub(r"\s*#.*", "", block)
+    assert "#" in block and "#" not in bare
+    assert parse_surface(block) == parse_surface(bare)
+    assert parse_surface("# a comment line\n" + block) == parse_surface(bare)
 
 
 def test_parse_errors():
