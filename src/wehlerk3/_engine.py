@@ -170,23 +170,22 @@ class PlaneTable:
         """The points at the given table rows side by side: (N, 3 * len(rows))."""
         return self.pts.take(np.stack(rows, axis=1), axis=0).reshape(-1, 3 * len(rows))
 
-    def index_of(self, pts: np.ndarray) -> np.ndarray:
-        """Row indices of canonical points in the table.
+    def index_of(self, pt) -> int:
+        """Row index of one canonical point, given as its three ints.
 
         Closed form from the table's order: (0,0,1) is row 0, (0,1,x2) row
-        1 + x2 and (1,x1,x2) row 1 + p + p*x1 + x2.  Any other row, an entry
-        outside 0..p-1 or the zero row raises KeyError.
+        1 + x2 and (1,x1,x2) row 1 + p + p*x1 + x2.  Any other point, an
+        entry outside 0..p-1 or the zero point raises KeyError.
         """
-        pts = np.asarray(pts, dtype=np.int64)
+        x0, x1, x2 = pt
         p = self.p
-        x0, x1, x2 = pts[..., 0], pts[..., 1], pts[..., 2]
-        # Exactly the table rows: x2 in 0..p-1 and either x0 = 1 with x1 in
-        # 0..p-1, or x0 = 0 with x1 = 1, or (x0, x1, x2) = (0, 0, 1).
-        at_infinity = (x0 == 0) & ((x1 == 1) | ((x1 == 0) & (x2 == 1)))
-        affine = (x0 == 1) & (x1 >= 0) & (x1 < p)
-        if not np.all((x2 >= 0) & (x2 < p) & (affine | at_infinity)):
-            raise KeyError("point not in canonical table")
-        return np.where(x0 == 1, 1 + p + p * x1 + x2, np.where(x1 == 1, 1 + x2, 0))
+        if x0 == 1 and 0 <= x1 < p and 0 <= x2 < p:
+            return 1 + p + p * x1 + x2
+        if (x0, x1) == (0, 1) and 0 <= x2 < p:
+            return 1 + x2
+        if (x0, x1, x2) == (0, 0, 1):
+            return 0
+        raise KeyError(f"{tuple(pt)} is not a point of the canonical table")
 
     def interpolate(self, values: np.ndarray) -> np.ndarray:
         """A quartic's values on every affine row from its n x n grid values.
@@ -292,7 +291,7 @@ class SurfaceEngine:
     # -- full fiber analysis over one side ----------------------------------
 
     def degenerate_bases(self, side: str) -> list:
-        """(base_row, kind) for every base of the side with a degenerate fiber.
+        """(base row, kind) for every base of the side with a degenerate fiber.
 
         A base is degenerate exactly where every G_k and H_ij vanishes.  Write
         l for the 3 coefficients of L(base, .), n_k = e_k x l and B for the
@@ -304,9 +303,8 @@ class SurfaceEngine:
         G and H are quartics in the base, so `gh_eval` at the p + 1 rows of
         the line at infinity and at the table's interpolation grid gives them
         everywhere.  One interpolated form yields the candidates; each other
-        form narrows them at the candidates alone.  kind is "line" where
-        L(base, .) != 0, else "conic" or "plane" (Q(base, .) vanishes too);
-        the "line" bases come first, each group in table order.
+        form narrows them at the candidates alone.  Rows come in table order;
+        kind is "line" where L(base, .) != 0, else "conic", or "plane" if Q(base, .) = 0.
         """
         p = self.p
         tbl = self.table
@@ -324,12 +322,10 @@ class SurfaceEngine:
 
         found = np.concatenate([at_infinity, 1 + p + p * ys + zs])
         bases = tbl.pts[found]
-        line = self.line_coeffs(side, bases).any(axis=1)
-        qc = self.quad_coeffs(side, tbl.monomials(bases[~line]))
-        degenerate = [(base, "line") for base in bases[line]]
-        degenerate += [(base, "conic" if q.any() else "plane")
-                       for base, q in zip(bases[~line], qc)]
-        return degenerate
+        line = self.line_coeffs(side, bases).any(axis=1).tolist()
+        conic = self.quad_coeffs(side, tbl.monomials(bases)).any(axis=1).tolist()
+        return [(row, "line" if l else "conic" if q else "plane")
+                for row, l, q in zip(found.tolist(), line, conic)]
 
     def analyze(self, side: str):
         """`fiber_pairs` as (N, 6) coordinates [x | y], and `degenerate_bases`."""

@@ -67,7 +67,7 @@ PENCIL_VARS = ("s0", "s1", "eps")
 
 def line_parameters(p: int) -> list[tuple[int, int]]:
     """The p + 1 points of P^1(F_p): (0, 1), then (1, t) for t = 0..p-1."""
-    return [(0, 1)] + [(1, t) for t in range(p)]
+    return [_parameter(j) for j in range(p + 1)]
 
 
 def _parameter_index(p: int, s0: int, s1: int) -> int:
@@ -268,9 +268,6 @@ class BoundaryPoint:
     s: ProjectivePoint1
     moving: ProjectivePoint2
 
-    def key(self):
-        return (self.side, self.center.raw, self.s.raw, self.moving.raw)
-
 
 class BlowupChart:
     """The divided G/H/L system of one degenerate base point.
@@ -386,7 +383,7 @@ class BlowupChart:
         own = side_index(self.side)
         pairs = pair_rows(self.surface)
         base, moving = pairs[own], pairs[1 - own]
-        rows = moving[base == tbl.index_of(np.array(self.center.raw))]
+        rows = moving[base == tbl.index_of(self.center.raw)]
         fiber = tbl.pts[rows]
         mon = np.stack([fiber[:, k] * fiber[:, l] for (k, l) in PAIRS], axis=1)
         hit = (fiber @ self._stripped_line) % p == 0
@@ -428,21 +425,18 @@ class BlowupChart:
 
     # -- table queries ------------------------------------------------------------
 
-    def _at_most_two(self, j: int, count: int):
-        """AmbiguousS when line j holds `count` > 2 entries of the table."""
-        if count > 2:
-            raise AmbiguousS(f"{count} boundary points on line {_parameter(j)} over {self.center}")
-
-    def points_at(self, s: tuple[int, int]) -> list:
-        """The distinct rational boundary points on the line s (at most two).
-
-        These are the fiber points the membership table puts on s, in lex
-        order; more than two raise AmbiguousS.
-        """
+    def rows_at(self, s: tuple[int, int]) -> list[int]:
+        """The fiber rows the table puts on the line s, in lex order; AmbiguousS past two."""
         j = _parameter_index(self.p, *s)
         lo, hi = self.line.searchsorted((j, j + 1)).tolist()
-        self._at_most_two(j, hi - lo)
-        return table_points(self.surface, self.moving[lo:hi])
+        if hi - lo > 2:
+            raise AmbiguousS(
+                f"{hi - lo} boundary points on line {_parameter(j)} over {self.center}")
+        return self.moving[lo:hi].tolist()
+
+    def points_at(self, s: tuple[int, int]) -> list:
+        """The distinct rational boundary points on the line s, as `rows_at` lists them."""
+        return table_points(self.surface, self.rows_at(s))
 
     def __repr__(self):
         return (f"BlowupChart(side={self.side!r}, center={self.center}, "
@@ -472,19 +466,18 @@ def chart_for(surface: WehlerSurface, side: str, center: ProjectivePoint2) -> Bl
 def resolve_s(chart: BlowupChart, moving) -> ProjectivePoint1:
     """The unique line parameter whose chart system vanishes at the point.
 
-    Finds the point among the fiber's rows and reads its lines from the
-    chart's (line, row) pairs: NotOnSurface off the fiber, NoRationalS /
-    AmbiguousS for no line / several lines.
+    Reads the lines of the point's plane-table row from the chart's (line,
+    row) pairs: NotOnSurface off the fiber, NoRationalS / AmbiguousS for no
+    line / several lines.
     """
     if not isinstance(moving, ProjectivePoint2):
         moving = point2(chart.surface.domain, *moving)
     mv = moving.raw
-    try:
-        at = chart.surface.engine().table.pts[chart.rows].tolist().index(list(mv))
-    except ValueError:
-        raise NotOnSurface(f"({mv}) is not on the fiber over {chart.center}") from None
-    hits = chart.line[chart.moving == chart.rows[at]].tolist()
+    row = chart.surface.engine().table.index_of(mv)
+    hits = chart.line[chart.moving == row].tolist()
     if not hits:
+        if row not in chart.rows:
+            raise NotOnSurface(f"({mv}) is not on the fiber over {chart.center}")
         raise NoRationalS(f"no rational line parameter for {mv} over {chart.center}")
     if len(hits) > 1:
         raise AmbiguousS(f"{len(hits)} line parameters match {mv} over {chart.center}")
@@ -497,9 +490,8 @@ def exceptional_points(chart: BlowupChart) -> list[BoundaryPoint]:
     Per line parameter in `line_parameters` order, the table's points on
     that line in lex order.
     """
-    counts = np.bincount(chart.line, minlength=1)
-    j = int((counts > 2).argmax())
-    chart._at_most_two(j, int(counts[j]))
+    crowded = np.bincount(chart.line, minlength=1) > 2
+    chart.rows_at(_parameter(int(crowded.argmax())))  # AmbiguousS at a line past two points
     line, field = chart.line.tolist(), chart.surface.domain
     lines = {k: point1(field, *_parameter(k)) for k in set(line)}
     return [BoundaryPoint(chart.side, chart.center, lines[j], pt)
@@ -512,13 +504,13 @@ def sigma_extended(chart: BlowupChart, P: BoundaryPoint) -> BoundaryPoint:
     The pair on each line is the full verified root set of the chart system,
     so the swap is total and involutive by construction.
     """
-    pts = chart.points_at(P.s.raw)
-    if P.moving not in pts:
-        raise NotOnSurface(
-            f"{P.moving} is not a chart root at s={P.s} over {chart.center}")
-    others = [q for q in pts if q != P.moving]
+    rows = chart.rows_at(P.s.raw)
+    row = chart.surface.engine().table.index_of(P.moving.raw)
+    if row not in rows:
+        raise NotOnSurface(f"{P.moving} is not a chart root at s={P.s} over {chart.center}")
+    others = [r for r in rows if r != row]
     if others:
-        return BoundaryPoint(P.side, P.center, P.s, others[0])
+        return BoundaryPoint(P.side, P.center, P.s, table_points(chart.surface, others)[0])
     return P
 
 

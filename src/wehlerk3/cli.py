@@ -26,6 +26,7 @@ from .involution import fiber_partner_oracle, sigma
 from .stats import (
     EXPERIMENT_PRIMES,
     ExperimentConfig,
+    point_count_lower,
     run_experiment,
     sanity_windows,
 )
@@ -38,11 +39,14 @@ from .surface import (
 )
 
 
+def _positive_arg(value: str) -> int:
+    if not value.isdigit() or int(value) < 1:
+        raise argparse.ArgumentTypeError(f"{value!r} is not a positive integer")
+    return int(value)
+
+
 def _prime_arg(value: str) -> int:
-    try:
-        p = int(value)
-    except ValueError:
-        raise argparse.ArgumentTypeError(f"{value!r} is not an integer")
+    p = _positive_arg(value)
     if p < 3 or p % 2 == 0 or not is_prime(p):
         raise argparse.ArgumentTypeError(f"{p} is not an odd prime")
     return p
@@ -82,7 +86,7 @@ def cmd_points(args) -> int:
     s = _load_surface(args.surface, args.prime)
     p = s.domain.p
     n = point_count(s)
-    bound = p * p - 22 * p + 1
+    bound = point_count_lower(p)
     ok = n >= bound
     points = surface_pairs(s).tolist()
     if args.format == "csv":
@@ -235,7 +239,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_cycles.set_defaults(func=cmd_cycles)
 
     p_exp = sub.add_parser("experiment", help="multi-surface distribution experiment")
-    p_exp.add_argument("--count", type=int, default=10)
+    p_exp.add_argument("--count", type=_positive_arg, default=10)
     p_exp.add_argument("--primes", type=_primes_arg, default=EXPERIMENT_PRIMES)
     p_exp.add_argument("--seed", type=int, default=0)
     p_exp.add_argument("--mode", choices=("nondegenerate", "degenerate"),
@@ -243,7 +247,7 @@ def build_parser() -> argparse.ArgumentParser:
     p_exp.add_argument("--z-variant", choices=("definition", "symmetric-mean"),
                        default="symmetric-mean")
     p_exp.add_argument("--grid-step", type=float, default=0.1)
-    p_exp.add_argument("--threads", type=int, default=1)
+    p_exp.add_argument("--threads", type=_positive_arg, default=1)
     p_exp.add_argument("--out", default=None)
     p_exp.set_defaults(func=cmd_experiment)
 

@@ -15,11 +15,19 @@ from dataclasses import dataclass, field as dc_field
 import numpy as np
 
 from ._engine import SIDES, phase_key, side_index
-from .blowup import BoundaryPoint, chart_for, exceptional_points, resolve_s, sigma_extended
+from .blowup import (
+    BoundaryPoint,
+    _parameter,
+    _parameter_index,
+    chart_for,
+    exceptional_points,
+    resolve_s,
+    sigma_extended,
+)
 from .errors import NonBijective, NotOnSurface, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
 from .involution import _cor1_partner
-from .surface import WehlerSurface, degenerate_fibers, pair_rows, table_points
+from .surface import WehlerSurface, _degenerate_rows, degenerate_fibers, pair_rows, table_points
 
 __all__ = [
     "PhasePoint",
@@ -153,7 +161,9 @@ class PhaseSpace:
 
     A record is stored as the plane-table rows of a and b (`_ia`, `_ib`) and
     one line-parameter code per side (`_codes`): t for s = (1 : t), p for
-    s = (0 : 1) and p + 1 where the side carries no parameter.  Records are
+    s = (0 : 1) and p + 1 where the side carries no parameter.  A code is
+    (j - 1) mod (p + 1) for s at position j of `blowup.line_parameters`
+    (`_scode`, `_sdecode`), so P^1 is numbered only there.  Records are
     sorted by their x key (`phase_key` of the rows and the sx code, `_key`),
     then by the sy code.  Each involution is a product of disjoint
     transpositions, one per two-point fiber, and `perm` swaps the records
@@ -178,16 +188,13 @@ class PhaseSpace:
         code of its line.
         """
         s = self.surface
-        centers = sorted(_centers(s)[side])
         line, moving = [], []
-        for j, raw in enumerate(centers):
-            for bp in exceptional_points(chart_for(s, side, point2(s.domain, *raw))):
-                line.append(j * (self.p + 1) + self._scode(bp.s.raw))
-                moving.append(bp.moving.raw)
-        index = self._tbl.index_of
-        return (index(np.array(centers, dtype=np.int64).reshape(-1, 3)),
-                np.array(line, dtype=np.int64),
-                index(np.array(moving, dtype=np.int64).reshape(-1, 3)))
+        for j, info in enumerate(degenerate_fibers(s, side)):
+            for bp in exceptional_points(chart_for(s, side, info.base)):
+                line.append(j * (self.p + 1) + self._scode(bp.s))
+                moving.append(self._tbl.index_of(bp.moving.raw))
+        centers = [row for row, _ in _degenerate_rows(s, side)]
+        return tuple(np.array(v, dtype=np.int64) for v in (centers, line, moving))
 
     def _build_points(self):
         p = self.p
@@ -236,16 +243,13 @@ class PhaseSpace:
         self._ia, self._ib = ia[order], ib[order]
         self._codes = {"x": cx[order], "y": cy[order]}
 
-    def _scode(self, s_raw: tuple) -> int:
-        s0, s1 = int(s_raw[0]), int(s_raw[1])
-        return self.p if s0 == 0 else s1
+    def _scode(self, s: ProjectivePoint1 | None) -> int:
+        return self.p + 1 if s is None else (_parameter_index(self.p, *s.raw) - 1) % (self.p + 1)
 
-    def _sdecode(self, code: int):
+    def _sdecode(self, code: int) -> ProjectivePoint1 | None:
         if code == self.p + 1:
             return None
-        if code == self.p:
-            return point1(self.surface.domain, 0, 1)
-        return point1(self.surface.domain, 1, code)
+        return point1(self.surface.domain, *_parameter((code + 1) % (self.p + 1)))
 
     # -- point access ---------------------------------------------------------
 
@@ -278,10 +282,8 @@ class PhaseSpace:
 
     def index_of(self, P: PhasePoint) -> int:
         """The record of P: a left and right search of its x key, then its sy code."""
-        none_code = self.p + 1
-        sx, sy = (none_code if t is None else self._scode(t.raw) for t in (P.sx, P.sy))
-        rows = (self._tbl.index_of(np.array(Q.raw)) for Q in (P.a, P.b))
-        key = phase_key(*rows, sx, self.p)
+        sx, sy = map(self._scode, (P.sx, P.sy))
+        key = phase_key(self._tbl.index_of(P.a.raw), self._tbl.index_of(P.b.raw), sx, self.p)
         lo, hi = (np.searchsorted(self._key, key, side=end) for end in ("left", "right"))
         # Records sharing an x key differ only in sy.
         hit = lo + np.flatnonzero(self._codes["y"][lo:hi] == sy)

@@ -185,6 +185,11 @@ class WindowReport:
         return out
 
 
+def point_count_lower(p: int) -> int:
+    """The required lower bound p^2 - 22p + 1 on a surface's rational point count."""
+    return p * p - 22 * p + 1
+
+
 def sanity_windows(s, census: CycleCensus) -> WindowReport:
     """Point-count lower bound and fixed-point windows, exact comparisons.
 
@@ -196,13 +201,12 @@ def sanity_windows(s, census: CycleCensus) -> WindowReport:
     p = s.domain.p
     n_points = point_count(s)
     checks = []
-    lb = p * p - 22 * p + 1
+    lb = point_count_lower(p)
     checks.append(WindowCheck(
         "point_count_lower", lb, n_points, n_points - lb, n_points >= lb))
-    two_sided = abs(n_points - (p * p + 1)) <= 22 * p
+    dev, width = abs(n_points - (p * p + 1)), 22 * p
     checks.append(WindowCheck(
-        "point_count_two_sided", 22 * p, abs(n_points - (p * p + 1)),
-        22 * p - abs(n_points - (p * p + 1)), two_sided, required=False))
+        "point_count_two_sided", width, dev, width - dev, dev <= width, required=False))
     w = {"x": len(degenerate_fibers(s, "x")), "y": len(degenerate_fibers(s, "y"))}
     sq20 = 20.0 * math.sqrt(p)
     for side, fix in (("x", census.fix_x), ("y", census.fix_y)):
@@ -432,6 +436,8 @@ def run_experiment(config: ExperimentConfig) -> ExperimentReport:
     mirroring the original experiment's footnote rule.
     """
     make_grid(config.grid_step)
+    if config.count < 1:
+        raise BadDomain(f"surface count {config.count} must be positive")
     jobs = [
         (p, i, config.seed, config.mode, config.z_variant, config.grid_step)
         for p in config.primes

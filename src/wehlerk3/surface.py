@@ -464,18 +464,18 @@ def degenerate_fibers(s: WehlerSurface, side: str):
     that box (the worked example's centers have height 1).
     """
     if s.is_finite():
-        found = [(point2(s.domain, *map(int, row)), kind)
-                 for row, kind in _degenerate_rows(s, side)]
-    else:
-        # A non-finite fiber has Q = 0 on its line or L = 0, and every
-        # G and H has degree 2 in L, so the G/H system vanishes there too.
-        found = [(point2(QQ, *cand), kind) for cand in _qq_candidates()
-                 if (kind := _fiber_restriction(s, side, cand)[0]) != "finite"]
+        found = _degenerate_rows(s, side)
+        bases = table_points(s, [row for row, _ in found])
+        return [DegenerateFiberInfo(base, kind) for base, (_, kind) in zip(bases, found)]
+    # A non-finite fiber has Q = 0 on its line or L = 0, and every
+    # G and H has degree 2 in L, so the G/H system vanishes there too.
+    found = [(point2(QQ, *cand), kind) for cand in _qq_candidates()
+             if (kind := _fiber_restriction(s, side, cand)[0]) != "finite"]
     return sorted((DegenerateFiberInfo(*f) for f in found), key=lambda d: d.base.raw)
 
 
 def _degenerate_rows(s: WehlerSurface, side: str) -> list:
-    """The engine's (base_row, kind) list of one side, computed once per surface."""
+    """The engine's (base row, kind) list of one side, in table order, computed once."""
     return s.cached(("degenerate", side), lambda: s.engine().degenerate_bases(side))
 
 
@@ -506,10 +506,11 @@ def table_points(s: WehlerSurface, rows) -> list:
     elements as they stand, with no normalization.
     """
     dom = s.domain
-    distinct, at = np.unique(rows, return_inverse=True)
-    made = [ProjectivePoint2(tuple(FieldElement(v, dom) for v in row))
-            for row in s.engine().table.pts[distinct].tolist()]
-    return [made[i] for i in at.tolist()]
+    rows = np.asarray(rows, dtype=np.int64).tolist()
+    distinct = list(dict.fromkeys(rows))
+    made = {row: ProjectivePoint2(tuple(FieldElement(v, dom) for v in coords))
+            for row, coords in zip(distinct, s.engine().table.pts[distinct].tolist())}
+    return [made[row] for row in rows]
 
 
 def enumerate_points(s: WehlerSurface):
@@ -571,13 +572,12 @@ def random_surface(
     p: int,
     seed: int,
     mode: str = "nondegenerate",
-    min_degenerate: int = 1,
     max_draws: int = 10_000,
 ) -> WehlerSurface:
     """Rejection-sample a surface over F_p with reproducible draws.
 
     mode "nondegenerate": no degenerate fibers on either side.
-    mode "degenerate": at least `min_degenerate` degenerate fibers in total.
+    mode "degenerate": at least one degenerate fiber on either side.
     mode "any": only the smoothness filter.
     Every accepted surface passes the rational-point Jacobian check of
     `is_smooth_rational`, which evaluates the Jacobian only over x-bases with
@@ -607,10 +607,8 @@ def random_surface(
         eng = SurfaceEngine(a, b, p)
         sides = SIDES if mode != "any" else ()
         degenerate = {side: eng.degenerate_bases(side) for side in sides}
-        n_deg = sum(map(len, degenerate.values()))
-        if mode == "nondegenerate" and n_deg:
-            continue
-        if mode == "degenerate" and n_deg < min_degenerate:
+        # "degenerate" needs a degenerate fiber, "nondegenerate" none, "any" tests no side.
+        if any(degenerate.values()) != (mode == "degenerate"):
             continue
         cand = WehlerSurface(field, a, b)
         cand.cached(("engine",), lambda: eng)

@@ -300,6 +300,34 @@ def test_membership_table_agrees_with_the_scalar_predicate(table_surfaces):
     assert kinds == {"line", "conic", "plane"}
 
 
+def test_sigma_extended_swaps_the_points_matches_puts_on_each_line(table_surfaces):
+    # At every (line parameter, fiber point) of every chart, the reproducers'
+    # included: a point on the line goes to the line's other point, or to
+    # itself on a one-point line; a point that is not on the line raises
+    # NotOnSurface.  No fixture chart has a line with three points.
+    surfaces, reproducers = table_surfaces
+    swapped = fixed = off = 0
+    for s in surfaces + reproducers:
+        for _, chart in _charts(s):
+            fiber = [point2(s.domain, *raw) for raw in _raws(chart, chart.rows)]
+            for sv in line_parameters(chart.p):
+                on_line = [mv for mv in fiber if chart.matches(mv.raw, sv)]
+                assert len(on_line) <= 2
+                for mv in fiber:
+                    bp = BoundaryPoint(chart.side, chart.center, point1(s.domain, *sv), mv)
+                    if mv not in on_line:
+                        with pytest.raises(NotOnSurface):
+                            sigma_extended(chart, bp)
+                        off += 1
+                        continue
+                    partner = on_line[0] if on_line[-1] == mv else on_line[-1]
+                    assert sigma_extended(chart, bp) == BoundaryPoint(
+                        bp.side, bp.center, bp.s, partner)
+                    swapped += partner != mv
+                    fixed += partner == mv
+    assert min(swapped, fixed, off) > 0
+
+
 def test_a_line_with_three_points_is_ambiguous(w1_29, F29):
     # No fixture chart has a line with more than two points, so one is made:
     # a third pair is added to a two-point line of a freshly built chart.

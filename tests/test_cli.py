@@ -95,6 +95,20 @@ def test_usage_error_exit_code(surface_file):
     assert exc.value.code == 2
 
 
+@pytest.mark.parametrize("flags", [
+    ["--count", "0", "--primes", "29"],
+    ["--count", "-2", "--z-variant", "definition"],
+    ["--count", "two"],
+    ["--count", "1", "--primes", "29", "--threads", "0"],
+])
+def test_experiment_counts_must_be_positive(flags, tmp_path, capsys):
+    with pytest.raises(SystemExit) as exc:
+        main(["experiment", *flags, "--out", str(tmp_path)])
+    assert exc.value.code == 2
+    assert "integer" in capsys.readouterr().err
+    assert not list(tmp_path.iterdir())
+
+
 def test_missing_surface_file():
     rc = main(["points", "--surface", "/nonexistent/file", "--prime", "29"])
     assert rc == 2

@@ -409,7 +409,7 @@ def _pencil_parameter(s, records):
     image = records[:, 3:6] @ s.engine().amat.T % p
     defined = image.any(axis=1)
     t = np.full(len(records), -1)
-    t[defined] = tbl.index_of(tbl.canonicalize(image[defined]))
+    t[defined] = [tbl.index_of(pt) for pt in tbl.canonicalize(image[defined]).tolist()]
     return t
 
 

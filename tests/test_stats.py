@@ -140,6 +140,17 @@ def test_a_bad_grid_step_fails_before_any_surface_is_drawn(monkeypatch, step):
         run_experiment(ExperimentConfig(count=1, primes=(29,), grid_step=step))
 
 
+@pytest.mark.parametrize("count", [0, -2])
+def test_a_non_positive_count_fails_before_any_surface_is_drawn(monkeypatch, count):
+    def no_draw(*args, **kwargs):
+        raise AssertionError("random_surface was called")
+
+    monkeypatch.setattr(stats, "random_surface", no_draw)
+    for variant in ("symmetric-mean", "definition"):
+        with pytest.raises(BadDomain, match=f"surface count {count} must be positive"):
+            run_experiment(ExperimentConfig(count=count, primes=(29,), z_variant=variant))
+
+
 def test_curve_monotonicity_enforced():
     with pytest.raises(BadDomain):
         DistributionCurve((0.0, 1.0, 2.0), (0.5, 0.2, 0.6), 1.0, "definition")

@@ -545,8 +545,10 @@ def test_random_surface_bad_prime():
 
 
 def test_random_surface_exhaustion():
-    with pytest.raises(ExhaustedAttempts):
-        random_surface(5, seed=1, mode="degenerate", min_degenerate=50, max_draws=20)
+    # The (7, 2, "degenerate") pin below accepts its sixth draw; five draws
+    # exhaust, and the error names the draw budget and the prime.
+    with pytest.raises(ExhaustedAttempts, match=r"^no acceptable surface in 5 draws at p=7$"):
+        random_surface(7, seed=2, mode="degenerate", max_draws=5)
 
 
 # (p, seed, mode, smallest max_draws that succeeds, sha256 of serialize_surface).
