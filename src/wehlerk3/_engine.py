@@ -8,6 +8,9 @@ with p^2.
 
 from __future__ import annotations
 
+from itertools import combinations, permutations
+from math import prod
+
 import numpy as np
 
 from .errors import BadModulus
@@ -42,10 +45,13 @@ def side_rows(a, b, side: str):
     L restricted to the fiber over a base has coefficient j = L row j dotted
     with the base, and Q coefficient K (PAIRS order) = Q row K dotted with
     the base's PAIRS monomials.  Side "y" reads a and b as stored, side "x"
-    their transposes.  Any ring's entries work; this is the one place the
-    two sides' coefficients are told apart.
+    their transposes (an int64 array's transpose is a view).  Any ring's
+    entries work; this is the one place the two sides' coefficients are told
+    apart.
     """
     if side_index(side) == 0:
+        if isinstance(a, np.ndarray):
+            return a.T, b.T
         return tuple(zip(*a)), tuple(zip(*b))
     return a, b
 
@@ -59,8 +65,16 @@ def side_rows(a, b, side: str):
 # 6m^2 + 12m^3 + 12m^4 < 12p^4 < 2^48 (m = p - 1), its roots are formed as
 # |(+-r - B) * inv(C) * (p + 1)/2| < p^3, and each root's row,
 # off + step * t + (e0 + e1 * t) % p, is a table row < p^2 + p + 1 < 2^23,
-# gh_eval's unreduced sums of residue products satisfy |G|, |H| < 3p^3 < 2^35,
-# the degenerate_bases kernel's sums of n <= 5 residue products are < 5p^2 < 2^25,
+# gh_eval's contraction of the 36 products (L_i L_j mod p) * Q_K with the
+# entries of _GH_TABLE (|T| <= 2) is < 72p^2 < 2^29,
+# the resultant scan of degenerate_bases forms z-coefficients as sums of 5
+# residue products (< 5p^2), Bezout brackets a_u b_v - a_v b_u of residues
+# (|.| < p^2, at most 2 to an entry, so < 2p^2), and the determinant of the
+# reduced d x d Bezout matrix (d <= 4) as d! products of d residues,
+# |det| < 24p^4 < 2^49; it extends the resultant and the z-coefficients to
+# every y by the p x 17 Lagrange product, < 17p^2 < 2^31, and evaluates a
+# quartic at any z from its coefficients and the powers z^k mod p, < 5p^2
+# (zpow's unreduced z^4 < p^4 < 2^44),
 # smooth_scan's unreduced Jacobian entries of dQ, sums of three residue
 # products with one doubled, are <= 4(p - 1)^2 < 4p^2 <= 2^24,
 # the pair keys (row of x) * (p^2 + p + 1) + (row of y) that fiber_pairs sorts
@@ -79,6 +93,10 @@ _ENUM_P_CAP = 2048
 # p = 101 run by 0.5 MB where 2^13 lowered it.
 _ROOT_BLOCK = 1 << 13
 
+# Res_z(G_0, G_1) on the affine chart (1, y, z) is a polynomial of degree
+# <= 16 in y, so its values at the nodes y = 0..16 determine it.
+_RES_NODES = 17
+
 
 def phase_key(ia: np.ndarray, ib: np.ndarray, code: np.ndarray, p: int) -> np.ndarray:
     """One int64 key per phase record from plane-table row indices and a code.
@@ -94,10 +112,10 @@ class PlaneTable:
     """Canonical P^2(F_p) points plus lookup tables, cached per prime.
 
     Besides the points it holds only O(p) tables, all built here: the
-    inverses, the square roots, the Lagrange basis and the degenerate
-    kernel's evaluation set.  Bulk passes form the Q monomials of the rows
-    they read, a block at a time (`blocks`), so the table keeps no
-    (p^2 + p + 1, 6) monomial array.
+    inverses, the square roots and, for p >= 17, the tables of the resultant
+    scan in `SurfaceEngine.degenerate_bases`.  Bulk passes form the Q
+    monomials of the rows they read, a block at a time (`blocks`), so the
+    table keeps no (p^2 + p + 1, 6) monomial array.
     """
 
     _cache: dict[int, "PlaneTable"] = {}
@@ -127,23 +145,22 @@ class PlaneTable:
         self.sqrt = np.full(p, -1, dtype=np.int64)
         roots = np.arange((p + 1) // 2, dtype=np.int64)
         self.sqrt[roots * roots % p] = roots
-        # Interpolation grid for quartics on the affine rows (1, y, z): the
-        # table rows with y, z in 0..n-1, and the p x n Lagrange basis on the
-        # nodes 0..n-1 (the identity when p <= 5).  `degenerate_bases`
-        # evaluates G and H at the p + 1 rows at infinity and the grid, whose
-        # points and monomials are kept here.
-        n = min(p, 5)
-        nodes = np.arange(n)
-        grid = (1 + p + p * nodes[:, None] + nodes).ravel()
-        self.kernel_pts = pts[np.concatenate([np.arange(p + 1), grid])]
-        self.kernel_mon = self.monomials(self.kernel_pts)
-        ys = np.arange(p, dtype=np.int64)
-        self.lagrange = np.ones((p, n), dtype=np.int64)
-        for i in range(n):
-            for j in range(n):
-                if j != i:
-                    self.lagrange[:, i] = (self.lagrange[:, i] * (ys - j) % p
-                                           * self.inv[(i - j) % p] % p)
+        # The resultant scan of `degenerate_bases` (p >= 17): the points
+        # (0, 1, z) and (1, y, z) for y < 17, z < 5 and their monomials;
+        # `zcoef`, whose [z, k] is the coefficient of t^k in the Lagrange
+        # basis polynomial of node z on the nodes 0..4, so values at z = 0..4
+        # times zcoef are a quartic's z-coefficients; `zpow`, whose [k, z] is
+        # z^k, so coefficients times zpow are the values at every z; and
+        # `ylagrange`, the p x 17 Lagrange basis on the nodes 0..16, which
+        # extends 17 values of a polynomial of degree <= 16 to every y.
+        if p >= _RES_NODES:
+            ys, zs = np.divmod(np.arange(5 * _RES_NODES), 5)
+            self.res_pts = pts[np.concatenate([1 + np.arange(5), 1 + p + p * ys + zs])]
+            self.res_mon = self.monomials(self.res_pts)
+            self.zcoef = np.array([_lagrange_coefficients(z, 5, p) for z in range(5)],
+                                  dtype=np.int64)
+            self.zpow = np.arange(p, dtype=np.int64) ** np.arange(5)[:, None] % p
+            self.ylagrange = self._lagrange_basis(_RES_NODES)
         cls._cache[p] = self
         return self
 
@@ -187,15 +204,22 @@ class PlaneTable:
             return 0
         raise KeyError(f"{tuple(pt)} is not a point of the canonical table")
 
-    def interpolate(self, values: np.ndarray) -> np.ndarray:
-        """A quartic's values on every affine row from its n x n grid values.
+    def _lagrange_basis(self, n: int) -> np.ndarray:
+        """The p x n Lagrange basis on the nodes 0..n-1, mod p (n <= p).
 
-        values[i, j] is the form at (1, i, j); entry [y, z] of the result is
-        the form at (1, y, z), i.e. affine table row 1 + p + p*y + z.  Exact
-        because a quartic restricted to x0 = 1 has degree <= 4 in y and in z.
+        Entry [y, i] is prod_{j != i} (y - j) / (i - j): off the nodes it is
+        P(y) / (y - i) times the inverse of prod_{j != i} (i - j), with
+        P(y) = prod_j (y - j); on the nodes the basis is the identity.
         """
-        W = self.lagrange
-        return (W @ values % self.p) @ W.T % self.p
+        p = self.p
+        ys = np.arange(p, dtype=np.int64)
+        full = np.ones(p, dtype=np.int64)
+        for j in range(n):
+            full = full * (ys - j) % p
+        lead = [pow(prod(i - j for j in range(n) if j != i) % p, p - 2, p) for i in range(n)]
+        basis = full[:, None] * self.inv[(ys[:, None] - np.arange(n)) % p] % p * lead % p
+        basis[:n] = np.eye(n, dtype=np.int64)
+        return basis
 
     def canonicalize(self, pts: np.ndarray) -> np.ndarray:
         """Scale rows so the first nonzero coordinate is 1."""
@@ -235,15 +259,94 @@ def pair_getter(coeffs):
     return lambda i, j: coeffs[PAIR_AT[i][j]]
 
 
-def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_k and H_kl values from evaluated L (n,3) and Q (n,6) coefficients.
+def _gh_table() -> np.ndarray:
+    """The 36 x 6 int table T with G_0, G_1, G_2, H_01, H_02, H_12 = P @ T.
 
-    Columns of H follow SWAP_PAIRS order: H01, H02, H12.
+    P holds the 36 products L_i L_j Q_K, row 6n + K for (i, j) = PAIRS[n].
+    Every form is quadratic in L and linear in Q, so `gh_formula` on plain
+    ints gives T by polarization: with Q the K-th unit vector, the
+    coefficient of L_i^2 is the form at e_i, and that of L_i L_j (i < j) is
+    the form at e_i + e_j minus those at e_i and e_j.
     """
-    L = [lc[:, n] % p for n in range(3)]
-    cols = [qc[:, n] % p for n in range(6)]
-    g, h = gh_formula(L, pair_getter(cols))
-    return np.stack(g, axis=1) % p, np.stack(list(h.values()), axis=1) % p
+    def forms(L, K):
+        g, h = gh_formula(L, pair_getter([int(n == K) for n in range(6)]))
+        return np.array(g + tuple(h.values()), dtype=np.int64)
+
+    e = [[int(k == i) for k in range(3)] for i in range(3)]
+    table = np.empty((36, 6), dtype=np.int64)
+    for n, (i, j) in enumerate(PAIRS):
+        for K in range(6):
+            table[6 * n + K] = forms(e[i], K) if i == j else (
+                forms([a + b for a, b in zip(e[i], e[j])], K) - forms(e[i], K) - forms(e[j], K))
+    return table
+
+
+_GH_TABLE = _gh_table()
+_PAIR_I, _PAIR_J = np.array(PAIRS).T
+
+
+def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
+    """G_k and H_kl values from residues of L (n,3) and Q (n,6) coefficients.
+
+    One integer contraction: the 36 products (L_i L_j mod p) * Q_K times
+    `_GH_TABLE`.  Columns of H follow SWAP_PAIRS order: H01, H02, H12.
+    """
+    ll = lc[:, _PAIR_I] * lc[:, _PAIR_J] % p
+    forms = (ll[:, :, None] * qc[:, None, :]).reshape(len(lc), 36) @ _GH_TABLE % p
+    return forms[:, :3], forms[:, 3:]
+
+
+def _lagrange_coefficients(i: int, n: int, p: int) -> list[int]:
+    """Coefficients mod p, by ascending power, of the Lagrange basis
+    polynomial of node i on the nodes 0..n-1 (n <= p)."""
+    coeffs, den = [1], 1
+    for j in range(n):
+        if j != i:
+            coeffs = [(lo - j * hi) % p for lo, hi in zip([0] + coeffs, coeffs + [0])]
+            den = den * (i - j) % p
+    inv = pow(den, p - 2, p)
+    return [c * inv % p for c in coeffs]
+
+
+def _bezout_tables(d: int):
+    """The Bezout map and Leibniz terms for two polynomials of degree <= d.
+
+    For f = sum a_u z^u and g = sum b_v z^v,
+    (f(x) g(y) - f(y) g(x)) / (x - y) = sum B_ij x^i y^j, and B_ij is the
+    sum of the brackets [u, v] = a_u b_v - a_v b_u (u > v) over
+    i = v + t, j = u - 1 - t, 0 <= t < u - v.  Row (d + 1)u + v of the 0/1
+    map is bracket [u, v], column di + j entry B_ij, and det B is
+    (-1)^(d(d-1)/2) times the Sylvester determinant Res_z(f, g) of f and g
+    as polynomials of degree d.  The determinant is summed over the
+    permutations of d, returned with their signs.
+    """
+    bezout = np.zeros(((d + 1) ** 2, d * d), dtype=np.int64)
+    for u in range(d + 1):
+        for v in range(u):
+            for t in range(u - v):
+                bezout[(d + 1) * u + v, d * (v + t) + u - 1 - t] = 1
+    perms = np.array(list(permutations(range(d))), dtype=np.int64)
+    signs = np.array([(-1) ** sum(a > b for a, b in combinations(perm, 2))
+                      for perm in perms.tolist()], dtype=np.int64)
+    return bezout, perms, signs
+
+
+# Indexed by the degree d in z, 1..4, of the resultant scan's polynomials.
+_BEZOUT = [None] + [_bezout_tables(d) for d in range(1, 5)]
+
+
+def _resultant(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
+    """+-Res_z(f, g) mod p for rows of z-coefficients (n, d + 1), 1 <= d <= 4.
+
+    The determinant of the d x d Bezout matrix (`_bezout_tables`), reduced
+    mod p, by Leibniz's d! products of d residues.  It vanishes exactly
+    where f and g have a common root or both z^d coefficients vanish.
+    """
+    d = f.shape[1] - 1
+    bezout, perms, signs = _BEZOUT[d]
+    brackets = f[:, :, None] * g[:, None, :] - f[:, None, :] * g[:, :, None]
+    matrix = (brackets.reshape(-1, (d + 1) ** 2) @ bezout % p).reshape(-1, d, d)
+    return matrix[:, np.arange(d), perms].prod(axis=2) @ signs % p
 
 
 def binary_other_root(A, B, C, alpha, beta, p: int):
@@ -266,8 +369,7 @@ class SurfaceEngine:
         self.table = PlaneTable(p)
         self.amat = np.asarray(amat, dtype=np.int64) % p
         self.bmat = np.asarray(bmat, dtype=np.int64) % p
-        sides = (side_rows(self.amat, self.bmat, side) for side in SIDES)
-        self._rows = [tuple(np.array(m, dtype=np.int64) for m in rows) for rows in sides]
+        self._rows = [side_rows(self.amat, self.bmat, side) for side in SIDES]
 
     # -- per-base coefficient collections ----------------------------------
 
@@ -300,32 +402,83 @@ class SurfaceEngine:
         vanish exactly when Q vanishes on that whole line.  When l = 0 all of
         them vanish, being of degree 2 in l.
 
-        G and H are quartics in the base, so `gh_eval` at the p + 1 rows of
-        the line at infinity and at the table's interpolation grid gives them
-        everywhere.  One interpolated form yields the candidates; each other
-        form narrows them at the candidates alone.  Rows come in table order;
-        kind is "line" where L(base, .) != 0, else "conic", or "plane" if Q(base, .) = 0.
+        A common zero of all six is a common zero of any two of them, so the
+        six are tested only at the common zeros of one pair on the line at
+        infinity and on the affine lines where the pair's resultant in z
+        vanishes (`_resultant_scan`).  Where that cannot narrow the search
+        (p < 17, or every pair shares a factor) all six forms are tested on
+        every table row, a block of `_ROOT_BLOCK` rows at a time.  Either
+        way the common zeros of the six forms are found exactly.  Rows come
+        in table order; kind is "line" where L(base, .) != 0, else "conic",
+        or "plane" if Q(base, .) = 0.
         """
-        p = self.p
         tbl = self.table
-        G, H = gh_eval(self.line_coeffs(side, tbl.kernel_pts),
-                       self.quad_coeffs(side, tbl.kernel_mon), p)
-        forms = np.concatenate([G, H], axis=1)
-        at_infinity = np.nonzero(~forms[:p + 1].any(axis=1))[0]
-        W = tbl.lagrange
-        n = W.shape[1]
-        grid = forms[p + 1:].T.reshape(6, n, n)
-        ys, zs = np.nonzero(tbl.interpolate(grid[0]) == 0)
-        for values in grid[1:]:
-            keep = (W[ys] @ values % p * W[zs]).sum(axis=1) % p == 0
-            ys, zs = ys[keep], zs[keep]
-
-        found = np.concatenate([at_infinity, 1 + p + p * ys + zs])
+        found = self._resultant_scan(side)
+        if found is None:
+            found = np.concatenate([start + np.flatnonzero(self._gh_zeros(side, pts, mon))
+                                    for start, pts, mon in tbl.blocks()])
+        if not len(found):
+            return []
         bases = tbl.pts[found]
         line = self.line_coeffs(side, bases).any(axis=1).tolist()
         conic = self.quad_coeffs(side, tbl.monomials(bases)).any(axis=1).tolist()
         return [(row, "line" if l else "conic" if q else "plane")
                 for row, l, q in zip(found.tolist(), line, conic)]
+
+    def _gh_zeros(self, side: str, pts: np.ndarray, mon: np.ndarray) -> np.ndarray:
+        """Mask of the bases (points, monomials) where every G_k and H_ij vanishes."""
+        G, H = gh_eval(self.line_coeffs(side, pts), self.quad_coeffs(side, mon), self.p)
+        return ~(G.any(axis=1) | H.any(axis=1))
+
+    def _resultant_scan(self, side: str):
+        """The table rows, ascending, where every G_k and H_ij vanishes.
+
+        On the line (0, 1, z) at infinity and on each affine line (1, y, z)
+        every form is a quartic in z, read off its values at z = 0..4
+        (`zcoef`); the z^4 coefficient at infinity is the value at (0, 0, 1),
+        row 0.  On the affine lines the z^k coefficient has degree <= 4 - k
+        in y, so it vanishes identically if it does at y = 0..16.  For a pair
+        of forms, let d be the largest k whose coefficient is not identically
+        zero for both; their resultant in z as polynomials of degree d,
+        R(y), is the d x d Bezout determinant (`_resultant`), of degree
+        <= 8d - d^2 <= 16 in y.  It is computed at y = 0..16 and extended to
+        every y by `ylagrange`.  A common zero of the pair on a line makes R
+        vanish there; a line where both z^d coefficients vanish only adds a
+        candidate.  The pair is G_0 and G_1, or the next pair of the six if
+        their R vanishes identically, as when they share a factor.
+
+        On the line at infinity and the lines where R vanishes the forms'
+        coefficients come from the nodes by `ylagrange`; the pair's values at
+        every z (`zpow`) give its common zeros, where all six are evaluated.
+        Returns None when this cannot narrow the search: p < 17, or every
+        pair's R vanishes identically, as when all six share a factor.
+        """
+        p = self.p
+        if p < _RES_NODES:
+            return None
+        tbl = self.table
+        G, H = gh_eval(self.line_coeffs(side, tbl.res_pts),
+                       self.quad_coeffs(side, tbl.res_mon), p)
+        # (form, line, k): the z^k coefficients of each form on the line at
+        # infinity, then on the lines y = 0..16.
+        coeffs = np.concatenate([G, H], axis=1).T.reshape(6, 1 + _RES_NODES, 5) @ tbl.zcoef % p
+        for pair in combinations(range(6), 2):
+            nodes = coeffs[list(pair), 1:]
+            d = np.flatnonzero(nodes.any(axis=(0, 1)))[-1:]
+            if len(d) and d[0] > 0:
+                res = _resultant(*nodes[:, :, :d[0] + 1], p)
+                if res.any():
+                    break
+        else:
+            return None
+        ys = np.flatnonzero(tbl.ylagrange @ res % p == 0)
+        lines = np.concatenate([coeffs[:, :1], tbl.ylagrange[ys] @ coeffs[:, 1:] % p], axis=1)
+        line, zs = np.nonzero(~(lines[list(pair)] @ tbl.zpow % p).any(axis=0))
+        values = (lines[:, line] * tbl.zpow[:, zs].T).sum(axis=2) % p
+        common = ~values.any(axis=0)
+        starts = np.concatenate([[1], 1 + p + p * ys])
+        rows = starts[line[common]] + zs[common]
+        return np.concatenate([[0], rows]) if not coeffs[:, 0, 4].any() else rows
 
     def analyze(self, side: str):
         """`fiber_pairs` as (N, 6) coordinates [x | y], and `degenerate_bases`."""

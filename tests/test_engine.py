@@ -8,8 +8,11 @@ import pytest
 from wehlerk3 import _engine
 from wehlerk3._engine import (
     _ENUM_P_CAP,
+    _GH_TABLE,
     PAIRS,
     PlaneTable,
+    SurfaceEngine,
+    _resultant,
     gh_eval,
     gh_formula,
     pair_getter,
@@ -53,9 +56,11 @@ def test_gh_bulk_scalar_and_symbolic_agree_at_every_base(seed, mode):
 
 def test_gh_eval_int64_headroom():
     # Every row of residues 0 or p - 1 at a prime near the cap, including the
-    # all-(p - 1) row: the int64 kernel must match Python-int arithmetic.
+    # all-(p - 1) row: the int64 contraction, 36 products below p^2 times
+    # table entries |T| <= 2, must match Python-int arithmetic.
     p = 2039
-    assert p <= _ENUM_P_CAP and 3 * _ENUM_P_CAP ** 3 < 2 ** 35
+    assert p <= _ENUM_P_CAP and 72 * _ENUM_P_CAP ** 2 < 2 ** 29
+    assert np.abs(_GH_TABLE).max() == 2
     rows = np.array(list(itertools.product((0, p - 1), repeat=9)), dtype=np.int64)
     G, H = gh_eval(rows[:, :3], rows[:, 3:], p)
     for n, row in enumerate(rows.tolist()):
@@ -64,29 +69,76 @@ def test_gh_eval_int64_headroom():
         assert H[n].tolist() == [h[ij] % p for ij in H_KEYS]
 
 
-def test_quartic_interpolation_int64_headroom():
-    # Grid values of p - 1 at a prime near the cap: every unreduced sum of
-    # n = 5 residue products stays below 5p^2 < 2^25, so the int64 kernel
-    # matches Python-int Lagrange evaluation.  The quartic is the constant
-    # p - 1, since the Lagrange basis sums to 1.
+def _sylvester_resultant(f, g, p):
+    """Res_z mod p of two polynomials of degree d (ascending coefficients):
+    the 2d x 2d Sylvester determinant by Gaussian elimination on Python ints."""
+    d = len(f) - 1
+    rows = [[0] * i + f[::-1] + [0] * (d - 1 - i) for i in range(d)]
+    rows += [[0] * i + g[::-1] + [0] * (d - 1 - i) for i in range(d)]
+    rows = [[v % p for v in row] for row in rows]
+    det = 1
+    for c in range(2 * d):
+        pivot = next((r for r in range(c, 2 * d) if rows[r][c]), None)
+        if pivot is None:
+            return 0
+        if pivot != c:
+            rows[c], rows[pivot] = rows[pivot], rows[c]
+            det = -det
+        det = det * rows[c][c] % p
+        inv = pow(rows[c][c], p - 2, p)
+        for r in range(c + 1, 2 * d):
+            t = rows[r][c] * inv % p
+            rows[r] = [(a - t * b) % p for a, b in zip(rows[r], rows[c])]
+    return det % p
+
+
+def test_resultant_filter_int64_headroom():
+    # At a prime near the cap, with residues 0 and p - 1 (and p - 2, so no
+    # bracket cancels by symmetry): the z-coefficients from values at
+    # z = 0..4 and a quartic's values from its coefficients (sums < 5p^2),
+    # the Bezout brackets and products of d <= 4 terms (|det| < 24p^4 < 2^49)
+    # at every degree d the scan uses, and the p x 17 Lagrange product
+    # (< 17p^2) must match Python-int arithmetic, and the scan must find what
+    # the reference kernel finds.
     p = 2039
-    assert p <= _ENUM_P_CAP and 5 * _ENUM_P_CAP ** 2 < 2 ** 25
+    cap = _ENUM_P_CAP
+    assert p <= cap and 5 * cap ** 2 < 2 ** 25 and 24 * cap ** 4 < 2 ** 49
+    assert 17 * cap ** 2 < 2 ** 31
     tbl = PlaneTable(p)
-    values = tbl.interpolate(np.full((5, 5), p - 1, dtype=np.int64))
-    assert values.shape == (p, p) and np.all(values == p - 1)
 
     def basis(i, y):
         num = den = 1
-        for j in range(5):
+        for j in range(17):
             if j != i:
                 num, den = num * (y - j), den * (i - j)
         return num * pow(den, -1, p) % p
 
-    for y in (0, 4, 5, 1000, p - 1):
-        assert tbl.lagrange[y].tolist() == [basis(i, y) for i in range(5)]
-        for z in (3, 7, p - 2):
-            exact = sum((p - 1) * basis(i, y) * basis(j, z) for i in range(5) for j in range(5))
-            assert values[y, z] == exact % p
+    for y in (0, 4, 16, 17, 1000, p - 1):
+        assert tbl.ylagrange[y].tolist() == [basis(i, y) for i in range(17)]
+    assert np.all(tbl.ylagrange @ np.full(17, p - 1) % p == p - 1)
+    values = np.array(list(itertools.product((0, p - 1), repeat=5)), dtype=np.int64)
+    for row, coeffs in zip(values.tolist(), (values @ tbl.zcoef % p).tolist()):
+        assert [sum(c * z ** k for k, c in enumerate(coeffs)) % p for z in range(5)] == row
+    at_every_z = (values @ tbl.zpow % p).tolist()
+    for coeffs, got in zip(values.tolist(), at_every_z):
+        assert [got[z] for z in (0, 2, p - 1)] == [
+            sum(c * z ** k for k, c in enumerate(coeffs)) % p for z in (0, 2, p - 1)]
+    extremes = list(itertools.product((0, p - 2, p - 1), repeat=5))[::7]
+    f, g = (np.array(c, dtype=np.int64) for c in zip(*itertools.product(extremes, repeat=2)))
+    for d in (4, 3, 2, 1):
+        res = _resultant(f[:, :d + 1], g[:, :d + 1], p)
+        sign = (-1) ** (d * (d - 1) // 2)
+        assert res.tolist() == [sign * _sylvester_resultant(a[:d + 1], b[:d + 1], p) % p
+                                for a, b in zip(f.tolist(), g.tolist())]
+        assert res.any() and not res.all()
+    rng = random.Random(0)
+    for _ in range(3):
+        a = [[rng.choice((1, p - 2, p - 1)) for _ in range(3)] for _ in range(3)]
+        b = [[rng.choice((1, p - 2, p - 1)) for _ in range(6)] for _ in range(6)]
+        eng = SurfaceEngine(a, b, p)
+        for side in ("x", "y"):
+            assert eng._resultant_scan(side) is not None
+            assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
 
 
 def test_phase_key_int64_headroom():
@@ -236,8 +288,9 @@ def _sparse_surface(p, seed):
             pass
 
 
-# Small surfaces at p = 3 and p = 5, where the interpolation grid is the
-# whole affine plane and the Lagrange basis is the identity.
+# Small surfaces at p = 3 and p = 5, where the resultant filter tests every
+# line, and where the reference kernel's interpolation grid is the whole
+# affine plane and its Lagrange basis the identity.
 SMALL_P_SURFACES = (
     "p 3\nL 2 2 1\nQ 0 0 0 2 2\nQ 0 1 0 0 1\nQ 0 1 1 2 2\nQ 1 2 1 2 2\n",
     "p 3\nL 0 0 2\nL 1 0 2\nL 2 1 1\nL 2 2 2\n"
@@ -246,10 +299,61 @@ SMALL_P_SURFACES = (
 )
 
 
+def _reference_gh(lc, qc, p):
+    """The six forms G_0, G_1, G_2, H_01, H_02, H_12 by `gh_formula` on int64 columns."""
+    g, h = gh_formula([lc[:, n] % p for n in range(3)],
+                      pair_getter([qc[:, n] % p for n in range(6)]))
+    return np.stack(list(g) + list(h.values()), axis=1) % p
+
+
+def _reference_lagrange(p, n):
+    """The p x n Lagrange basis on the nodes 0..n-1 mod p, one factor at a time."""
+    inv = PlaneTable(p).inv
+    ys = np.arange(p, dtype=np.int64)
+    basis = np.ones((p, n), dtype=np.int64)
+    for i in range(n):
+        for j in range(n):
+            if j != i:
+                basis[:, i] = basis[:, i] * (ys - j) % p * inv[(i - j) % p] % p
+    return basis
+
+
+def _reference_degenerate_bases(eng, side):
+    """The degenerate list by interpolating a quartic over all p^2 affine bases.
+
+    The six forms are evaluated at the p + 1 rows at infinity and on the
+    n x n grid (1, y, z), y, z < n = min(p, 5).  A quartic restricted to
+    x0 = 1 has degree <= 4 in y and in z, so G_0 on every affine row is
+    W V W^T with V its grid values and W the p x n Lagrange basis; each
+    other form narrows G_0's zeros at those rows alone.
+    """
+    p = eng.p
+    tbl = eng.table
+    n = min(p, 5)
+    nodes = np.arange(n)
+    grid = (1 + p + p * nodes[:, None] + nodes).ravel()
+    pts = tbl.pts[np.concatenate([np.arange(p + 1), grid])]
+    forms = _reference_gh(eng.line_coeffs(side, pts),
+                          eng.quad_coeffs(side, tbl.monomials(pts)), p)
+    at_infinity = np.flatnonzero(~forms[:p + 1].any(axis=1))
+    W = _reference_lagrange(p, n)
+    values = forms[p + 1:].T.reshape(6, n, n)
+    ys, zs = np.nonzero((W @ values[0] % p) @ W.T % p == 0)
+    for v in values[1:]:
+        keep = (W[ys] @ v % p * W[zs]).sum(axis=1) % p == 0
+        ys, zs = ys[keep], zs[keep]
+    found = np.concatenate([at_infinity, 1 + p + p * ys + zs])
+    bases = tbl.pts[found]
+    line = eng.line_coeffs(side, bases).any(axis=1).tolist()
+    conic = eng.quad_coeffs(side, tbl.monomials(bases)).any(axis=1).tolist()
+    return [(row, "line" if l else "conic" if q else "plane")
+            for row, l, q in zip(found.tolist(), line, conic)]
+
+
 def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
-    # The G/H common-zero kernel, the scalar restriction at every base and the
-    # reference root solver agree on the degenerate list, row for row and kind
-    # for kind, in table order.
+    # The resultant filter, the interpolation kernel it replaced, the scalar
+    # restriction at every base and the reference root solver agree on the
+    # degenerate list, row for row and kind for kind, in table order.
     surfaces = [parse_surface(text) for text in SMALL_P_SURFACES]
     surfaces += [_sparse_surface(p, seed) for p in (5, 7, 11, 13, 17, 23) for seed in (0, 1)]
     surfaces.append(w1_29)
@@ -264,11 +368,81 @@ def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
                       for row, base in enumerate(eng.table.pts.tolist())]
             scalar = [r for r in scalar if r[1] != "finite"]
             ref = _reference_fiber_pairs(eng, side)[2]
-            assert fast == scalar == ref
+            assert fast == scalar == ref == _reference_degenerate_bases(eng, side)
             kinds.update(kind for _, kind in fast)
     assert kinds == {"line", "conic", "plane"}
-    assert [PlaneTable(p).lagrange.tolist() for p in (3, 5)] == [
+    assert [_reference_lagrange(p, p).tolist() for p in (3, 5)] == [
         np.eye(3, dtype=int).tolist(), np.eye(5, dtype=int).tolist()]
+
+
+def _raw_draw(rng, p, a_kind):
+    """An engine of 45 residues from rng, as random_surface draws them.
+
+    a_kind "random" keeps L's matrix as drawn, "zero column" zeroes one of
+    its columns, so that side x's G_0 and G_1 (or another pair) share a
+    factor, and "rank 1" makes it an outer product, so that on either side
+    all six forms share the square of a linear form.
+    """
+    a = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+    if a_kind == "zero column":
+        column = rng.randrange(3)
+        for row in a:
+            row[column] = 0
+    elif a_kind == "rank 1":
+        u, w = ([rng.randrange(1, p) for _ in range(3)] for _ in range(2))
+        a = [[ui * wj % p for wj in w] for ui in u]
+    return SurfaceEngine(a, b, p)
+
+
+def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypatch):
+    # Raw draws at p = 17..29, with no mode or smoothness filter, and draws
+    # whose L has a zero column or rank 1.  Besides scans where G_0 and G_1
+    # give the resultant, they include scans where both vanish at (0, 0, 1),
+    # so their quartics drop to degree 3 in z; scans where G_0 and G_1 share a
+    # factor, so another pair is taken; and scans where every pair shares a
+    # factor, so every row is tested.
+    calls = []
+    resultant = _engine._resultant
+
+    def spy(f, g, p):
+        res = resultant(f, g, p)
+        calls.append((f.shape[1] - 1, bool(res.any())))
+        return res
+
+    monkeypatch.setattr(_engine, "_resultant", spy)
+    paths = {"degree 4": 0, "lower degree": 0, "other pair": 0, "every row": 0}
+    found = 0
+    for p in (17, 19, 23, 29):
+        rng = random.Random(p)
+        for a_kind in ("random",) * (150 if p == 17 else 40) + ("zero column", "rank 1") * 3:
+            eng = _raw_draw(rng, p, a_kind)
+            for side in ("x", "y"):
+                calls.clear()
+                fast = eng.degenerate_bases(side)
+                assert fast == _reference_degenerate_bases(eng, side)
+                found += bool(fast)
+                if not any(ok for _, ok in calls):
+                    paths["every row"] += 1
+                elif not calls[0][1]:
+                    paths["other pair"] += 1
+                else:
+                    paths["degree 4" if calls[0][0] == 4 else "lower degree"] += 1
+    assert found >= 10 and min(paths.values()) >= 1
+
+
+def test_resultant_scan_matches_the_exhaustive_scan():
+    # On degenerate surfaces at larger p, the scan finds what all six forms
+    # on every table row and the reference kernel find.
+    for p, seed in ((101, 3), (101, 6), (503, 2)):
+        eng = random_surface(p, seed, mode="degenerate").engine()
+        for side in ("x", "y"):
+            every_row = [start + np.flatnonzero(eng._gh_zeros(side, pts, mon))
+                         for start, pts, mon in eng.table.blocks()]
+            rows = eng._resultant_scan(side)
+            assert rows.tolist() == np.concatenate(every_row).tolist()
+            assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
+    assert _sparse_surface(13, 0).engine()._resultant_scan("x") is None
 
 
 # -- the root pass against the solver it replaced ------------------------------
