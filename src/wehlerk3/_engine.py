@@ -501,17 +501,18 @@ class SurfaceEngine:
         tbl = self.table
         n = len(tbl.pts)
         lo, hi, size, fibers = self._fiber_roots(side)
-        one = np.flatnonzero(size >= 1)
-        two = np.flatnonzero(size == 2)
-        end = np.cumsum(size)
-        start = end - size
-        base_rows = np.repeat(np.arange(n), size)
-        fib_rows = np.empty(len(base_rows), dtype=np.int64)
-        fib_rows[start[one]] = lo[one]
-        fib_rows[start[two] + 1] = hi[two]
+        start = np.cumsum(size)
+        fib_rows = np.empty(int(start[-1]), dtype=np.int64)
+        start -= size
+        at = np.flatnonzero(size >= 1)
+        fib_rows[start[at]] = lo[at]
+        at = np.flatnonzero(size == 2)
+        fib_rows[start[at] + 1] = hi[at]
+        del lo, hi, at
         # Degenerate bases' blocks last, over what lo and hi wrote there.
         for b, rows in fibers.items():
-            fib_rows[start[b]:end[b]] = rows
+            fib_rows[start[b]:start[b] + len(rows)] = rows
+        base_rows = np.repeat(np.arange(n), size)
         if side == "x":
             x_rows, y_rows = base_rows, fib_rows
         else:

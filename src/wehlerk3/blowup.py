@@ -50,8 +50,7 @@ from .errors import (
     NotDegenerate,
     NotOnSurface,
 )
-from .field import PrimeField
-from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
+from .geometry import ProjectivePoint1, ProjectivePoint2, point2
 from .poly import SparsePoly
 from .surface import (
     WehlerSurface,
@@ -158,8 +157,7 @@ class BinaryForm:
         """Roots in P^1(F_p) with multiplicities."""
         if self.is_zero():
             return []
-        field = PrimeField(self.p)
-        return [(point1(field, *s), m)
+        return [(ProjectivePoint1(s), m)
                 for s, m in zip(line_parameters(self.p), self.orders().tolist()) if m]
 
     def __repr__(self):
@@ -288,12 +286,12 @@ class BlowupChart:
 
     def _build(self):
         p = self.p
-        center = [int(c) for c in self.center.raw]
+        center = self.center.coords
         d = next(i for i, c in enumerate(center) if c)
         assert center[d] == 1, "center must be canonical"
         self.dehom_index = d
         # t1 is the center's w = x_j / x_d, with j = 0 if d == 1 else 1.
-        self.t1 = center[0 if d == 1 else 1] % p
+        self.t1 = center[0 if d == 1 else 1]
 
         # The pencil x(s, eps) = s0*center + eps*delta(s) in the side's
         # variables, delta = (0, s0, s1), (s0, 0, s1) or (s1, s0, 0).
@@ -481,7 +479,7 @@ def resolve_s(chart: BlowupChart, moving) -> ProjectivePoint1:
         raise NoRationalS(f"no rational line parameter for {mv} over {chart.center}")
     if len(hits) > 1:
         raise AmbiguousS(f"{len(hits)} line parameters match {mv} over {chart.center}")
-    return point1(chart.surface.domain, *_parameter(hits[0]))
+    return ProjectivePoint1(_parameter(hits[0]))
 
 
 def exceptional_points(chart: BlowupChart) -> list[BoundaryPoint]:
@@ -492,8 +490,8 @@ def exceptional_points(chart: BlowupChart) -> list[BoundaryPoint]:
     """
     crowded = np.bincount(chart.line, minlength=1) > 2
     chart.rows_at(_parameter(int(crowded.argmax())))  # AmbiguousS at a line past two points
-    line, field = chart.line.tolist(), chart.surface.domain
-    lines = {k: point1(field, *_parameter(k)) for k in set(line)}
+    line = chart.line.tolist()
+    lines = {k: ProjectivePoint1(_parameter(k)) for k in set(line)}
     return [BoundaryPoint(chart.side, chart.center, lines[j], pt)
             for j, pt in zip(line, table_points(chart.surface, chart.moving))]
 

@@ -25,7 +25,7 @@ from .blowup import (
     sigma_extended,
 )
 from .errors import NonBijective, NotOnSurface, PairingFailure
-from .geometry import ProjectivePoint1, ProjectivePoint2, point1, point2
+from .geometry import ProjectivePoint1, ProjectivePoint2, point2
 from .involution import _cor1_partner
 from .surface import WehlerSurface, _degenerate_rows, degenerate_fibers, pair_rows, table_points
 
@@ -249,7 +249,7 @@ class PhaseSpace:
     def _sdecode(self, code: int) -> ProjectivePoint1 | None:
         if code == self.p + 1:
             return None
-        return point1(self.surface.domain, *_parameter((code + 1) % (self.p + 1)))
+        return ProjectivePoint1(_parameter((code + 1) % (self.p + 1)))
 
     # -- point access ---------------------------------------------------------
 
@@ -485,11 +485,11 @@ class CycleCensus:
 
 
 def _point_json(P: PhasePoint) -> dict:
-    out = {"a": [int(v) for v in P.a.raw], "b": [int(v) for v in P.b.raw]}
+    out = {"a": list(P.a), "b": list(P.b)}
     if P.sx is not None:
-        out["sx"] = [int(v) for v in P.sx.raw]
+        out["sx"] = list(P.sx)
     if P.sy is not None:
-        out["sy"] = [int(v) for v in P.sy.raw]
+        out["sy"] = list(P.sy)
     return out
 
 

@@ -1,9 +1,10 @@
 """Exact arithmetic in prime fields F_p, plus the rational-number coefficient domain.
 
-Everything downstream (points, polynomials, surfaces) is generic over one of
-two coefficient domains: a ``PrimeField`` for odd word-sized primes, or the
-``QQ`` singleton for exact rationals.  Rationals exist only to hold example
-surfaces before reduction mod p; the dynamics itself always runs over F_p.
+Everything downstream is generic over one of two coefficient domains: a
+``PrimeField`` for odd word-sized primes, or the ``QQ`` singleton for exact
+rationals, which hold example surfaces before reduction mod p.  Points and
+surfaces store a domain's ``residue``s: ints in [0, p), or Fractions.
+``FieldElement`` serves ``SparsePoly`` and the public fiber evaluators.
 """
 
 from __future__ import annotations
@@ -92,16 +93,24 @@ class PrimeField:
 
     # -- element construction ----------------------------------------------
 
-    def element(self, v) -> "FieldElement":
+    def residue(self, v) -> int:
+        """v as a canonical residue in [0, p): from an int, a Fraction or an element."""
+        if isinstance(v, int):
+            return v % self.p
         if isinstance(v, FieldElement):
             if v.field is not self:
                 raise ValueError("element belongs to a different field")
-            return v
+            return v.value
         if isinstance(v, Fraction):
             if v.denominator % self.p == 0:
                 raise ZeroInverse(f"denominator of {v} vanishes mod {self.p}")
-            return FieldElement(v.numerator * self.inv(v.denominator % self.p) % self.p, self)
-        return FieldElement(int(v) % self.p, self)
+            return v.numerator * self.inv(v.denominator) % self.p
+        return int(v) % self.p
+
+    def element(self, v) -> "FieldElement":
+        if isinstance(v, FieldElement) and v.field is self:
+            return v
+        return FieldElement(self.residue(v), self)
 
     __call__ = element
 
@@ -243,7 +252,7 @@ class _Rationals:
             raise ValueError("cannot lift a finite-field element to QQ")
         return Fraction(v)
 
-    __call__ = element
+    __call__ = residue = element
 
     @property
     def zero(self) -> Fraction:

@@ -1,34 +1,30 @@
 """Canonical-form projective points over F_p or QQ.
 
-Points are stored with the first nonzero coordinate scaled to 1, so equality
-and hashing are raw tuple comparisons.  That canonical form is what allows
-the dynamics to index its phase space with plain dictionaries.
+Points hold plain residues, ints in [0, p) over F_p and Fractions over QQ,
+with the first nonzero coordinate scaled to 1, so equality and hashing are
+raw tuple comparisons.  Coordinates are plain numbers: `a[0] + 1` does not
+wrap mod p, and points of two domains with equal coordinates compare equal.
 """
 
 from __future__ import annotations
 
 from dataclasses import dataclass
-from fractions import Fraction
 
-from .field import QQ, FieldElement
+from .field import QQ
 
 
 def _normalize(coords: tuple, domain) -> tuple:
-    vals = tuple(domain.element(c) for c in coords)
-    for v in vals:
-        if v != 0:
-            lead = v
-            break
-    else:
+    """Residues of `coords` (ints of any size, Fractions or elements), scaled to lead 1."""
+    vals = tuple(map(domain.residue, coords))
+    lead = next((v for v in vals if v), None)
+    if lead is None:
         raise ValueError("projective point cannot have all coordinates zero")
-    if lead == domain.one:
+    if lead == 1:
         return vals
-    inv = domain.inv(lead) if domain is QQ else lead.inv()
-    return tuple(v * inv for v in vals)
-
-
-def _raw(v) -> int | Fraction:
-    return v.value if isinstance(v, FieldElement) else v
+    inv = domain.inv(lead)
+    if domain is QQ:
+        return tuple(v * inv for v in vals)
+    return tuple(v * inv % domain.p for v in vals)
 
 
 @dataclass(frozen=True)
@@ -39,8 +35,8 @@ class ProjectivePoint:
 
     @property
     def raw(self) -> tuple:
-        """Coordinates as plain ints (F_p residues) or Fractions."""
-        return tuple(_raw(c) for c in self.coords)
+        """The coordinates: ints (F_p residues) or Fractions."""
+        return self.coords
 
     def __iter__(self):
         return iter(self.coords)
@@ -49,7 +45,7 @@ class ProjectivePoint:
         return self.coords[i]
 
     def __repr__(self) -> str:
-        return "(" + " : ".join(str(_raw(c)) for c in self.coords) + ")"
+        return "(" + " : ".join(map(str, self.coords)) + ")"
 
 
 class ProjectivePoint2(ProjectivePoint):

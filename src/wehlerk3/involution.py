@@ -3,17 +3,17 @@
 sigma("y", .) keeps the second coordinate b and swaps the two points of the
 fiber over b; sigma("x", .) keeps a and swaps the fiber of the first
 projection.  The partner point is recovered from one binary quadratic by
-Vieta plus the linearity of L on the fiber line.  The swap runs on plain
-residues (ints reduced mod p, or Fractions over QQ) from the surface's raw
-coefficient rows, and only the partner point is made of domain elements.  A
-brute-force fiber solver provides an independent oracle for every swap.
+Vieta plus the linearity of L on the fiber line.  Like the points and the
+surface's coefficient rows it reads, the swap works on plain residues: ints
+reduced mod p, or Fractions over QQ.  A brute-force fiber solver provides
+an independent oracle for every swap.
 """
 
 from __future__ import annotations
 
 from ._engine import SWAP_PAIRS, gh_formula, pair_getter, side_index
 from .errors import DegenerateFiber, NotOnSurface
-from .geometry import ProjectivePoint2, _raw, point2
+from .geometry import ProjectivePoint2, point2
 from .surface import (
     WehlerSurface,
     _fiber_residues,
@@ -42,9 +42,10 @@ def _other_root(A, B, C, alpha, beta):
 def _cor1_partner(s: WehlerSurface, side: str, base, moving):
     """The fiber swap over a non-degenerate base, on plain residues.
 
-    base and moving are coordinate tuples of domain elements or ints.  The
-    partner comes back as an unnormalized tuple of ints reduced mod p (over
-    QQ, of Fractions), for `point2` to turn into a point.  Raises
+    base and moving are coordinate tuples, usually a point's residues; any
+    ints, Fractions or domain elements are reduced first.  The partner
+    comes back as an unnormalized tuple of ints reduced mod p (over QQ, of
+    Fractions), for `point2` to scale into canonical form.  Raises
     DegenerateFiber when every G/H vanishes at the base and NotOnSurface when
     moving is not on the fiber.
 
@@ -62,7 +63,7 @@ def _cor1_partner(s: WehlerSurface, side: str, base, moving):
     h = {kl: red(v) for kl, v in h.items()}
     if gh_vanishes(g, h):
         raise DegenerateFiber(f"degenerate {side}-fiber over {base}")
-    mv = [red(_raw(v)) for v in moving]
+    mv = list(map(s.domain.residue, moving))
     for (k, l, m) in SWAP_PAIRS:
         if lc[m] == 0:
             continue

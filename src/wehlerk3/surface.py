@@ -41,8 +41,8 @@ from .errors import (
     ZeroForm,
     ZeroInverse,
 )
-from .field import QQ, FieldElement, PrimeField, is_prime
-from .geometry import ProjectivePoint2, _raw, point2
+from .field import QQ, PrimeField, is_prime
+from .geometry import ProjectivePoint2, point2
 from .poly import SparsePoly
 
 VARS6 = ("x0", "x1", "x2", "y0", "y1", "y2")
@@ -56,16 +56,16 @@ def _side_vars(side: str):
 
 
 class WehlerSurface:
-    """Immutable V(L, Q) in P^2 x P^2 over F_p or QQ."""
+    """Immutable V(L, Q) in P^2 x P^2 over F_p or QQ; `a` and `b` hold residues."""
 
     def __init__(self, domain, a, b):
         self.domain = domain
-        elt = domain.element
-        self.a = tuple(tuple(elt(a[i][j]) for j in range(3)) for i in range(3))
-        self.b = tuple(tuple(elt(b[I][K]) for K in range(6)) for I in range(6))
-        if all(v == domain.zero for row in self.a for v in row):
+        res = domain.residue
+        self.a = tuple(tuple(res(a[i][j]) for j in range(3)) for i in range(3))
+        self.b = tuple(tuple(res(b[I][K]) for K in range(6)) for I in range(6))
+        if not any(map(any, self.a)):
             raise ZeroForm("L is identically zero")
-        if all(v == domain.zero for row in self.b for v in row):
+        if not any(map(any, self.b)):
             raise ZeroForm("Q is identically zero")
         self._cache: dict = {}
 
@@ -152,20 +152,17 @@ class WehlerSurface:
         """Reduction of a QQ surface modulo an odd prime."""
         if self.domain is not QQ:
             raise ValueError("reduce_mod applies to surfaces over QQ")
-        field = PrimeField(p)
         try:
-            a = [[field.element(v) for v in row] for row in self.a]
-            b = [[field.element(v) for v in row] for row in self.b]
+            return WehlerSurface(PrimeField(p), self.a, self.b)
         except ZeroInverse as exc:
             raise BadModulus(f"surface has bad reduction at {p}") from exc
-        return WehlerSurface(field, a, b)
 
     # -- raw coefficient arrays (engine) --------------------------------------
 
     def engine(self) -> SurfaceEngine:
         if not self.is_finite():
             raise ValueError("engine requires a finite field surface")
-        return self.cached(("engine",), lambda: SurfaceEngine(*_raw_rows(self, "y")[:2], self.domain.p))
+        return self.cached(("engine",), lambda: SurfaceEngine(self.a, self.b, self.domain.p))
 
     # -- evaluation helpers ----------------------------------------------------
 
@@ -180,7 +177,7 @@ class WehlerSurface:
     def contains(self, a, b) -> bool:
         """Whether (a, b) satisfies L = Q = 0."""
         lc, qv, red = _fiber_residues(self, "x", a)
-        b = [_raw(v) for v in b]
+        b = list(map(self.domain.residue, b))
         return red(sum(map(mul, lc, b))) == 0 and red(quad_at(qv, b, 0)) == 0
 
 
@@ -190,10 +187,10 @@ def _fiber_residues(s: WehlerSurface, side: str, base):
     Returns (lc, qv, red): the 3 linear and 6 quadratic coefficients (PAIRS
     order) as ints reduced mod p over F_p or Fractions over QQ, and `red`, the
     reduction that callers apply before testing their own sums against zero
-    (the identity over QQ).  `base` may hold domain elements or ints.
+    (the identity over QQ).  `base` may hold anything the domain's `residue` takes.
     """
     lrows, qrows, red = _raw_rows(s, side)
-    c = [_raw(v) for v in base]
+    c = list(map(s.domain.residue, base))
     mon = [c[i] * c[j] for (i, j) in PAIRS]
     lc = tuple(red(sum(map(mul, row, c))) for row in lrows)
     qv = tuple(red(sum(map(mul, row, mon))) for row in qrows)
@@ -207,8 +204,7 @@ def _raw_rows(s: WehlerSurface, side: str):
     identity over QQ.
     """
     def build():
-        a, b = ([[_raw(v) for v in row] for row in m] for m in (s.a, s.b))
-        lrows, qrows = side_rows(a, b, side)
+        lrows, qrows = side_rows(s.a, s.b, side)
         p = s.p
         red = (lambda v: v) if p is None else (lambda v: v % p)
         return tuple(map(tuple, lrows)), tuple(map(tuple, qrows)), red
@@ -274,12 +270,12 @@ def serialize_surface(s: WehlerSurface) -> str:
     for i in range(3):
         for j in range(3):
             c = s.a[i][j]
-            if c != s.domain.zero:
+            if c:
                 out.append(f"L {i} {j} {_coeff_str(c)}")
     for I, (i, j) in enumerate(PAIRS):
         for K, (k, l) in enumerate(PAIRS):
             c = s.b[I][K]
-            if c != s.domain.zero:
+            if c:
                 out.append(f"Q {i} {j} {k} {l} {_coeff_str(c)}")
     return "\n".join(out) + "\n"
 
@@ -289,7 +285,7 @@ def _coeff_str(c) -> str:
         if c.denominator != 1:
             raise ParseError("surface files require integer coefficients")
         return str(c.numerator)
-    return str(int(c))
+    return str(c)
 
 
 # -- coefficient polynomials and the G/H system -------------------------------
@@ -502,13 +498,11 @@ def surface_pairs(s: WehlerSurface) -> np.ndarray:
 def table_points(s: WehlerSurface, rows) -> list:
     """The points at the given plane-table rows, one object per distinct row.
 
-    Table rows are canonical already, so their coordinates become field
-    elements as they stand, with no normalization.
+    Table rows are canonical already, so they become points as they stand.
     """
-    dom = s.domain
     rows = np.asarray(rows, dtype=np.int64).tolist()
     distinct = list(dict.fromkeys(rows))
-    made = {row: ProjectivePoint2(tuple(FieldElement(v, dom) for v in coords))
+    made = {row: ProjectivePoint2(tuple(coords))
             for row, coords in zip(distinct, s.engine().table.pts[distinct].tolist())}
     return [made[row] for row in rows]
 

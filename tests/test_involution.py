@@ -204,7 +204,7 @@ def test_qq_sigma_on_the_printed_orbit(w1_qq, w1_29, F29):
 def test_scalar_swap_matches_the_oracle_on_every_branch():
     # Every point and side of sparse surfaces whose bases reach all three
     # SWAP_PAIRS choices (l_2 != 0; l_2 = 0 != l_1; l_2 = l_1 = 0), swapped by
-    # _cor1_partner from element coordinates and from unreduced ints, against
+    # _cor1_partner from the points' residues and from negative ints, against
     # the oracle.
     used = set()
     for p, seed in ((5, 4), (7, 9)):
