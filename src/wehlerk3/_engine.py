@@ -83,7 +83,35 @@ def side_rows(a, b, side: str):
 # the (base row) * (p + 2) + (line code) keys that PhaseSpace groups a side's
 # records by are < (p^2 + p + 1)(p + 2) < 2^35,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
+# Bulk int64 arrays are reduced mod p by `_mod`, x - (x // p) * p, which
+# equals x % p on every int64 and so on all of the bounds above; numpy's // by
+# a scalar is several times faster than its %.
 _ENUM_P_CAP = 2048
+
+
+def _mod(x: np.ndarray, p: int) -> np.ndarray:
+    """x % p for an int64 array x, as x - (x // p) * p.
+
+    Floor division puts x - (x // p) * p in [0, p) for every int64, negatives
+    included.  Near -2^63, where (x // p) * p can leave the int64 range, the
+    int64 product and difference wrap, and the remainder is still exact.
+    numpy divides an integer array by a scalar through libdivide but takes %
+    the slow way: on 8,192 int64 values at p = 503, x % p took 32-51 us,
+    x // p 6.5-7.2 us and this 12-18 us (timeit, numpy 2.4.6, 2-core x86
+    VM).  Like %, it allocates one temporary.
+
+    Its three ufunc calls lose to one % on small arrays (2.7 against 0.9 us
+    on 90 values), so % stays on scalar Python ints and on the small arrays
+    that every surface draw reduces: the engine's 3 x 3 and 6 x 6
+    coefficient matrices and the resultant scan's own O(p) tables
+    (`_resultant_scan`, `_resultant`).  With this helper there too, an
+    engine plus both sides' scans took 264-298 us instead of 251-271 us at
+    p = 101 and tied at p = 503 (best of 15, four processes each).
+    """
+    q = x // p
+    q *= p
+    return np.subtract(x, q, out=q)
+
 
 # Plane-table rows per block of the root pass, whose per-base temporaries are
 # therefore O(block), not O(p^2).  Measured on fiber_pairs("x"): at p = 503
@@ -144,7 +172,7 @@ class PlaneTable:
         self.inv = np.array([pow(a, p - 2, p) for a in range(p)], dtype=np.int64)
         self.sqrt = np.full(p, -1, dtype=np.int64)
         roots = np.arange((p + 1) // 2, dtype=np.int64)
-        self.sqrt[roots * roots % p] = roots
+        self.sqrt[_mod(roots * roots, p)] = roots
         # The resultant scan of `degenerate_bases` (p >= 17): the points
         # (0, 1, z) and (1, y, z) for y < 17, z < 5 and their monomials;
         # `zcoef`, whose [z, k] is the coefficient of t^k in the Lagrange
@@ -159,7 +187,7 @@ class PlaneTable:
             self.res_mon = self.monomials(self.res_pts)
             self.zcoef = np.array([_lagrange_coefficients(z, 5, p) for z in range(5)],
                                   dtype=np.int64)
-            self.zpow = np.arange(p, dtype=np.int64) ** np.arange(5)[:, None] % p
+            self.zpow = _mod(np.arange(p, dtype=np.int64) ** np.arange(5)[:, None], p)
             self.ylagrange = self._lagrange_basis(_RES_NODES)
         cls._cache[p] = self
         return self
@@ -174,8 +202,7 @@ class PlaneTable:
         mon = np.empty((6, len(pts)), dtype=np.int64)
         for k, (i, j) in enumerate(PAIRS):
             np.multiply(pts[:, i], pts[:, j], out=mon[k])
-        mon %= self.p
-        return mon.T
+        return _mod(mon, self.p).T
 
     def blocks(self):
         """(first row, points, monomials) of consecutive runs of `_ROOT_BLOCK` rows."""
@@ -215,9 +242,10 @@ class PlaneTable:
         ys = np.arange(p, dtype=np.int64)
         full = np.ones(p, dtype=np.int64)
         for j in range(n):
-            full = full * (ys - j) % p
+            full = _mod(full * (ys - j), p)
         lead = [pow(prod(i - j for j in range(n) if j != i) % p, p - 2, p) for i in range(n)]
-        basis = full[:, None] * self.inv[(ys[:, None] - np.arange(n)) % p] % p * lead % p
+        basis = _mod(full[:, None] * self.inv[_mod(ys[:, None] - np.arange(n), p)], p)
+        basis = _mod(basis * lead, p)
         basis[:n] = np.eye(n, dtype=np.int64)
         return basis
 
@@ -229,29 +257,31 @@ class PlaneTable:
         lead = pts[np.arange(len(pts)), lead_pos]
         if np.any(lead == 0):
             raise ValueError("zero vector cannot be canonicalized")
-        return pts * self.inv[lead][:, None] % self.p
+        return _mod(pts * self.inv[lead][:, None], self.p)
+
+
+def g_form(L, q, k: int):
+    """G_k = L_j^2 Q_ii - L_i L_j Q_ij + L_i^2 Q_jj with {i, j, k} = {0, 1, 2}, i < j."""
+    i, j = [t for t in range(3) if t != k]
+    return L[j] * L[j] * q(i, i) - L[i] * L[j] * q(i, j) + L[i] * L[i] * q(j, j)
+
+
+def h_form(L, q, i: int, j: int, k: int):
+    """H_ij = 2 L_i L_j Q_kk - L_i L_k Q_jk - L_j L_k Q_ik + L_k^2 Q_ij, (i, j, k) in SWAP_PAIRS."""
+    return (2 * L[i] * L[j] * q(k, k) - L[i] * L[k] * q(j, k)
+            - L[j] * L[k] * q(i, k) + L[k] * L[k] * q(i, j))
 
 
 def gh_formula(L, q):
     """The fiber quadratics' coefficients: (G_0, G_1, G_2) and {(i, j): H_ij}.
 
-    G_k = L_j^2 Q_ii - L_i L_j Q_ij + L_i^2 Q_jj with {i, j, k} = {0, 1, 2},
-    H_ij = 2 L_i L_j Q_kk - L_i L_k Q_jk - L_j L_k Q_ik + L_k^2 Q_ij for
-    (i, j, k) in SWAP_PAIRS.  L holds the 3 linear coefficients and q(i, j)
-    returns the quadratic coefficient of x_i x_j in either index order.  Any
-    ring works: SparsePoly, FieldElement, Fraction or int64 columns.  The H
-    dict is keyed (0, 1), (0, 2), (1, 2), in SWAP_PAIRS order.
+    The forms are `g_form` and `h_form`.  L holds the 3 linear coefficients
+    and q(i, j) returns the quadratic coefficient of x_i x_j in either index
+    order.  Any ring works: SparsePoly, FieldElement, Fraction or int64
+    columns.  The H dict is keyed (0, 1), (0, 2), (1, 2), in SWAP_PAIRS order.
     """
-    g = []
-    for k in range(3):
-        i, j = [t for t in range(3) if t != k]
-        g.append(L[j] * L[j] * q(i, i) - L[i] * L[j] * q(i, j) + L[i] * L[i] * q(j, j))
-    h = {
-        (i, j): 2 * L[i] * L[j] * q(k, k) - L[i] * L[k] * q(j, k)
-        - L[j] * L[k] * q(i, k) + L[k] * L[k] * q(i, j)
-        for (i, j, k) in SWAP_PAIRS
-    }
-    return tuple(g), h
+    g = tuple(g_form(L, q, k) for k in range(3))
+    return g, {(i, j): h_form(L, q, i, j, k) for (i, j, k) in SWAP_PAIRS}
 
 
 def pair_getter(coeffs):
@@ -291,8 +321,8 @@ def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndar
     One integer contraction: the 36 products (L_i L_j mod p) * Q_K times
     `_GH_TABLE`.  Columns of H follow SWAP_PAIRS order: H01, H02, H12.
     """
-    ll = lc[:, _PAIR_I] * lc[:, _PAIR_J] % p
-    forms = (ll[:, :, None] * qc[:, None, :]).reshape(len(lc), 36) @ _GH_TABLE % p
+    ll = _mod(lc[:, _PAIR_I] * lc[:, _PAIR_J], p)
+    forms = _mod((ll[:, :, None] * qc[:, None, :]).reshape(len(lc), 36) @ _GH_TABLE, p)
     return forms[:, :3], forms[:, 3:]
 
 
@@ -355,9 +385,9 @@ def binary_other_root(A, B, C, alpha, beta, p: int):
     Everything vectorized mod p; returns (gamma, delta) with the convention
     that a double root reproduces (alpha, beta) projectively.
     """
-    use = alpha % p != 0
-    gamma = np.where(use, A * alpha, B) % p
-    delta = np.where(use, -(B * alpha + A * beta), -C) % p
+    use = _mod(alpha, p) != 0
+    gamma = _mod(np.where(use, A * alpha, B), p)
+    delta = _mod(np.where(use, -(B * alpha + A * beta), -C), p)
     return gamma, delta
 
 
@@ -384,11 +414,11 @@ class SurfaceEngine:
         side 'y': bases are b in P^2_y, coefficients of x_i in L(., b).
         Both read the side's L rows (`rows`).
         """
-        return bases @ self.rows(side)[0].T % self.p
+        return _mod(bases @ self.rows(side)[0].T, self.p)
 
     def quad_coeffs(self, side: str, mon: np.ndarray) -> np.ndarray:
         """Q restricted to the fiber: 6 quadratic coefficients per base, from its Q rows."""
-        return mon @ self.rows(side)[1].T % self.p
+        return _mod(mon @ self.rows(side)[1].T, self.p)
 
     # -- full fiber analysis over one side ----------------------------------
 
@@ -559,12 +589,12 @@ class SurfaceEngine:
             # Chart where c2 != 0: u = (1, 0, e0), v = (0, 1, e1), e_i = -c_i/c2.
             # u + t v = (1, t, e0 + e1 t) is row 1 + p + p t + (e0 + e1 t) % p,
             # and v is row 1 + e1.
-            c2 %= p
-            e0 = -c0 * inv[c2] % p
-            e1 = -c1 * inv[c2] % p
-            A = (q00 + (q02 + q22 * e0) * e0) % p
-            B = (q01 + q02 * e1 + (q12 + 2 * q22 * e1) * e0) % p
-            C = (q11 + (q12 + q22 * e1) * e1) % p
+            c2 = _mod(c2, p)
+            e0 = _mod(-c0 * inv[c2], p)
+            e1 = _mod(-c1 * inv[c2], p)
+            A = _mod(q00 + (q02 + q22 * e0) * e0, p)
+            B = _mod(q01 + q02 * e1 + (q12 + 2 * q22 * e1) * e0, p)
+            C = _mod(q11 + (q12 + q22 * e1) * e1, p)
             v_row = 1 + e1
             off = np.full(len(pts), 1 + p)
             step = np.full(len(pts), p)
@@ -572,12 +602,12 @@ class SurfaceEngine:
             # u = (1, f, 0) with f = -c0/c1, so u + t v = (1, f, t) is row
             # 1 + p + p f + t; otherwise u = (0, 1, 0) and u + t v is row 1 + t.
             flat = np.flatnonzero(c2 == 0)
-            f0, f1 = c0[flat] % p, c1[flat] % p
-            fq = np.stack([q[flat] for q in (q00, q01, q02, q11, q12, q22)]) % p
-            f = -f0 * inv[f1] % p
+            f0, f1 = _mod(c0[flat], p), _mod(c1[flat], p)
+            fq = _mod(np.stack([q[flat] for q in (q00, q01, q02, q11, q12, q22)]), p)
+            f = _mod(-f0 * inv[f1], p)
             pivot1 = f1 != 0
-            A[flat] = np.where(pivot1, fq[0] + (fq[1] + fq[3] * f) * f, fq[3]) % p
-            B[flat] = np.where(pivot1, fq[2] + fq[4] * f, fq[4]) % p
+            A[flat] = _mod(np.where(pivot1, fq[0] + (fq[1] + fq[3] * f) * f, fq[3]), p)
+            B[flat] = _mod(np.where(pivot1, fq[2] + fq[4] * f, fq[4]), p)
             C[flat] = fq[5]
             v_row[flat] = 0
             off[flat] = np.where(pivot1, 1 + p + p * f, 1)
@@ -586,20 +616,24 @@ class SurfaceEngine:
             e1[flat] = 1
 
             def rows_at(t, b=slice(None)):
-                return off[b] + step[b] * t + (e0[b] + e1[b] * t) % p
+                return off[b] + step[b] * t + _mod(e0[b] + e1[b] * t, p)
 
             # Roots: v where C = 0, beside -A/B where B != 0; else (-B +- r)/2C
             # with r^2 the discriminant: one root where r = 0, none where r = -1
             # (the sqrt table's mark for a non-square).
-            r = tbl.sqrt[(B * B - 4 * A * C) % p]
+            r = tbl.sqrt[_mod(B * B - 4 * A * C, p)]
             half_c = inv[C] * ((p + 1) // 2)
-            t_plus = (r - B) * half_c % p
-            t_minus = (-r - B) * half_c % p
-            on_v = C == 0
+            t_plus = _mod((r - B) * half_c, p)
+            t_minus = _mod((-r - B) * half_c, p)
             block = slice(start, start + len(pts))
-            lo[block] = np.where(on_v, v_row, rows_at(np.minimum(t_plus, t_minus)))
-            hi[block] = rows_at(np.where(on_v, -A * inv[B] % p, np.maximum(t_plus, t_minus)))
-            size[block] = np.where(on_v, 1 + (B != 0), 1 + np.sign(r))
+            lo[block] = rows_at(np.minimum(t_plus, t_minus))
+            hi[block] = rows_at(np.maximum(t_plus, t_minus))
+            size[block] = 1 + np.sign(r)
+            # The bases with C = 0, about 1 in p, are overwritten by position.
+            on_v = np.flatnonzero(C == 0)
+            lo[start + on_v] = v_row[on_v]
+            hi[start + on_v] = rows_at(_mod(-A[on_v] * inv[B[on_v]], p), on_v)
+            size[start + on_v] = 1 + (B[on_v] != 0)
 
             # Whole-line fibers (Q vanishes on the line): v and every u + t v.
             # Special bases (L vanishes identically on the fiber plane) are
@@ -617,7 +651,7 @@ class SurfaceEngine:
             zeros = [[] for _ in special]
             for start, _, mon in tbl.blocks():
                 for found, (_, q) in zip(zeros, special):
-                    found.append(start + np.flatnonzero(mon @ q % p == 0))
+                    found.append(start + np.flatnonzero(_mod(mon @ q, p) == 0))
             for found, (b, _) in zip(zeros, special):
                 fibers[b] = np.concatenate(found)
         size[list(fibers)] = [len(rows) for rows in fibers.values()]
@@ -646,7 +680,7 @@ class SurfaceEngine:
             for i in range(3):
                 jq[:, off + i] = sum((1 + (i == j)) * qc[:, PAIR_AT[i][j]]
                                      * w[:, j] for j in range(3))
-        jq %= p
+        jq = _mod(jq, p)
 
         jl_nonzero = jl != 0
         has_pivot = np.any(jl_nonzero, axis=1)
@@ -654,7 +688,7 @@ class SurfaceEngine:
         rows = np.arange(len(a))
         scale = np.where(has_pivot, jq[rows, pivot], 0)
         factor = self.table.inv[np.where(has_pivot, jl[rows, pivot], 1)]
-        resid = (jq - (scale * factor % p)[:, None] * jl) % p
+        resid = _mod(jq - _mod(scale * factor, p)[:, None] * jl, p)
         rank_lt_2 = ~has_pivot | np.all(resid == 0, axis=1)
         # If jl == 0 but jq != 0 the rank is 1, still singular for a surface.
         return rank_lt_2
@@ -695,7 +729,7 @@ class SurfaceEngine:
         lk = lc[rows, k]
         ll = lc[rows, l]
         lm = lc[rows, m]
-        third = (-(lk * gamma + ll * delta) % p) * tbl.inv[lm] % p
+        third = _mod(_mod(-(lk * gamma + ll * delta), p) * tbl.inv[lm], p)
         out = np.zeros_like(moving)
         out[rows, k] = gamma
         out[rows, l] = delta

@@ -11,14 +11,13 @@ an independent oracle for every swap.
 
 from __future__ import annotations
 
-from ._engine import SWAP_PAIRS, gh_formula, pair_getter, side_index
+from ._engine import SWAP_PAIRS, g_form, h_form, pair_getter, side_index
 from .errors import DegenerateFiber, NotOnSurface
 from .geometry import ProjectivePoint2, point2
 from .surface import (
     WehlerSurface,
     _fiber_residues,
     _fiber_restriction,
-    gh_vanishes,
     quad_at,
 )
 
@@ -46,31 +45,35 @@ def _cor1_partner(s: WehlerSurface, side: str, base, moving):
     ints, Fractions or domain elements are reduced first.  The partner
     comes back as an unnormalized tuple of ints reduced mod p (over QQ, of
     Fractions), for `point2` to scale into canonical form.  Raises
-    DegenerateFiber when every G/H vanishes at the base and NotOnSurface when
-    moving is not on the fiber.
+    DegenerateFiber when every G/H vanishes at the base, before
+    NotOnSurface when moving is not on the fiber.
 
     Every on-fiber moving gets its partner from the first (k, l, m) of
-    SWAP_PAIRS with l_m != 0, where l = L(base, .).  Such an m exists: l = 0
-    makes every G and H vanish (they have degree 2 in l), so DegenerateFiber
-    is raised first.  On the line l.x = 0, x_k = x_l = 0 forces x_m = 0, so
-    moving's (x_k, x_l) is nonzero.  And A = B = C = 0 there would make Q
-    vanish on the whole line, a degenerate fiber.  So the loop runs out only
-    for a moving off the fiber line.
+    SWAP_PAIRS with l_m != 0, where l = L(base, .), and only that triple's
+    A, B, C = G_k, H_kl, G_l are formed.  No such m means l = 0, which makes
+    every G and H vanish (they have degree 2 in l).  Otherwise G_k, G_l and
+    H_kl are Q and its polar form at e_k x l and e_l x l, which span the
+    line l.x = 0 (`SurfaceEngine.degenerate_bases`), so A = B = C = 0
+    exactly when Q vanishes on the whole line: every G and H vanishes.  On
+    that line x_k = x_l = 0 forces x_m = 0, so moving's (x_k, x_l) is
+    nonzero; a later triple is tried only for a moving off the line.
     """
     lc, qv, red = _fiber_residues(s, side, base)
-    g, h = gh_formula(lc, pair_getter(qv))
-    g = tuple(map(red, g))
-    h = {kl: red(v) for kl, v in h.items()}
-    if gh_vanishes(g, h):
+    q = pair_getter(qv)
+
+    def quadratic(k, l, m):
+        return red(g_form(lc, q, k)), red(h_form(lc, q, k, l, m)), red(g_form(lc, q, l))
+
+    usable = [klm for klm in SWAP_PAIRS if lc[klm[2]] != 0]
+    first = quadratic(*usable[0]) if usable else (0, 0, 0)
+    if not any(first):
         raise DegenerateFiber(f"degenerate {side}-fiber over {base}")
     mv = list(map(s.domain.residue, moving))
-    for (k, l, m) in SWAP_PAIRS:
-        if lc[m] == 0:
-            continue
-        A, B, C = g[k], h[(k, l)], g[l]
+    for n, (k, l, m) in enumerate(usable):
         alpha, beta = mv[k], mv[l]
         if alpha == 0 and beta == 0:
             continue
+        A, B, C = quadratic(k, l, m) if n else first
         if red(A * beta * beta + B * alpha * beta + C * alpha * alpha) != 0:
             raise NotOnSurface(
                 f"{moving} is not a root of the fiber quadratic over {base}")

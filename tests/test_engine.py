@@ -1,3 +1,4 @@
+import hashlib
 import itertools
 import random
 import tracemalloc
@@ -12,6 +13,7 @@ from wehlerk3._engine import (
     PAIRS,
     PlaneTable,
     SurfaceEngine,
+    _mod,
     _resultant,
     gh_eval,
     gh_formula,
@@ -139,6 +141,50 @@ def test_resultant_filter_int64_headroom():
         for side in ("x", "y"):
             assert eng._resultant_scan(side) is not None
             assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
+
+
+def test_mod_equals_remainder_on_every_stated_bound():
+    # `_mod` reduces every int64 array of the bulk passes.  At a prime near
+    # the cap it must equal Python's % and stay int64 on each bound stated at
+    # _ENUM_P_CAP, either sign, and on the int64 extremes.
+    p = 2039
+    assert p <= _ENUM_P_CAP and 24 * _ENUM_P_CAP ** 4 < 2 ** 63
+    bounds = [12 * p ** 4, 24 * p ** 4, 72 * p ** 2, 17 * p ** 2, 6 * p ** 2, 3 * p ** 3, p, 1]
+    edges = [v + d for b in bounds for v in (b, -b) for d in (-1, 0, 1)]
+    edges += [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, np.iinfo(np.int64).max]
+    # -c * inv(c2) for the root pass's unreduced c < 3p^2 and every inverse.
+    inv = PlaneTable(p).inv
+    scaled = [-c * inv for c in (1, p - 1, p, 3 * p * p - 1)]
+    rng = np.random.default_rng(0)
+    x = np.concatenate([np.array(edges, dtype=np.int64), *scaled,
+                        rng.integers(-24 * p ** 4, 24 * p ** 4, 4096)])
+    got = _mod(x, p)
+    assert got.dtype == np.int64
+    assert got.tolist() == [v % p for v in x.tolist()]
+    assert np.array_equal(got, x % p)
+
+
+# sha256 of each side's fiber_pairs rows with their dtypes, pinned from the
+# root pass's %-based reductions: (p, seed, mode, points, digest).  Both
+# sides return the same lex-sorted pairs.
+ROOT_PASS_PINS = [
+    (503, 0, "nondegenerate", 253693,
+     "3db590f080a5d26fac39ad274851090e2240652943f2e467d583687527d8b7c8"),
+    (101, 1, "degenerate", 10425,
+     "e652619d236dee5d2174270a997dd604306ca200d627ca77550aa37e6a862286"),
+]
+
+
+@pytest.mark.parametrize("p,seed,mode,points,digest", ROOT_PASS_PINS)
+def test_root_pass_rows_are_pinned_at_full_size(p, seed, mode, points, digest):
+    eng = random_surface(p, seed, mode=mode).engine()
+    for side in ("x", "y"):
+        rows = eng.fiber_pairs(side)
+        h = hashlib.sha256()
+        for r in rows:
+            h.update(r.dtype.str.encode())
+            h.update(r.tobytes())
+        assert len(rows[0]) == points and h.hexdigest() == digest
 
 
 def test_phase_key_int64_headroom():

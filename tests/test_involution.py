@@ -238,6 +238,33 @@ def test_scalar_swap_rejects_a_point_off_the_fiber_line(F29):
     assert point2(F29, *_cor1_partner(s, "x", (1, 0, 0), (0, 1, 0))) == point2(F29, 0, 1, 0)
 
 
+def test_scalar_swap_reports_a_degenerate_fiber_before_a_point_off_it(w1_29):
+    # Over w1_29's degenerate x-base (-1 : -1 : 1), l = (-1, -1, 1) != 0 and
+    # Q vanishes on the whole line: a moving point on that line and one off
+    # it, (0 : 0 : 1) with l.y = 1, both raise DegenerateFiber.
+    base = (-1, -1, 1)
+    assert _fiber_restriction(w1_29, "x", base)[0] == "line"
+    assert w1_29.contains(base, (1, 0, 1)) and not w1_29.contains(base, (0, 0, 1))
+    for moving in ((1, 0, 1), (0, 0, 1)):
+        with pytest.raises(DegenerateFiber):
+            _cor1_partner(w1_29, "x", base, moving)
+
+
+def test_scalar_swap_reports_a_conic_fiber_for_every_moving_point():
+    # A conic fiber's base has l = 0: no SWAP_PAIRS triple is usable, and
+    # every moving point, on the surface or not, raises DegenerateFiber.
+    s = _sparse_surface(7, 4)
+    tbl = s.engine().table
+    row = next(r for r, kind in s.engine().degenerate_bases("x") if kind == "conic")
+    base = tuple(tbl.pts[row].tolist())
+    assert s.line_values("x", base) == (0, 0, 0)
+    movers = [tuple(pt) for pt in tbl.pts.tolist()]
+    assert any(s.contains(base, b) for b in movers)
+    for moving in movers:
+        with pytest.raises(DegenerateFiber):
+            _cor1_partner(s, "x", base, moving)
+
+
 def test_phi_and_psi_reject_a_start_off_the_surface(F29):
     # ((1 : 0 : 0), (0 : 0 : 1)) is not on this surface, yet the x swap of
     # its lifted point used to find a partner through a later SWAP_PAIRS
