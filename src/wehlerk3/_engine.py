@@ -45,15 +45,26 @@ def side_rows(a, b, side: str):
     L restricted to the fiber over a base has coefficient j = L row j dotted
     with the base, and Q coefficient K (PAIRS order) = Q row K dotted with
     the base's PAIRS monomials.  Side "y" reads a and b as stored, side "x"
-    their transposes (an int64 array's transpose is a view).  Any ring's
-    entries work; this is the one place the two sides' coefficients are told
-    apart.
+    their transposes (an int64 array's transpose is a view; stacks of
+    matrices, (n, 3, 3) and (n, 6, 6), are transposed matrix by matrix).
+    Any ring's entries work; this is the one place the two sides'
+    coefficients are told apart.
     """
     if side_index(side) == 0:
         if isinstance(a, np.ndarray):
-            return a.T, b.T
+            return a.swapaxes(-1, -2), b.swapaxes(-1, -2)
         return tuple(zip(*a)), tuple(zip(*b))
     return a, b
+
+
+def stack_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
+    """(L rows, Q rows) of both sides of n draws, (2n, 3, 3) and (2n, 6, 6).
+
+    a (n, 3, 3) and b (n, 6, 6) stack the draws' coefficients; the sides
+    come draw by draw, side x first, as `degenerate_rows` takes them.
+    """
+    rows = zip(*(side_rows(a, b, side) for side in SIDES))
+    return tuple(np.stack(r, axis=1).reshape(-1, *r[0].shape[1:]) for r in rows)
 
 
 # Bulk kernels stay exact in int64 up to this cap.  The root pass's bounds are
@@ -65,15 +76,17 @@ def side_rows(a, b, side: str):
 # 6m^2 + 12m^3 + 12m^4 < 12p^4 < 2^48 (m = p - 1), its roots are formed as
 # |(+-r - B) * inv(C) * (p + 1)/2| < p^3, and each root's row,
 # off + step * t + (e0 + e1 * t) % p, is a table row < p^2 + p + 1 < 2^23,
-# gh_eval's contraction of the 36 products (L_i L_j mod p) * Q_K with the
-# entries of _GH_TABLE (|T| <= 2) is < 72p^2 < 2^29,
-# the resultant scan of degenerate_bases forms z-coefficients as sums of 5
+# gh_eval forms each G_k from 3 products of three residues and each H_ij
+# from 5 (its first term doubled), so the unreduced forms are bounded by
+# |G_k| <= 3(p - 1)^3 and |H_ij| <= 5(p - 1)^3 < 2^36,
+# the resultant scan of degenerate_rows takes L and Q at its nodes as the
+# root pass does (< 3p^2, < 6p^2), forms z-coefficients as sums of 5
 # residue products (< 5p^2), Bezout brackets a_u b_v - a_v b_u of residues
 # (|.| < p^2, at most 2 to an entry, so < 2p^2), and the determinant of the
 # reduced d x d Bezout matrix (d <= 4) as d! products of d residues,
 # |det| < 24p^4 < 2^49; it extends the resultant and the z-coefficients to
-# every y by the p x 17 Lagrange product, < 17p^2 < 2^31, and evaluates a
-# quartic at any z from its coefficients and the powers z^k mod p, < 5p^2
+# every line by the (p + 1) x 18 line basis, < 18p^2 < 2^31, and evaluates
+# a quartic at any z from its coefficients and the powers z^k mod p, < 5p^2
 # (zpow's unreduced z^4 < p^4 < 2^44),
 # smooth_scan's unreduced Jacobian entries of dQ, sums of three residue
 # products with one doubled, are <= 4(p - 1)^2 < 4p^2 <= 2^24,
@@ -100,13 +113,18 @@ def _mod(x: np.ndarray, p: int) -> np.ndarray:
     x // p 6.5-7.2 us and this 12-18 us (timeit, numpy 2.4.6, 2-core x86
     VM).  Like %, it allocates one temporary.
 
-    Its three ufunc calls lose to one % on small arrays (2.7 against 0.9 us
-    on 90 values), so % stays on scalar Python ints and on the small arrays
-    that every surface draw reduces: the engine's 3 x 3 and 6 x 6
-    coefficient matrices and the resultant scan's own O(p) tables
-    (`_resultant_scan`, `_resultant`).  With this helper there too, an
-    engine plus both sides' scans took 264-298 us instead of 251-271 us at
-    p = 101 and tied at p = 503 (best of 15, four processes each).
+    Its three ufunc calls lose to one % on small arrays and tie near 500
+    values: 1.7 against 1.0 us on 90 values, 2.3 against 2.5 us on 540 and
+    3.4 against 5.5 us on 1,440 (timeit, p = 101).  So % stays on scalar
+    Python ints, on the engine's 3 x 3 and 6 x 6 coefficient matrices, and
+    in the resultant scan on the arrays with a few entries per line or
+    point: the forms' z-coefficients on the lines where R vanishes, the
+    forms at the candidate points, and `_resultant`'s Leibniz sums (17 per
+    side).  The scan's arrays with hundreds of entries per side of its stack
+    use this helper: L and Q at the 90 nodes (270 and 540), the six forms
+    there and their z-coefficients (540 each), the Bezout entries (16 per
+    node), R on every line (p + 1) and the pair's first form at every z (p
+    per line).
     """
     q = x // p
     q *= p
@@ -141,9 +159,9 @@ class PlaneTable:
 
     Besides the points it holds only O(p) tables, all built here: the
     inverses, the square roots and, for p >= 17, the tables of the resultant
-    scan in `SurfaceEngine.degenerate_bases`.  Bulk passes form the Q
-    monomials of the rows they read, a block at a time (`blocks`), so the
-    table keeps no (p^2 + p + 1, 6) monomial array.
+    scan of `degenerate_rows`.  Bulk passes form the Q monomials of the rows
+    they read, a block at a time (`blocks`), so the table keeps no
+    (p^2 + p + 1, 6) monomial array.
     """
 
     _cache: dict[int, "PlaneTable"] = {}
@@ -173,14 +191,16 @@ class PlaneTable:
         self.sqrt = np.full(p, -1, dtype=np.int64)
         roots = np.arange((p + 1) // 2, dtype=np.int64)
         self.sqrt[_mod(roots * roots, p)] = roots
-        # The resultant scan of `degenerate_bases` (p >= 17): the points
+        # The resultant scan of `degenerate_rows` (p >= 17): the points
         # (0, 1, z) and (1, y, z) for y < 17, z < 5 and their monomials;
         # `zcoef`, whose [z, k] is the coefficient of t^k in the Lagrange
         # basis polynomial of node z on the nodes 0..4, so values at z = 0..4
         # times zcoef are a quartic's z-coefficients; `zpow`, whose [k, z] is
-        # z^k, so coefficients times zpow are the values at every z; and
-        # `ylagrange`, the p x 17 Lagrange basis on the nodes 0..16, which
-        # extends 17 values of a polynomial of degree <= 16 to every y.
+        # z^k, so coefficients times zpow are the values at every z; and the
+        # (p + 1) x 18 `line_basis`, which takes values on the 18 scan lines
+        # (at infinity, then y = 0..16) to every line: row 0 picks the line
+        # at infinity, and row 1 + y is the Lagrange basis on the nodes 0..16
+        # at y, which extends 17 values of a polynomial of degree <= 16.
         if p >= _RES_NODES:
             ys, zs = np.divmod(np.arange(5 * _RES_NODES), 5)
             self.res_pts = pts[np.concatenate([1 + np.arange(5), 1 + p + p * ys + zs])]
@@ -188,7 +208,9 @@ class PlaneTable:
             self.zcoef = np.array([_lagrange_coefficients(z, 5, p) for z in range(5)],
                                   dtype=np.int64)
             self.zpow = _mod(np.arange(p, dtype=np.int64) ** np.arange(5)[:, None], p)
-            self.ylagrange = self._lagrange_basis(_RES_NODES)
+            self.line_basis = np.zeros((p + 1, 1 + _RES_NODES), dtype=np.int64)
+            self.line_basis[0, 0] = 1
+            self.line_basis[1:, 1:] = self._lagrange_basis(_RES_NODES)
         cls._cache[p] = self
         return self
 
@@ -289,41 +311,25 @@ def pair_getter(coeffs):
     return lambda i, j: coeffs[PAIR_AT[i][j]]
 
 
-def _gh_table() -> np.ndarray:
-    """The 36 x 6 int table T with G_0, G_1, G_2, H_01, H_02, H_12 = P @ T.
+def _gh_forms(lc, qc, p: int) -> np.ndarray:
+    """G_0, G_1, G_2, H_01, H_02, H_12 mod p, stacked on a new first axis.
 
-    P holds the 36 products L_i L_j Q_K, row 6n + K for (i, j) = PAIRS[n].
-    Every form is quadratic in L and linear in Q, so `gh_formula` on plain
-    ints gives T by polarization: with Q the K-th unit vector, the
-    coefficient of L_i^2 is the form at e_i, and that of L_i L_j (i < j) is
-    the form at e_i + e_j minus those at e_i and e_j.
+    lc (3, ...) and qc (6, ...) hold residues of the L and Q coefficients,
+    coefficient first, so each of `gh_formula`'s products runs on whole
+    int64 arrays; the six unreduced forms are reduced by one `_mod`.
     """
-    def forms(L, K):
-        g, h = gh_formula(L, pair_getter([int(n == K) for n in range(6)]))
-        return np.array(g + tuple(h.values()), dtype=np.int64)
-
-    e = [[int(k == i) for k in range(3)] for i in range(3)]
-    table = np.empty((36, 6), dtype=np.int64)
-    for n, (i, j) in enumerate(PAIRS):
-        for K in range(6):
-            table[6 * n + K] = forms(e[i], K) if i == j else (
-                forms([a + b for a, b in zip(e[i], e[j])], K) - forms(e[i], K) - forms(e[j], K))
-    return table
-
-
-_GH_TABLE = _gh_table()
-_PAIR_I, _PAIR_J = np.array(PAIRS).T
+    g, h = gh_formula(lc, pair_getter(qc))
+    return _mod(np.stack(g + tuple(h.values())), p)
 
 
 def gh_eval(lc: np.ndarray, qc: np.ndarray, p: int) -> tuple[np.ndarray, np.ndarray]:
-    """G_k and H_kl values from residues of L (n,3) and Q (n,6) coefficients.
+    """G_k and H_kl values from residues of L (..., 3) and Q (..., 6) coefficients.
 
-    One integer contraction: the 36 products (L_i L_j mod p) * Q_K times
-    `_GH_TABLE`.  Columns of H follow SWAP_PAIRS order: H01, H02, H12.
+    `_gh_forms` on the coefficient columns.  Columns of H follow SWAP_PAIRS
+    order: H01, H02, H12.
     """
-    ll = _mod(lc[:, _PAIR_I] * lc[:, _PAIR_J], p)
-    forms = _mod((ll[:, :, None] * qc[:, None, :]).reshape(len(lc), 36) @ _GH_TABLE, p)
-    return forms[:, :3], forms[:, 3:]
+    forms = np.moveaxis(_gh_forms(np.moveaxis(lc, -1, 0), np.moveaxis(qc, -1, 0), p), 0, -1)
+    return forms[..., :3], forms[..., 3:]
 
 
 def _lagrange_coefficients(i: int, n: int, p: int) -> list[int]:
@@ -339,26 +345,33 @@ def _lagrange_coefficients(i: int, n: int, p: int) -> list[int]:
 
 
 def _bezout_tables(d: int):
-    """The Bezout map and Leibniz terms for two polynomials of degree <= d.
+    """The Bezout entries and Leibniz terms for two polynomials of degree <= d.
 
     For f = sum a_u z^u and g = sum b_v z^v,
     (f(x) g(y) - f(y) g(x)) / (x - y) = sum B_ij x^i y^j, and B_ij is the
     sum of the brackets [u, v] = a_u b_v - a_v b_u (u > v) over
-    i = v + t, j = u - 1 - t, 0 <= t < u - v.  Row (d + 1)u + v of the 0/1
-    map is bracket [u, v], column di + j entry B_ij, and det B is
-    (-1)^(d(d-1)/2) times the Sylvester determinant Res_z(f, g) of f and g
-    as polynomials of degree d.  The determinant is summed over the
-    permutations of d, returned with their signs.
+    i = v + t, j = u - 1 - t, 0 <= t < u - v.  det B is (-1)^(d(d-1)/2)
+    times the Sylvester determinant Res_z(f, g) of f and g as polynomials of
+    degree d.
+
+    Returns (u, v, terms, cells, signs): the brackets [u[n], v[n]], the last
+    of them [0, 0] = 0; terms, 2 x d^2, with B_ij the sum of the brackets
+    terms[0, di + j] and terms[1, di + j] (no entry has more than two, and
+    one missing is the zero bracket); and the positions di + perm(i) of each
+    Leibniz product, one row per permutation of d, with its sign.
     """
-    bezout = np.zeros(((d + 1) ** 2, d * d), dtype=np.int64)
-    for u in range(d + 1):
-        for v in range(u):
-            for t in range(u - v):
-                bezout[(d + 1) * u + v, d * (v + t) + u - 1 - t] = 1
+    pairs = [(u, v) for u in range(d + 1) for v in range(u)] + [(0, 0)]
+    terms = [[] for _ in range(d * d)]
+    for n, (u, v) in enumerate(pairs):
+        for t in range(u - v):
+            terms[d * (v + t) + u - 1 - t].append(n)
+    zero = len(pairs) - 1
+    terms = np.array([ts + [zero] * (2 - len(ts)) for ts in terms], dtype=np.int64).T
     perms = np.array(list(permutations(range(d))), dtype=np.int64)
     signs = np.array([(-1) ** sum(a > b for a, b in combinations(perm, 2))
                       for perm in perms.tolist()], dtype=np.int64)
-    return bezout, perms, signs
+    u, v = np.array(pairs, dtype=np.int64).T
+    return u, v, terms, d * np.arange(d) + perms, signs
 
 
 # Indexed by the degree d in z, 1..4, of the resultant scan's polynomials.
@@ -373,10 +386,139 @@ def _resultant(f: np.ndarray, g: np.ndarray, p: int) -> np.ndarray:
     where f and g have a common root or both z^d coefficients vanish.
     """
     d = f.shape[1] - 1
-    bezout, perms, signs = _BEZOUT[d]
-    brackets = f[:, :, None] * g[:, None, :] - f[:, None, :] * g[:, :, None]
-    matrix = (brackets.reshape(-1, (d + 1) ** 2) @ bezout % p).reshape(-1, d, d)
-    return matrix[:, np.arange(d), perms].prod(axis=2) @ signs % p
+    u, v, terms, cells, signs = _BEZOUT[d]
+    brackets = f[:, u] * g[:, v] - f[:, v] * g[:, u]
+    factors = _mod(brackets[:, terms[0]] + brackets[:, terms[1]], p)[:, cells]
+    prods = factors[..., 0]
+    for c in range(1, d):
+        prods = prods * factors[..., c]
+    return prods @ signs % p
+
+
+# The pairs of the six forms (G_0, G_1, G_2, H_01, H_02, H_12), in the order
+# the resultant scan tries them.
+_FORM_PAIRS = np.array(list(combinations(range(6), 2)))
+
+
+def degenerate_rows(lrows: np.ndarray, qrows: np.ndarray, p: int) -> list:
+    """Per side of a stack, the table rows, ascending, of its degenerate bases.
+
+    lrows (n, 3, 3) and qrows (n, 6, 6) hold n sides' (L rows, Q rows) of
+    `side_rows`, residues mod p.  A base is degenerate exactly where every
+    G_k and H_ij vanishes.  Write l for the 3 coefficients of L(base, .),
+    n_k = e_k x l and B for the polar form of Q; then G_k = Q(n_k) and
+    H_ij = -B(n_i, n_j).  When l != 0 the n_k span the fiber line
+    L(base, .) = 0, so all of G and H vanish exactly when Q vanishes on that
+    whole line.  When l = 0 all of them vanish, being of degree 2 in l.
+
+    One `_resultant_scan` covers the whole stack.  A side it cannot narrow
+    (p < 17, or every pair of forms shares a factor) goes alone to
+    `_gh_zeros`, which tests all six forms on every table row.  Either way
+    the common zeros of the six forms are found exactly.
+    """
+    return [_gh_zeros(lr, qr, p) if rows is None else rows
+            for lr, qr, rows in zip(lrows, qrows, _resultant_scan(lrows, qrows, p))]
+
+
+def _gh_zeros(lrows: np.ndarray, qrows: np.ndarray, p: int) -> np.ndarray:
+    """The table rows, ascending, where every G_k and H_ij of one side vanishes.
+
+    All six forms are evaluated on every row, a block of `_ROOT_BLOCK` rows
+    at a time.
+    """
+    found = []
+    for start, pts, mon in PlaneTable(p).blocks():
+        G, H = gh_eval(_mod(pts @ lrows.T, p), _mod(mon @ qrows.T, p), p)
+        found.append(start + np.flatnonzero(~(G.any(axis=1) | H.any(axis=1))))
+    return np.concatenate(found)
+
+
+def _resultant_scan(lrows: np.ndarray, qrows: np.ndarray, p: int) -> list:
+    """Per side of a stack, the rows where every G_k and H_ij vanishes, or None.
+
+    On the line (0, 1, z) at infinity and on each affine line (1, y, z)
+    every form is a quartic in z, read off its values at z = 0..4
+    (`zcoef`); the z^4 coefficient at infinity is the value at (0, 0, 1),
+    row 0.  On the affine lines the z^k coefficient has degree <= 4 - k in
+    y, so it vanishes identically if it does at y = 0..16.  For a pair of
+    forms, let d be the largest k whose coefficient is not identically zero
+    for both; their resultant in z as polynomials of degree d, R(y), is the
+    d x d Bezout determinant (`_resultant`), of degree <= 8d - d^2 <= 16 in
+    y.  It is computed at y = 0..16 and extended to every y by `line_basis`.
+    A common zero of the pair on a line makes R vanish there; a line where
+    both z^d coefficients vanish only adds a candidate.  The pair is G_0
+    and G_1, or the next pair of `_FORM_PAIRS` if their R vanishes
+    identically, as when they share a factor.
+
+    On the line at infinity and the lines where R vanishes the forms'
+    coefficients come from the nodes by `line_basis`; the zeros of the
+    pair's first form at every z (`zpow`) are the candidates where all six
+    are evaluated.
+
+    Each step runs once on all the sides of the stack that reach it: one
+    `_resultant` call per pair and degree d that some side needs, and one
+    call of each later step for all the lines of all sides.  Arrays with
+    hundreds of entries per side are reduced by `_mod`; the forms on the
+    lines where R vanishes, at the candidate points and `_resultant`'s
+    Leibniz sums, a few entries per line or point, keep %.  A side's entry
+    is None when the scan cannot narrow its search: p < 17, or every pair's
+    R vanishes identically, as when all six forms share a factor.
+    """
+    n = len(lrows)
+    if p < _RES_NODES:
+        return [None] * n
+    tbl = PlaneTable(p)
+    # (side, form, line, k): the z^k coefficients of each form on the line at
+    # infinity, then on the lines y = 0..16.
+    forms = _gh_forms(_mod(lrows @ tbl.res_pts.T, p).swapaxes(0, 1),
+                      _mod(qrows @ tbl.res_mon.T, p).swapaxes(0, 1), p)
+    coeffs = _mod(forms.reshape(6, n, 1 + _RES_NODES, 5) @ tbl.zcoef, p).swapaxes(0, 1)
+    pair = np.full(n, -1)
+    # res[side, 1 + y] is R(y) of the side's pair at the node y; res[side, 0]
+    # stays 0.
+    res = np.zeros((n, 1 + _RES_NODES), dtype=np.int64)
+    todo = np.arange(n)
+    for k, fg in enumerate(_FORM_PAIRS):
+        nodes = coeffs[todo[:, None], fg, 1:]
+        # d is the highest power of z with a nonzero coefficient.  A side
+        # with none gets d = 4, where the resultant of zero rows is 0, and
+        # one with d = 0 gets no resultant: both go on to the next pair.
+        degree = 4 - nodes.any(axis=(1, 2))[:, ::-1].argmax(axis=1)
+        for d in set(degree.tolist()) - {0}:
+            group = np.flatnonzero(degree == d)
+            f, g = nodes[group, :, :, :d + 1].swapaxes(0, 1).reshape(2, -1, d + 1)
+            r = _resultant(f, g, p).reshape(-1, _RES_NODES)
+            ok = r.any(axis=1)
+            res[todo[group[ok]], 1:] = r[ok]
+            pair[todo[group[ok]]] = k
+        todo = todo[pair[todo] < 0]
+        if not len(todo):
+            break
+    # The line at infinity of every narrowed side (res[side, 0] = 0 picks
+    # it), then the lines y where its R vanishes: (side, line, z) comes out
+    # of nonzero in order, so each side's rows are ascending.
+    narrow = np.flatnonzero(pair >= 0)
+    at, col = np.nonzero(_mod(res[narrow] @ tbl.line_basis.T, p) == 0)
+    side = narrow[at]
+    # (line, form, k): the z^k coefficients of each form on those lines.
+    lines = (tbl.line_basis[col, None, None] @ coeffs[side])[:, :, 0] % p
+    first = lines[np.arange(len(side)), _FORM_PAIRS[pair[side], 0]]
+    line, zs = np.nonzero(_mod(first @ tbl.zpow, p) == 0)
+    values = (lines[line] * tbl.zpow[:, zs].T[:, None, :]).sum(axis=2) % p
+    common = ~values.any(axis=1)
+    # Line col starts at row 1 + p col: (0, 1, z) is row 1 + z, (1, y, z)
+    # row 1 + p + p y + z.
+    line = line[common]
+    rows = 1 + p * col[line] + zs[common]
+    cut = np.searchsorted(side[line], np.arange(n + 1)).tolist()
+    # Row 0, (0, 0, 1), where every form's z^4 coefficient at infinity vanishes.
+    top = ~coeffs[:, :, 0, 4].any(axis=1)
+    out = [None] * n
+    for s in narrow.tolist():
+        out[s] = rows[cut[s]:cut[s + 1]]
+        if top[s]:
+            out[s] = np.concatenate([[0], out[s]])
+    return out
 
 
 def binary_other_root(A, B, C, alpha, beta, p: int):
@@ -425,90 +567,24 @@ class SurfaceEngine:
     def degenerate_bases(self, side: str) -> list:
         """(base row, kind) for every base of the side with a degenerate fiber.
 
-        A base is degenerate exactly where every G_k and H_ij vanishes.  Write
-        l for the 3 coefficients of L(base, .), n_k = e_k x l and B for the
-        polar form of Q; then G_k = Q(n_k) and H_ij = -B(n_i, n_j).  When
-        l != 0 the n_k span the fiber line L(base, .) = 0, so all of G and H
-        vanish exactly when Q vanishes on that whole line.  When l = 0 all of
-        them vanish, being of degree 2 in l.
-
-        A common zero of all six is a common zero of any two of them, so the
-        six are tested only at the common zeros of one pair on the line at
-        infinity and on the affine lines where the pair's resultant in z
-        vanishes (`_resultant_scan`).  Where that cannot narrow the search
-        (p < 17, or every pair shares a factor) all six forms are tested on
-        every table row, a block of `_ROOT_BLOCK` rows at a time.  Either
-        way the common zeros of the six forms are found exactly.  Rows come
-        in table order; kind is "line" where L(base, .) != 0, else "conic",
-        or "plane" if Q(base, .) = 0.
+        `degenerate_rows` on a stack of this one side, then `fiber_kinds`.
         """
-        tbl = self.table
-        found = self._resultant_scan(side)
-        if found is None:
-            found = np.concatenate([start + np.flatnonzero(self._gh_zeros(side, pts, mon))
-                                    for start, pts, mon in tbl.blocks()])
-        if not len(found):
+        lrows, qrows = self.rows(side)
+        return self.fiber_kinds(side, degenerate_rows(lrows[None], qrows[None], self.p)[0])
+
+    def fiber_kinds(self, side: str, rows: np.ndarray) -> list:
+        """(row, kind) for degenerate base rows of the side, in the given order.
+
+        kind is "line" where L(base, .) != 0, else "conic", or "plane" if
+        Q(base, .) = 0.
+        """
+        if not len(rows):
             return []
-        bases = tbl.pts[found]
+        bases = self.table.pts[rows]
         line = self.line_coeffs(side, bases).any(axis=1).tolist()
-        conic = self.quad_coeffs(side, tbl.monomials(bases)).any(axis=1).tolist()
+        conic = self.quad_coeffs(side, self.table.monomials(bases)).any(axis=1).tolist()
         return [(row, "line" if l else "conic" if q else "plane")
-                for row, l, q in zip(found.tolist(), line, conic)]
-
-    def _gh_zeros(self, side: str, pts: np.ndarray, mon: np.ndarray) -> np.ndarray:
-        """Mask of the bases (points, monomials) where every G_k and H_ij vanishes."""
-        G, H = gh_eval(self.line_coeffs(side, pts), self.quad_coeffs(side, mon), self.p)
-        return ~(G.any(axis=1) | H.any(axis=1))
-
-    def _resultant_scan(self, side: str):
-        """The table rows, ascending, where every G_k and H_ij vanishes.
-
-        On the line (0, 1, z) at infinity and on each affine line (1, y, z)
-        every form is a quartic in z, read off its values at z = 0..4
-        (`zcoef`); the z^4 coefficient at infinity is the value at (0, 0, 1),
-        row 0.  On the affine lines the z^k coefficient has degree <= 4 - k
-        in y, so it vanishes identically if it does at y = 0..16.  For a pair
-        of forms, let d be the largest k whose coefficient is not identically
-        zero for both; their resultant in z as polynomials of degree d,
-        R(y), is the d x d Bezout determinant (`_resultant`), of degree
-        <= 8d - d^2 <= 16 in y.  It is computed at y = 0..16 and extended to
-        every y by `ylagrange`.  A common zero of the pair on a line makes R
-        vanish there; a line where both z^d coefficients vanish only adds a
-        candidate.  The pair is G_0 and G_1, or the next pair of the six if
-        their R vanishes identically, as when they share a factor.
-
-        On the line at infinity and the lines where R vanishes the forms'
-        coefficients come from the nodes by `ylagrange`; the pair's values at
-        every z (`zpow`) give its common zeros, where all six are evaluated.
-        Returns None when this cannot narrow the search: p < 17, or every
-        pair's R vanishes identically, as when all six share a factor.
-        """
-        p = self.p
-        if p < _RES_NODES:
-            return None
-        tbl = self.table
-        G, H = gh_eval(self.line_coeffs(side, tbl.res_pts),
-                       self.quad_coeffs(side, tbl.res_mon), p)
-        # (form, line, k): the z^k coefficients of each form on the line at
-        # infinity, then on the lines y = 0..16.
-        coeffs = np.concatenate([G, H], axis=1).T.reshape(6, 1 + _RES_NODES, 5) @ tbl.zcoef % p
-        for pair in combinations(range(6), 2):
-            nodes = coeffs[list(pair), 1:]
-            d = np.flatnonzero(nodes.any(axis=(0, 1)))[-1:]
-            if len(d) and d[0] > 0:
-                res = _resultant(*nodes[:, :, :d[0] + 1], p)
-                if res.any():
-                    break
-        else:
-            return None
-        ys = np.flatnonzero(tbl.ylagrange @ res % p == 0)
-        lines = np.concatenate([coeffs[:, :1], tbl.ylagrange[ys] @ coeffs[:, 1:] % p], axis=1)
-        line, zs = np.nonzero(~(lines[list(pair)] @ tbl.zpow % p).any(axis=0))
-        values = (lines[:, line] * tbl.zpow[:, zs].T).sum(axis=2) % p
-        common = ~values.any(axis=0)
-        starts = np.concatenate([[1], 1 + p + p * ys])
-        rows = starts[line[common]] + zs[common]
-        return np.concatenate([[0], rows]) if not coeffs[:, 0, 4].any() else rows
+                for row, l, q in zip(rows.tolist(), line, conic)]
 
     def analyze(self, side: str):
         """`fiber_pairs` as (N, 6) coordinates [x | y], and `degenerate_bases`."""

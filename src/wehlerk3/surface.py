@@ -26,10 +26,12 @@ from ._engine import (
     SIDES,
     SWAP_PAIRS,
     SurfaceEngine,
+    degenerate_rows,
     gh_formula,
     pair_getter,
     side_index,
     side_rows,
+    stack_sides,
 )
 from .errors import (
     BadModulus,
@@ -562,6 +564,15 @@ def is_smooth_rational(s: WehlerSurface) -> SmoothnessReport:
 # -- random surfaces ----------------------------------------------------------------
 
 
+# The largest block of `random_surface` draws tested for the mode at once.
+# Blocks grow 1, 2, 4, 8, so a surface accepted early wastes few draws.  At
+# p = 101, degenerate surfaces of 30-36 draws took 7.5 ms each with blocks
+# capped at 8, against 8.2 ms at 4, 7.7 ms at 16, 9.2 ms at 32 and 13.4 ms
+# one draw at a time: past 8 the draws after the accepted one cost more
+# than the calls they save (median of 7 rounds, one process, 2-core x86 VM).
+_DRAW_BLOCK = 8
+
+
 def random_surface(
     p: int,
     seed: int,
@@ -578,14 +589,19 @@ def random_surface(
     one rational point or a degenerate fiber, where a rational singular point
     can lie; its verdict covers all N points.
 
-    Each draw is tested for its degeneracy mode first, from the cheap
-    degenerate lists of both sides, and only then for smoothness, which needs
-    the x-side root pass.  A draw is accepted when it is smooth and meets the
-    mode, and every draw consumes the same 45 rng values whatever its fate,
-    so a seed gives the same surface after the same number of draws in
-    either test order.  The mode test runs on a `SurfaceEngine` of the raw
-    coefficient rows; a `WehlerSurface` is made only for a draw that meets
-    the mode, with that engine and its degenerate lists in its cache.
+    Every draw consumes the same 45 rng values whatever its fate.  Draws
+    come in blocks of 1, 2, 4 and then `_DRAW_BLOCK` draws, and a block
+    never goes past max_draws.  A block is tested for the degeneracy mode
+    first, by one `degenerate_rows` call on the stacked side rows of all its
+    draws, both sides; then each draw that meets the mode, in draw order,
+    for smoothness, which needs the x-side root pass.  A draw is accepted
+    when it is smooth and meets the mode.  No draw's rng values or verdict
+    depend on the draws around it, so a seed gives the same surface after
+    the same number of draws as testing draw by draw, and the smallest
+    max_draws that accepts it is the same; the rest of the accepting block
+    is drawn and scanned for nothing.  A `WehlerSurface` is made only for a
+    draw that meets the mode, with a `SurfaceEngine` and the degenerate
+    lists of both sides in its cache.
     """
     if p < 5:
         raise BadModulus(f"random surfaces need p >= 5, got {p}")
@@ -593,22 +609,45 @@ def random_surface(
     rng = random.Random(seed)
     if mode not in ("nondegenerate", "degenerate", "any"):
         raise ValueError(f"unknown mode {mode!r}")
-    for _ in range(max_draws):
-        a = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
-        b = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
-        if not any(map(any, a)) or not any(map(any, b)):
-            continue  # ZeroForm: L or Q is identically zero
-        eng = SurfaceEngine(a, b, p)
-        sides = SIDES if mode != "any" else ()
-        degenerate = {side: eng.degenerate_bases(side) for side in sides}
-        # "degenerate" needs a degenerate fiber, "nondegenerate" none, "any" tests no side.
-        if any(degenerate.values()) != (mode == "degenerate"):
+    drawn, size = 0, 1
+    while drawn < max_draws:
+        block, count = [], min(size, max_draws - drawn)
+        for _ in range(count):
+            a = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+            b = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+            if any(map(any, a)) and any(map(any, b)):  # else ZeroForm
+                block.append((a, b))
+        drawn += count
+        size = min(2 * size, _DRAW_BLOCK)
+        for cand in _meeting_mode(field, block, mode):
+            if is_smooth_rational(cand):
+                return cand
+    raise ExhaustedAttempts(f"no acceptable surface in {max_draws} draws at p={p}")
+
+
+def _meeting_mode(field, block: list, mode: str):
+    """The block's draws (a, b) that meet the mode, as surfaces, in draw order.
+
+    Outside mode "any" both sides of every draw are scanned by one
+    `degenerate_rows` call, and each surface yielded carries its engine and
+    degenerate lists.
+    """
+    if mode == "any":
+        yield from (WehlerSurface(field, a, b) for a, b in block)
+        return
+    if not block:
+        return
+    p = field.p
+    stacks = (np.array(m, dtype=np.int64) for m in zip(*block))
+    found = degenerate_rows(*stack_sides(*stacks), p)
+    for n, (a, b) in enumerate(block):
+        rows = dict(zip(SIDES, found[2 * n:2 * n + 2]))
+        # "degenerate" needs a degenerate fiber, "nondegenerate" none.
+        if any(map(len, rows.values())) != (mode == "degenerate"):
             continue
+        eng = SurfaceEngine(a, b, p)
         cand = WehlerSurface(field, a, b)
         cand.cached(("engine",), lambda: eng)
-        for side, bases in degenerate.items():
-            cand.cached(("degenerate", side), lambda: bases)
-        if not is_smooth_rational(cand):
-            continue
-        return cand
-    raise ExhaustedAttempts(f"no acceptable surface in {max_draws} draws at p={p}")
+        for side, r in rows.items():
+            cand.cached(("degenerate", side), lambda: eng.fiber_kinds(side, r))
+        yield cand

@@ -4,7 +4,7 @@ from collections import Counter
 
 import numpy as np
 import pytest
-from test_engine import _sparse_surface
+from test_engine import _count_block_scans, _sparse_surface
 
 from wehlerk3 import dynamics
 from wehlerk3._engine import SurfaceEngine
@@ -81,10 +81,14 @@ def test_phase_space_scans_each_side_once(monkeypatch):
 
 
 def test_a_draw_that_meets_the_mode_runs_one_root_pass(monkeypatch):
+    # One draw: its two sides go through the block kernel once, in one
+    # stack, side x first; no per-engine scan runs, and only the x side runs
+    # the root pass.
     calls = _count_engine_passes(monkeypatch)
+    scans = _count_block_scans(monkeypatch)
     s = random_surface(11, seed=3, max_draws=1)
-    assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
-                     ("fiber_pairs", "x"): 1}
+    assert scans == [[s.engine().rows(side)[0].tolist() for side in ("x", "y")]]
+    assert calls == {("fiber_pairs", "x"): 1}
     assert len(surface_pairs(s)) > 0 and calls["fiber_pairs", "x"] == 1
 
 

@@ -9,16 +9,19 @@ import pytest
 from wehlerk3 import _engine
 from wehlerk3._engine import (
     _ENUM_P_CAP,
-    _GH_TABLE,
     PAIRS,
     PlaneTable,
     SurfaceEngine,
+    _gh_zeros,
     _mod,
     _resultant,
+    _resultant_scan,
+    degenerate_rows,
     gh_eval,
     gh_formula,
     pair_getter,
     phase_key,
+    stack_sides,
 )
 from wehlerk3.errors import ZeroForm
 from wehlerk3.field import PrimeField
@@ -58,15 +61,19 @@ def test_gh_bulk_scalar_and_symbolic_agree_at_every_base(seed, mode):
 
 def test_gh_eval_int64_headroom():
     # Every row of residues 0 or p - 1 at a prime near the cap, including the
-    # all-(p - 1) row: the int64 contraction, 36 products below p^2 times
-    # table entries |T| <= 2, must match Python-int arithmetic.
+    # all-(p - 1) row.  `gh_formula` forms each G_k from 3 products of three
+    # residues and each H_ij from 5 (one term doubled), so the unreduced
+    # forms are bounded by |G_k| <= 3(p - 1)^3 and |H_ij| <= 5(p - 1)^3 <
+    # 2^36; the int64 forms must match Python-int arithmetic.
     p = 2039
-    assert p <= _ENUM_P_CAP and 72 * _ENUM_P_CAP ** 2 < 2 ** 29
-    assert np.abs(_GH_TABLE).max() == 2
+    m = _ENUM_P_CAP - 1
+    assert p <= _ENUM_P_CAP and 5 * m ** 3 < 2 ** 36
     rows = np.array(list(itertools.product((0, p - 1), repeat=9)), dtype=np.int64)
     G, H = gh_eval(rows[:, :3], rows[:, 3:], p)
     for n, row in enumerate(rows.tolist()):
         g, h = gh_formula(row[:3], pair_getter(row[3:]))
+        assert max(map(abs, g)) <= 3 * (p - 1) ** 3
+        assert max(abs(v) for v in h.values()) <= 5 * (p - 1) ** 3
         assert G[n].tolist() == [v % p for v in g]
         assert H[n].tolist() == [h[ij] % p for ij in H_KEYS]
 
@@ -99,13 +106,13 @@ def test_resultant_filter_int64_headroom():
     # bracket cancels by symmetry): the z-coefficients from values at
     # z = 0..4 and a quartic's values from its coefficients (sums < 5p^2),
     # the Bezout brackets and products of d <= 4 terms (|det| < 24p^4 < 2^49)
-    # at every degree d the scan uses, and the p x 17 Lagrange product
-    # (< 17p^2) must match Python-int arithmetic, and the scan must find what
-    # the reference kernel finds.
+    # at every degree d the scan uses, and the (p + 1) x 18 line basis
+    # product (< 18p^2) must match Python-int arithmetic, and the scan must
+    # find what the reference kernel finds.
     p = 2039
     cap = _ENUM_P_CAP
     assert p <= cap and 5 * cap ** 2 < 2 ** 25 and 24 * cap ** 4 < 2 ** 49
-    assert 17 * cap ** 2 < 2 ** 31
+    assert 18 * cap ** 2 < 2 ** 31
     tbl = PlaneTable(p)
 
     def basis(i, y):
@@ -116,8 +123,9 @@ def test_resultant_filter_int64_headroom():
         return num * pow(den, -1, p) % p
 
     for y in (0, 4, 16, 17, 1000, p - 1):
-        assert tbl.ylagrange[y].tolist() == [basis(i, y) for i in range(17)]
-    assert np.all(tbl.ylagrange @ np.full(17, p - 1) % p == p - 1)
+        assert tbl.line_basis[1 + y, 1:].tolist() == [basis(i, y) for i in range(17)]
+    assert tbl.line_basis[0].tolist() == [1] + [0] * 17
+    assert np.all(tbl.line_basis @ np.full(18, p - 1) % p == p - 1)
     values = np.array(list(itertools.product((0, p - 1), repeat=5)), dtype=np.int64)
     for row, coeffs in zip(values.tolist(), (values @ tbl.zcoef % p).tolist()):
         assert [sum(c * z ** k for k, c in enumerate(coeffs)) % p for z in range(5)] == row
@@ -139,7 +147,8 @@ def test_resultant_filter_int64_headroom():
         b = [[rng.choice((1, p - 2, p - 1)) for _ in range(6)] for _ in range(6)]
         eng = SurfaceEngine(a, b, p)
         for side in ("x", "y"):
-            assert eng._resultant_scan(side) is not None
+            lrows, qrows = eng.rows(side)
+            assert _resultant_scan(lrows[None], qrows[None], p)[0] is not None
             assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
 
 
@@ -149,7 +158,8 @@ def test_mod_equals_remainder_on_every_stated_bound():
     # _ENUM_P_CAP, either sign, and on the int64 extremes.
     p = 2039
     assert p <= _ENUM_P_CAP and 24 * _ENUM_P_CAP ** 4 < 2 ** 63
-    bounds = [12 * p ** 4, 24 * p ** 4, 72 * p ** 2, 17 * p ** 2, 6 * p ** 2, 3 * p ** 3, p, 1]
+    bounds = [12 * p ** 4, 24 * p ** 4, 5 * (p - 1) ** 3, 72 * p ** 2, 18 * p ** 2, 17 * p ** 2,
+              6 * p ** 2, 3 * p ** 3, p, 1]
     edges = [v + d for b in bounds for v in (b, -b) for d in (-1, 0, 1)]
     edges += [0, -1, np.iinfo(np.int64).min, np.iinfo(np.int64).min + 1, np.iinfo(np.int64).max]
     # -c * inv(c2) for the root pass's unreduced c < 3p^2 and every inverse.
@@ -441,13 +451,8 @@ def _raw_draw(rng, p, a_kind):
     return SurfaceEngine(a, b, p)
 
 
-def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypatch):
-    # Raw draws at p = 17..29, with no mode or smoothness filter, and draws
-    # whose L has a zero column or rank 1.  Besides scans where G_0 and G_1
-    # give the resultant, they include scans where both vanish at (0, 0, 1),
-    # so their quartics drop to degree 3 in z; scans where G_0 and G_1 share a
-    # factor, so another pair is taken; and scans where every pair shares a
-    # factor, so every row is tested.
+def _scan_path(eng, side, monkeypatch):
+    """How the resultant scan treats one side scanned alone, and its list."""
     calls = []
     resultant = _engine._resultant
 
@@ -456,7 +461,36 @@ def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypa
         calls.append((f.shape[1] - 1, bool(res.any())))
         return res
 
-    monkeypatch.setattr(_engine, "_resultant", spy)
+    with monkeypatch.context() as m:
+        m.setattr(_engine, "_resultant", spy)
+        found = eng.degenerate_bases(side)
+    if not any(ok for _, ok in calls):
+        return "every row", found
+    if not calls[0][1]:
+        return "other pair", found
+    return ("degree 4" if calls[0][0] == 4 else "lower degree"), found
+
+
+def _count_block_scans(monkeypatch):
+    """The L rows of every stack that goes through the block kernel's scan."""
+    scans = []
+    scan = _engine._resultant_scan
+
+    def counted(lrows, qrows, p):
+        scans.append(lrows.tolist())
+        return scan(lrows, qrows, p)
+
+    monkeypatch.setattr(_engine, "_resultant_scan", counted)
+    return scans
+
+
+def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypatch):
+    # Raw draws at p = 17..29, with no mode or smoothness filter, and draws
+    # whose L has a zero column or rank 1.  Besides scans where G_0 and G_1
+    # give the resultant, they include scans where both vanish at (0, 0, 1),
+    # so their quartics drop to degree 3 in z; scans where G_0 and G_1 share a
+    # factor, so another pair is taken; and scans where every pair shares a
+    # factor, so every row is tested.
     paths = {"degree 4": 0, "lower degree": 0, "other pair": 0, "every row": 0}
     found = 0
     for p in (17, 19, 23, 29):
@@ -464,16 +498,10 @@ def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypa
         for a_kind in ("random",) * (150 if p == 17 else 40) + ("zero column", "rank 1") * 3:
             eng = _raw_draw(rng, p, a_kind)
             for side in ("x", "y"):
-                calls.clear()
-                fast = eng.degenerate_bases(side)
+                path, fast = _scan_path(eng, side, monkeypatch)
                 assert fast == _reference_degenerate_bases(eng, side)
                 found += bool(fast)
-                if not any(ok for _, ok in calls):
-                    paths["every row"] += 1
-                elif not calls[0][1]:
-                    paths["other pair"] += 1
-                else:
-                    paths["degree 4" if calls[0][0] == 4 else "lower degree"] += 1
+                paths[path] += 1
     assert found >= 10 and min(paths.values()) >= 1
 
 
@@ -483,12 +511,77 @@ def test_resultant_scan_matches_the_exhaustive_scan():
     for p, seed in ((101, 3), (101, 6), (503, 2)):
         eng = random_surface(p, seed, mode="degenerate").engine()
         for side in ("x", "y"):
-            every_row = [start + np.flatnonzero(eng._gh_zeros(side, pts, mon))
-                         for start, pts, mon in eng.table.blocks()]
-            rows = eng._resultant_scan(side)
-            assert rows.tolist() == np.concatenate(every_row).tolist()
+            lrows, qrows = eng.rows(side)
+            rows = _resultant_scan(lrows[None], qrows[None], p)[0]
+            assert rows.tolist() == _gh_zeros(lrows, qrows, p).tolist()
             assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
-    assert _sparse_surface(13, 0).engine()._resultant_scan("x") is None
+    eng = _sparse_surface(13, 0).engine()
+    assert _resultant_scan(*(r[None] for r in eng.rows("x")), 13) == [None]
+
+
+def _block_scan(draws, p, monkeypatch):
+    """`degenerate_rows` on one stack of the draws' sides, and the sides'
+    L rows that reached `_gh_zeros`."""
+    full = []
+    gh_zeros = _engine._gh_zeros
+
+    def spy(lrows, qrows, p):
+        full.append(lrows.tolist())
+        return gh_zeros(lrows, qrows, p)
+
+    a, b = (np.array(m, dtype=np.int64) for m in zip(*draws))
+    with monkeypatch.context() as m:
+        m.setattr(_engine, "_gh_zeros", spy)
+        rows = degenerate_rows(*stack_sides(a, b), p)
+    return rows, full
+
+
+def test_block_kernel_scans_a_mixed_stack_side_by_side(monkeypatch):
+    # One stack at p = 17: an ordinary draw; a degenerate-mode draw; a draw
+    # whose L has a zero column, so that side x's (G_0, G_1) resultant
+    # vanishes identically and the next pair is taken, while side y's forms
+    # all vanish at (0, 0, 1) and drop to degree d = 3 in z; and a draw whose
+    # L has rank 1, where every pair of forms shares a factor.  Each side's
+    # rows equal the reference kernel's, and only the rank-1 draw's sides go
+    # to the full-table `_gh_zeros`, once each.
+    p = 17
+    rng = random.Random(0)
+    a = [[rng.randrange(p) for _ in range(3)] for _ in range(3)]
+    b = [[rng.randrange(p) for _ in range(6)] for _ in range(6)]
+    zero_column = [row[:2] + [0] for row in a]
+    rank_1 = [[u * w % p for w in a[1]] for u in a[0]]
+    s = random_surface(p, 16, mode="degenerate")
+    draws = [(a, b), (s.a, s.b), (zero_column, b), (rank_1, b)]
+    engines = [SurfaceEngine(a, b, p) for a, b in draws]
+    assert [[_scan_path(eng, side, monkeypatch)[0] for side in ("x", "y")] for eng in engines] == [
+        ["degree 4", "degree 4"], ["degree 4", "degree 4"],
+        ["other pair", "lower degree"], ["every row", "every row"]]
+    rows, full = _block_scan(draws, p, monkeypatch)
+    assert full == [engines[3].rows(side)[0].tolist() for side in ("x", "y")]
+    for n, eng in enumerate(engines):
+        for k, side in enumerate(("x", "y")):
+            want = _reference_degenerate_bases(eng, side)
+            assert rows[2 * n + k].tolist() == [row for row, _ in want]
+            assert eng.fiber_kinds(side, rows[2 * n + k]) == want
+    assert not any(map(len, rows[:2])) and any(map(len, rows[2:4]))
+    assert all(map(len, rows[4:]))
+
+
+def test_block_kernel_below_p17_scans_every_side_on_the_full_table(monkeypatch):
+    # Below p = 17 the resultant scan cannot narrow any side: each goes
+    # alone to `_gh_zeros`, and its rows equal the reference kernel's.
+    p = 13
+    surfaces = [_sparse_surface(p, seed) for seed in range(4)]
+    surfaces += [random_surface(p, 21, mode="degenerate"), random_surface(p, 5)]
+    rows, full = _block_scan([(s.a, s.b) for s in surfaces], p, monkeypatch)
+    assert full == [s.engine().rows(side)[0].tolist() for s in surfaces for side in ("x", "y")]
+    found = 0
+    for n, s in enumerate(surfaces):
+        for k, side in enumerate(("x", "y")):
+            want = _reference_degenerate_bases(s.engine(), side)
+            assert rows[2 * n + k].tolist() == [row for row, _ in want]
+            found += bool(want)
+    assert found >= 4
 
 
 # -- the root pass against the solver it replaced ------------------------------

@@ -5,6 +5,7 @@ from pathlib import Path
 
 import numpy as np
 import pytest
+from test_engine import _count_block_scans
 
 from wehlerk3.dynamics import lift_pair, phase_step
 from wehlerk3.errors import (
@@ -586,6 +587,15 @@ RANDOM_SURFACE_PINS = [
     (7, 40, "degenerate", 2, "8d05e459d8e9bb4c66a7b77e8e8c1848545afbc34fd9903b4adcc22b32a1f935"),
     (7, 133, "degenerate", 9, "8d34bc14561188443afba26e77a840e2bc97acd03c60646ac5f7aa83cc4392c0"),
     (11, 133, "degenerate", 3, "5a12ae9ceec3e1104d92e739489536b4244871b3400413c4b398a2a12771e0e0"),
+    # Draws are tested in blocks of 1, 2, 4, 8, 8, ..., which end at draws 1,
+    # 3, 7, 15, 23, ...: accepted draws at and next to the block ends.
+    (101, 39, "degenerate", 1, "d2536e5d3feadc6dbc2dd224b211f0870c3b3988edccc50d34fce41418cf6900"),
+    (101, 53, "degenerate", 3, "cdcdc2264cb65899047541515a59cdafcaa607cc82d685f105b99176bc19e0d1"),
+    (101, 50, "degenerate", 7, "e71a17863a0a010dd47728098a9a318e56aa71821334951ef562d333f9e868fa"),
+    (101, 129, "degenerate", 8, "bb2afa1442e28a32d821352b29b87cf9e3b3411d9dbca8a7c9490b2bcb489f7d"),
+    (101, 12, "degenerate", 15, "ddcc1c147f67f7e91696df267b0de0f4f00978a11a39e1c74ebb0e75405d589c"),
+    (101, 33, "degenerate", 16, "4882c5fc4924c8b8b13caa79e752716373991fe646559e9418e76d02c72a343c"),
+    (101, 17, "degenerate", 185, "62a1f1633c661216607706d7001a883bad9366d5358c39044bb0b75208296792"),
 ]
 
 
@@ -625,6 +635,20 @@ def test_random_surface_builds_surfaces_only_for_draws_that_meet_the_mode(monkey
     monkeypatch.setattr(WehlerSurface, "__init__", counting_init)
     s = random_surface(29, 36, mode="degenerate")
     assert len(made) == 2 and made[-1] is s
+
+
+@pytest.mark.parametrize("max_draws", [31, 30])
+def test_random_surface_scans_blocks_of_draws_up_to_max_draws(monkeypatch, max_draws):
+    # random_surface(29, 36, mode="degenerate") accepts its 31st draw.  The
+    # draws go through the block kernel in blocks of 1, 2, 4, 8, 8, 8, both
+    # sides of each in one stack, and a budget of 30 cuts the last block.
+    scans = _count_block_scans(monkeypatch)
+    if max_draws == 31:
+        random_surface(29, 36, mode="degenerate", max_draws=max_draws)
+    else:
+        with pytest.raises(ExhaustedAttempts, match=r"^no acceptable surface in 30 draws at p=29$"):
+            random_surface(29, 36, mode="degenerate", max_draws=max_draws)
+    assert list(map(len, scans)) == [2, 4, 8, 16, 16, 2 * (max_draws - 23)]
 
 
 def test_reduce_mod_bad_prime(w1_qq):
