@@ -93,8 +93,14 @@ def stack_sides(a: np.ndarray, b: np.ndarray) -> tuple[np.ndarray, np.ndarray]:
 # the pair keys (row of x) * (p^2 + p + 1) + (row of y) that fiber_pairs sorts
 # side y by and that PhaseSpace merges both-side boundary points by are
 # < (p^2 + p + 1)^2 < 2^45 (side x emits its pairs in order and sorts nothing),
-# the (base row) * (p + 2) + (line code) keys that PhaseSpace groups a side's
-# records by are < (p^2 + p + 1)(p + 2) < 2^35,
+# the dense group ids that PhaseSpace pairs a side's records by, a plain
+# record's base row or (p^2 + p + 1) + (center position) * (p + 1) + (line
+# code) for a chart record, are < p^2 + p + 1 + (#centers)(p + 1), and so
+# < (p^2 + p + 1)(p + 2) < 2^35 even were every base a center,
+# the index sums of a group of two records, which one weighted bincount
+# adds in float64, are < 2N for N records, about 2p^2: < 2^24 at the cap
+# (N = 4,160,321 for random_surface(2039, 0)), so they are exact in float64,
+# whose integers are exact below 2^53,
 # and phase_key values are < (p^2 + p + 1)^2 (p + 2) < 2^56.
 # Bulk int64 arrays are reduced mod p by `_mod`, x - (x // p) * p, which
 # equals x % p on every int64 and so on all of the bounds above; numpy's // by

@@ -11,6 +11,7 @@ a bijection of a finite set.
 from __future__ import annotations
 
 from dataclasses import dataclass, field as dc_field
+from functools import cached_property
 
 import numpy as np
 
@@ -164,10 +165,11 @@ class PhaseSpace:
     s = (0 : 1) and p + 1 where the side carries no parameter.  A code is
     (j - 1) mod (p + 1) for s at position j of `blowup.line_parameters`
     (`_scode`, `_sdecode`), so P^1 is numbered only there.  Records are
-    sorted by their x key (`phase_key` of the rows and the sx code, `_key`),
-    then by the sy code.  Each involution is a product of disjoint
-    transpositions, one per two-point fiber, and `perm` swaps the records
-    of each fiber.
+    sorted by their x key (`phase_key` of the rows and the sx code, `_keys`),
+    then by the sy code; `_boundary` lists the positions of the boundary
+    records, those with a code on some side.  Each involution is a product
+    of disjoint transpositions, one per two-point fiber, and `perm` swaps
+    the records of each fiber.
     """
 
     def __init__(self, s: WehlerSurface):
@@ -197,6 +199,18 @@ class PhaseSpace:
         return tuple(np.array(v, dtype=np.int64) for v in (centers, line, moving))
 
     def _build_points(self):
+        """The records in key order, with no sort over the regular records.
+
+        The regular records are the rational points over bases that are
+        centers of neither side, and they come out of `pair_rows` in key
+        order already.  Only the boundary records, a few hundred at most,
+        are sorted, by (x key, sy code), and each goes in at the place its
+        key finds among the regular keys.  No regular key equals a boundary
+        key: x-only and both-side records carry an sx code, and y-only
+        records sit over a y center, which no regular record does.  Plane-
+        table rows are in lex order, so (row of a, row of b, sx code) orders
+        like (a, b, sx) and one key replaces seven sort columns.
+        """
         p = self.p
         n = len(self._tbl.pts)
         none = p + 1
@@ -204,8 +218,8 @@ class PhaseSpace:
         self._lines = {side: self._chart_lines(side) for side in ("x", "y")}
         (xc, x_line, x_moving), (yc, y_line, y_moving) = self._lines["x"], self._lines["y"]
         # Degenerate centers marked over the plane-table rows.
-        x_center, y_center = (np.bincount(c, minlength=n) > 0 for c in (xc, yc))
-        regular = ~x_center[pa] & ~y_center[pb]
+        x_center, y_center = np.zeros(n, dtype=bool), np.zeros(n, dtype=bool)
+        x_center[xc] = y_center[yc] = True
 
         # Boundary points: (a, b) = (center, moving) on side x, (moving,
         # center) on side y.  Those whose other coordinate is a center of the
@@ -229,19 +243,32 @@ class PhaseSpace:
                 f"ambiguous both-side boundary point {at}: "
                 f"{lines_x} x-lines, {lines_y} y-lines")
 
-        groups = ((pa[regular], pb[regular], none, none),
-                  (xa[x_only], xb[x_only], xcode[x_only], none),
+        groups = ((xa[x_only], xb[x_only], xcode[x_only], none),
                   (ya[y_only], yb[y_only], none, ycode[y_only]),
                   (keys[one] // n, keys[one] % n, both_x[one], both_y[one]))
-        ia, ib, cx, cy = (np.concatenate([np.broadcast_to(g[k], g[0].shape) for g in groups])
+        ba, bb, bx, by = (np.concatenate([np.broadcast_to(g[k], g[0].shape) for g in groups])
                           for k in range(4))
-        # Plane-table rows are in lex order, so (row of a, row of b, sx code)
-        # orders like (a, b, sx) and one key replaces seven sort columns.
-        key = phase_key(ia, ib, cx, p)
-        order = np.lexsort((cy, key))
-        self._key = key[order]
-        self._ia, self._ib = ia[order], ib[order]
-        self._codes = {"x": cx[order], "y": cy[order]}
+        bkey = phase_key(ba, bb, bx, p)
+        order = np.lexsort((by, bkey))
+
+        ia, ib, at = pa, pb, np.zeros(0, dtype=np.intp)
+        if len(xc) or len(yc):
+            regular = ~(x_center.take(pa) | y_center.take(pb))
+            ra, rb = pa[regular], pb[regular]
+            # A boundary record's place among all records: its regular
+            # predecessors plus the boundary records before it.
+            at = np.searchsorted(phase_key(ra, rb, none, p), bkey.take(order))
+            at += np.arange(len(at))
+            ia, ib = (np.empty(len(ra) + len(at), dtype=np.int64) for _ in range(2))
+            keep = np.ones(len(ia), dtype=bool)
+            keep[at] = False
+            for out, r, b in ((ia, ra, ba), (ib, rb, bb)):
+                out[keep] = r
+                out[at] = b.take(order)
+        self._ia, self._ib = ia, ib
+        self._codes = {"x": np.full(len(ia), none), "y": np.full(len(ia), none)}
+        self._codes["x"][at], self._codes["y"][at] = bx.take(order), by.take(order)
+        self._boundary = at
 
     def _scode(self, s: ProjectivePoint1 | None) -> int:
         return self.p + 1 if s is None else (_parameter_index(self.p, *s.raw) - 1) % (self.p + 1)
@@ -280,11 +307,16 @@ class PhaseSpace:
             columns.append([decoded[c] for c in codes])
         return [PhasePoint(*fields) for fields in zip(*columns)]
 
+    @cached_property
+    def _keys(self) -> np.ndarray:
+        """The records' x keys, ascending; built on the first lookup."""
+        return phase_key(self._ia, self._ib, self._codes["x"], self.p)
+
     def index_of(self, P: PhasePoint) -> int:
         """The record of P: a left and right search of its x key, then its sy code."""
         sx, sy = map(self._scode, (P.sx, P.sy))
         key = phase_key(self._tbl.index_of(P.a.raw), self._tbl.index_of(P.b.raw), sx, self.p)
-        lo, hi = (np.searchsorted(self._key, key, side=end) for end in ("left", "right"))
+        lo, hi = (np.searchsorted(self._keys, key, side=end) for end in ("left", "right"))
         # Records sharing an x key differ only in sy.
         hit = lo + np.flatnonzero(self._codes["y"][lo:hi] == sy)
         if len(hit) != 1:
@@ -318,43 +350,56 @@ class PhaseSpace:
         that is not degenerate, whose fiber is its rational points in
         `pair_rows`.  A chart record's fiber is the boundary points on its
         line of its center's blow-up chart, as `sigma_extended` moves it.
-        One argsort groups the records by (base, code).  A group that holds
-        exactly its fiber's points, at distinct moving rows, swaps its two
-        records or fixes its one.  Any other group is noted in `exceptions`,
-        in the order of its smallest record, and its records get -1.
+        Each record gets a dense group id: its base row for a plain record,
+        and n + (center position) * (p + 1) + code for a chart record, n the
+        plane-table size.  One bincount gives each group's size and one
+        weighted by the record indices its index sum, so a record's partner
+        in a group of two is the sum minus its own index, and a record alone
+        is its own partner; no sort runs.  A group that holds exactly its
+        fiber's points, at distinct moving rows, swaps its two records or
+        fixes its one.  Any other group is noted in `exceptions`, in the
+        order of its smallest record, and its records get -1.
         """
         p = self.p
+        n = len(self._tbl.pts)
         k = side_index(side)
         rows = (self._ia, self._ib)
         base, moving, code = rows[k], rows[1 - k], self._codes[side]
-        key = base * (p + 2) + code
-        order = np.argsort(key)
-        start = np.flatnonzero(np.diff(key[order], prepend=-1))
-        size = np.diff(np.append(start, len(order)))
-        first = order[start]
-        gbase, gcode = base[first], code[first]
-
+        centers, line, _ = self._lines[side]
+        # Chart records are boundary records with a code on this side.
+        chart = self._boundary.compress(code.take(self._boundary) != p + 1)
+        group = base
+        if len(chart):
+            group = base.copy()
+            group[chart] = n + np.searchsorted(centers, base[chart]) * (p + 1) + code[chart]
+        groups = n + len(centers) * (p + 1)
+        size = np.bincount(group, minlength=groups)
+        perm = _partners(group, size)
         # Each group's fiber size: the rational points over a plain base, the
         # boundary points on a chart line.
-        chart = gcode != p + 1
-        points = np.bincount(pair_rows(self.surface)[k], minlength=len(self._tbl.pts))[gbase]
-        centers, line, _ = self._lines[side]
-        on_line = np.searchsorted(centers, gbase[chart]) * (p + 1) + gcode[chart]
-        points[chart] = np.bincount(line, minlength=len(centers) * (p + 1))[on_line]
-
-        last = order[start + size - 1]
-        valid = (size == points) & (size <= 2) & ((size == 1) | (moving[first] != moving[last]))
-        perm = np.full(len(order), -1, dtype=np.intp)
-        perm[first[valid]], perm[last[valid]] = last[valid], first[valid]
+        points = np.bincount(pair_rows(self.surface)[k], minlength=groups)
+        points[n:] = np.bincount(line, minlength=groups - n)
+        bad = np.flatnonzero(((size != points) & (size > 0)) | (size > 2))
+        held = np.flatnonzero(np.isin(group, bad)) if len(bad) else bad
+        perm[held] = -1
+        # Records that meet their partner's moving row: the fixed ones and
+        # the two of any group whose records share one.
+        same = np.flatnonzero(moving.take(perm) == moving)
+        partner = perm.take(same)
+        twins = same.compress((partner >= 0) & (partner != same))
+        perm[twins] = -1
+        held = np.sort(np.concatenate([held, twins]))
 
         pts = self._tbl.pts
-        bad = [(order[start[g]:start[g] + size[g]], g) for g in np.flatnonzero(~valid).tolist()]
-        for held, g in sorted(bad, key=lambda item: item[0].min()):
-            at = tuple(pts[gbase[g]].tolist())
-            on = f" on line s = {self._sdecode(int(gcode[g]))}" if chart[g] else ""
+        held_group = group.take(held)
+        firsts = np.sort(np.unique(held_group, return_index=True)[1])
+        for g, smallest in zip(held_group[firsts].tolist(), held[firsts].tolist()):
+            members = held[held_group == g]
+            at = tuple(pts[base[smallest]].tolist())
+            on = f" on line s = {self._sdecode(int(code[smallest]))}" if g >= n else ""
             self.exceptions.append(
                 f"sigma_{side} fiber over {at}{on}: points={points[g]}, records={size[g]}, "
-                f"distinct rows={len(np.unique(moving[held]))}, smallest record={held.min()}")
+                f"distinct rows={len(np.unique(moving[members]))}, smallest record={smallest}")
         return perm
 
     def _check_involution(self, side: str, perm: np.ndarray, notes: list) -> str | None:
@@ -384,6 +429,22 @@ class PhaseSpace:
 
 def build_phase_space(s: WehlerSurface) -> PhaseSpace:
     return s.cached(("phase_space",), lambda: PhaseSpace(s))
+
+
+def _partners(group: np.ndarray, size: np.ndarray) -> np.ndarray:
+    """Each record's partner in its group, for groups of one or two records.
+
+    group[i] is record i's group and size the group sizes.  One bincount
+    weighted by the record indices gives each group's index sum, which a
+    record alone doubles, and a record's partner is the sum minus its own
+    index.  The sums are below 2N, exact in float64.
+    """
+    index = np.arange(len(group))
+    total = np.bincount(group, weights=index, minlength=len(size)).astype(np.intp)
+    total[size == 1] *= 2
+    partner = total.take(group)
+    partner -= index
+    return partner
 
 
 # -- cycle census ------------------------------------------------------------------
@@ -493,36 +554,117 @@ def _point_json(P: PhasePoint) -> dict:
     return out
 
 
-def _cycles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
-    """(cycle_id, representatives, lengths) of the permutation phi.
+# The cycle split marks every _marker_gap(n)-th of n records, and a marker's
+# walker stops after _WALK_STEPS times that gap.  Below 2^15 records the gap
+# is 1 and the split is plain doubling; each lockstep step costs a few numpy
+# calls, so the gap stops at 16.  On the p = 503 census (k = 15) walks of at
+# most 4k, 8k and 16k steps tied at 8.0-8.4 ms, and unbounded walks took
+# 11.5 ms, spent on the last few long segments (timeit, 2-core VM).
+def _marker_gap(n: int) -> int:
+    return min(max(n >> 14, 1), 16)
 
-    Each cycle is represented by its smallest index and numbered in the
-    order of those minima.  Min-label pointer doubling finds the minima:
-    after k rounds lab[i] is the minimum over the window of 2^k points i,
-    phi(i), ... and f = phi^(2^k).  When a round changes no label,
-    lab[i] <= lab[f[i]] everywhere, so the labels are equal along each chain
-    i, f(i), f(f(i)), ..., which closes up.  On a cycle of length L the chain
-    visits every gcd(2^k, L)-th point, so its windows cover the cycle and each
-    label is the cycle's minimum.  Rounds: ceil(log2(longest cycle)) + 1.
-    The gathers use np.take, which numpy runs faster than fancy indexing
-    on 1-D int arrays: 21.4-22.5 -> 16.7-17.7 ms for one call at p = 503,
-    N ~ 254k (median of 13, numpy 2.4.6, 2-core x86 VM).
+
+_WALK_STEPS = 8
+
+
+def _min_labels(f: np.ndarray, lab: np.ndarray) -> np.ndarray:
+    """Each node's smallest label on its cycle of the permutation f.
+
+    Min-label pointer doubling: after r rounds lab[i] is the minimum over
+    the window of 2^r nodes i, f(i), ... and the pointer is f^(2^r).  When
+    a round changes no label, lab[i] <= lab[g[i]] everywhere for the current
+    pointer g, so the labels are equal along each chain i, g(i), g(g(i)),
+    ..., which closes up.  On a cycle of length L the chain visits every
+    gcd(2^r, L)-th node, so its windows cover the cycle and each label is
+    the cycle's minimum.  Rounds: ceil(log2(longest cycle)) + 1.  The
+    gathers use np.take, which numpy runs faster than fancy indexing on 1-D
+    int arrays.
     """
-    n = len(phi)
-    if np.any(np.bincount(phi, minlength=n) != 1):
-        raise NonBijective("phi is not a bijection of the phase space")
-    lab = np.arange(n)
-    f = phi
     while True:
         nxt = lab.take(f)
         np.minimum(nxt, lab, out=nxt)
         if np.array_equal(nxt, lab):
-            break
+            return lab
         lab = nxt
         f = f.take(f)
-    is_rep = lab == np.arange(n)
-    cycle_id = (np.cumsum(is_rep) - 1).take(lab)
-    return cycle_id, np.flatnonzero(is_rep), np.bincount(cycle_id)
+
+
+def _contract(phi: np.ndarray, k: int) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(node, succ, seed): phi contracted on every k-th index, its markers.
+
+    All markers walk phi in lockstep until each reaches the next marker, and
+    each point a walker passes is owned by that walker's marker; a walker
+    still going after _WALK_STEPS * k steps stops where it is.  The
+    contracted permutation `succ` has one node per marker, numbered first,
+    and one per point that no walker reached: a marker's successor is the
+    marker (or the point) where its walker stopped, and an unreached point's
+    is its image, which is a marker or unreached too.  node[i] is the node
+    whose label point i takes: its owner's, or its own.  A node's seed is
+    the smallest point that takes its label: the minimum of a marker's
+    segment (the marker and the points its walker passed), an unreached
+    point itself.  With k = 1 every point is a marker and the contraction
+    is phi itself.
+    """
+    n = len(phi)
+    if k == 1:
+        index = np.arange(n)
+        return index, phi, index
+    markers = np.arange(0, n, k)
+    node = np.full(n, -1, dtype=np.intp)
+    node[markers] = np.arange(len(markers))
+    succ = np.empty(len(markers), dtype=np.intp)
+    walker, at = np.arange(len(markers)), phi.take(markers)
+    for _ in range(_WALK_STEPS * k):
+        reached = node.take(at)
+        go = np.flatnonzero(reached < 0)
+        if len(go) < len(at):
+            # A walker that goes on is written again when it stops.
+            succ[walker] = reached
+            walker, at = walker.take(go), at.take(go)
+            if not len(walker):
+                break
+        node[at] = walker
+        at = phi.take(at)
+    rest = np.flatnonzero(node < 0)
+    node[rest] = len(markers) + np.arange(len(rest))
+    succ[walker] = node.take(at)
+    seed = np.full(len(markers) + len(rest), n)
+    np.minimum.at(seed, node, np.arange(n))
+    return node, np.concatenate([succ, node.take(phi.take(rest))]), seed
+
+
+def _cycles(phi: np.ndarray) -> tuple[np.ndarray, np.ndarray, np.ndarray]:
+    """(cycle_id, representatives, lengths) of the permutation phi.
+
+    Each cycle is represented by its smallest index and numbered in the
+    order of those minima.  phi is contracted on every k-th index,
+    k = _marker_gap(n) (`_contract`), and min-label pointer doubling
+    (`_min_labels`) runs on the contraction, each node seeded with the
+    smallest point that takes its label.  That gives every cycle's minimum:
+    the contraction maps the nodes of one phi cycle among themselves, and
+    each point of the cycle takes the label of exactly one of them.  A
+    cycle that holds a marker contracts to its markers and any points no
+    walker reached; a cycle that holds none is reached by no walker and
+    stays whole among the unreached points.  Either way the seeds of the
+    cycle's nodes are the minima of sets that partition the cycle, so the
+    smallest seed, which doubling gives every node, is the cycle's minimum.
+    On a census at p = 503 (N ~ 254k, k = 15) the walk passes every point
+    once in at most 8k = 120 steps, and the doubling runs on about 17k
+    nodes instead of 254k points.
+    """
+    n = len(phi)
+    if np.any(np.bincount(phi, minlength=n) != 1):
+        raise NonBijective("phi is not a bijection of the phase space")
+    node, succ, seed = _contract(phi, _marker_gap(n))
+    lab = _min_labels(succ, seed)
+    # A cycle's minimum point is the seed of exactly one node of the cycle;
+    # cycles are numbered in the order of their minima.
+    first = np.flatnonzero(lab == seed)
+    first = first.take(np.argsort(seed.take(first)))
+    number = np.empty(len(seed), dtype=np.intp)
+    number[first] = np.arange(len(first))
+    cycle_id = number.take(node.take(lab)).take(node)
+    return cycle_id, seed.take(first), np.bincount(cycle_id, minlength=len(first))
 
 
 def cycle_decomposition(s_or_space) -> CycleCensus:

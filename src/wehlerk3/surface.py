@@ -473,8 +473,21 @@ def degenerate_fibers(s: WehlerSurface, side: str):
 
 
 def _degenerate_rows(s: WehlerSurface, side: str) -> list:
-    """The engine's (base row, kind) list of one side, in table order, computed once."""
-    return s.cached(("degenerate", side), lambda: s.engine().degenerate_bases(side))
+    """The engine's (base row, kind) list of one side, in table order, computed once.
+
+    The first call for either side scans both sides with one stacked
+    `degenerate_rows` call, as `_meeting_mode` does for a draw, and caches
+    the other side's list too.
+    """
+    def scan():
+        eng = s.engine()
+        found = degenerate_rows(*stack_sides(eng.amat[None], eng.bmat[None]), eng.p)
+        for other, rows in zip(SIDES, found):
+            if other != side:
+                s.cached(("degenerate", other), lambda: eng.fiber_kinds(other, rows))
+        return eng.fiber_kinds(side, found[side_index(side)])
+
+    return s.cached(("degenerate", side), scan)
 
 
 # -- rational points --------------------------------------------------------------
@@ -484,9 +497,17 @@ def pair_rows(s: WehlerSurface) -> tuple[np.ndarray, np.ndarray]:
     """Plane-table rows (of a, of b) of every rational point, lex sorted.
 
     They come from the x-side root pass, which runs once per surface; only
-    these rows are cached, not the points' coordinates.
+    these rows are cached, not the points' coordinates.  The arrays are
+    read-only, because a `PhaseSpace` with no boundary record holds them as
+    its own rows.
     """
-    return s.cached(("pairs",), lambda: s.engine().fiber_pairs("x"))
+    def build():
+        rows = s.engine().fiber_pairs("x")
+        for r in rows:
+            r.flags.writeable = False
+        return rows
+
+    return s.cached(("pairs",), build)
 
 
 def surface_pairs(s: WehlerSurface) -> np.ndarray:

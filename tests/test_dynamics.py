@@ -71,13 +71,18 @@ def _count_engine_passes(monkeypatch):
 
 
 def test_phase_space_scans_each_side_once(monkeypatch):
-    # A fresh surface: the G/H kernel lists each side's degenerate fibers
-    # once, and only the x side runs the root pass.
+    # A fresh surface: both sides' degenerate fibers come from one stack
+    # through the block kernel, side x first, with no per-engine scan, and
+    # only the x side runs the root pass.
     calls = _count_engine_passes(monkeypatch)
-    space = build_phase_space(w1_surface(29))
+    scans = _count_block_scans(monkeypatch)
+    s = w1_surface(29)
+    space = build_phase_space(s)
     assert space.size > 0
-    assert calls == {("degenerate_bases", "x"): 1, ("degenerate_bases", "y"): 1,
-                     ("fiber_pairs", "x"): 1}
+    assert scans == [[s.engine().rows(side)[0].tolist() for side in ("x", "y")]]
+    assert calls == {("fiber_pairs", "x"): 1}
+    assert all(degenerate_fibers(s, side) for side in ("x", "y"))
+    assert len(scans) == 1
 
 
 def test_a_draw_that_meets_the_mode_runs_one_root_pass(monkeypatch):
@@ -308,8 +313,10 @@ def _scalar_walk(phi):
 
 
 @pytest.mark.parametrize("p,seed,mode", [(29, None, None), (29, 5, "degenerate"),
-                                         (29, 9, "degenerate"), (101, 1, "any")],
-                         ids=["w1_29", "degenerate_29_5", "degenerate_29_9", "random_101_1"])
+                                         (29, 9, "degenerate"), (101, 1, "any"),
+                                         (199, 0, "nondegenerate")],
+                         ids=["w1_29", "degenerate_29_5", "degenerate_29_9", "random_101_1",
+                              "random_199_0"])
 def test_census_matches_the_scalar_walk(p, seed, mode, w1_29):
     s = w1_29 if seed is None else random_surface(p, seed, mode=mode)
     census = cycle_decomposition(s)
@@ -340,6 +347,47 @@ def test_pointer_doubling_matches_the_scalar_walk_on_synthetic_permutations():
         assert list(zip(lengths.tolist(), reps.tolist())) == ref_cycles
         longest = max(longest, lengths.max())
     assert longest > 2 ** 10
+
+
+def _marker_free_short_cycles(n, k, rng):
+    """The markers (every k-th index) on one cycle, every other index on 3-cycles."""
+    phi = np.empty(n, dtype=np.int64)
+    markers = rng.permutation(np.arange(0, n, k))
+    phi[markers] = np.roll(markers, -1)
+    others = rng.permutation(np.flatnonzero(np.arange(n) % k))
+    others = others[:len(others) // 3 * 3].reshape(-1, 3)
+    phi[others] = np.roll(others, -1, axis=1)
+    left = np.setdiff1d(np.flatnonzero(np.arange(n) % k), others)
+    phi[left] = left
+    return phi
+
+
+def test_marker_contraction_matches_the_scalar_walk_on_synthetic_permutations():
+    # n >= 2^16, so every k-th index is a marker with k > 1: the identity
+    # (every point but the markers left to the doubling), one n-cycle in
+    # index order and one on shuffled indices, short cycles that avoid every
+    # marker, one cycle whose markers are all but one at its end (walkers
+    # stop at the step limit), and a random permutation.
+    n = 2 ** 16
+    k = dynamics._marker_gap(n)
+    assert k > 1
+    rng = np.random.default_rng(5)
+    order = rng.permutation(n)
+    shuffled_cycle = np.empty(n, dtype=np.int64)
+    shuffled_cycle[order] = np.roll(order, -1)
+    markers = np.arange(0, n, k)
+    late = np.concatenate([[0], np.flatnonzero(np.arange(n) % k), markers[1:]])
+    late_markers = np.empty(n, dtype=np.int64)
+    late_markers[late] = np.roll(late, -1)
+    perms = [np.arange(n), np.roll(np.arange(n), -1), shuffled_cycle,
+             _marker_free_short_cycles(n, k, rng), late_markers, rng.permutation(n + 7)]
+    for phi in perms:
+        cycle_id, reps, lengths = _cycles(phi)
+        ref_id, ref_cycles = _scalar_walk(phi)
+        assert np.array_equal(cycle_id, ref_id)
+        assert list(zip(lengths.tolist(), reps.tolist())) == ref_cycles
+    short = _cycles(perms[3])[2]
+    assert np.count_nonzero(short == 3) > n // 5
 
 
 def test_non_bijective_phi_is_rejected():
@@ -452,7 +500,8 @@ def test_pencil_parameter_moves_when_det_a_does_not_vanish():
 # fiber without boundary points, so a census finds sigma not total.  strict
 # makes a fix (or a new rejection in random_surface) show up as XPASS.
 @pytest.mark.xfail(strict=True, raises=NonBijective)
-@pytest.mark.parametrize("p,seed", [(5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133)])
+@pytest.mark.parametrize("p,seed", [(5, 75), (5, 93), (7, 35), (7, 40), (7, 133), (11, 133),
+                                    (19, 84)])
 def test_known_small_prime_charts_are_not_bijective(p, seed):
     cycle_decomposition(random_surface(p, seed, mode="degenerate"))
 

@@ -209,10 +209,30 @@ def test_phase_key_int64_headroom():
     keys = phase_key(ia, ib, np.full(len(rows), p + 1, dtype=np.int64), p)
     assert keys.tolist() == [(a * n + b) * (p + 2) + p + 1 for a, b in rows]
     assert keys[-1] == (n * n - 1) * (p + 2) + p + 1 == keys.max()
-    # PhaseSpace.perm groups a side's records by (base row) * (p + 2) + (code).
+    # PhaseSpace.perm pairs a side's records by dense group ids: a plain
+    # record's base row, or n + (center position) * (p + 1) + code for a
+    # chart record; below n (p + 2) even were every base a center.
     assert (cap * cap + cap + 1) * (cap + 2) < 2 ** 35
-    group = ia * (p + 2) + np.full(len(rows), p + 1, dtype=np.int64)
-    assert group.max() == (n - 1) * (p + 2) + p + 1
+    group = n + ia * (p + 1) + np.full(len(rows), p, dtype=np.int64)
+    assert group.tolist() == [n + a * (p + 1) + p for a, _ in rows]
+    assert group.max() == n * (p + 2) - 1
+
+
+def test_partner_index_sums_are_exact_at_the_cap():
+    # PhaseSpace.perm finds a record's partner as its group's index sum minus
+    # its own index, with the sums from one float64 weighted bincount.  The
+    # census at p = 2039 has N = 4,160,321 records, so the sums are < 2N <
+    # 2^24; the last two records of a census twice that size must still come
+    # out exactly.
+    p = 2039
+    assert p <= _ENUM_P_CAP and 2 * 4_160_321 < 2 ** 24
+    n = 2 * 4_160_321
+    group = np.array([0, 1, 1, 2], dtype=np.int64)
+    index = np.array([0, n - 3, n - 2, n - 1], dtype=np.float64)
+    total = np.bincount(group, weights=index)
+    assert total.tolist() == [0, 2 * n - 5, n - 1]
+    assert (total.take(group) - index).astype(np.int64).tolist() == [0, n - 2, n - 3, 0]
+    assert float(2 ** 24 - 1) + float(2 ** 24 - 2) == 2 ** 25 - 3
 
 
 def test_analyze_sort_key_int64_headroom():
