@@ -570,27 +570,14 @@ class SurfaceEngine:
 
     # -- full fiber analysis over one side ----------------------------------
 
-    def degenerate_bases(self, side: str) -> list:
-        """(base row, kind) for every base of the side with a degenerate fiber.
+    def degenerate_bases(self, side: str) -> np.ndarray:
+        """The table rows, ascending, of the side's degenerate bases.
 
-        `degenerate_rows` on a stack of this one side, then `fiber_kinds`.
+        `degenerate_rows` on a stack of this one side; their fibers' kinds
+        are read by `surface.degenerate_fibers`.
         """
         lrows, qrows = self.rows(side)
-        return self.fiber_kinds(side, degenerate_rows(lrows[None], qrows[None], self.p)[0])
-
-    def fiber_kinds(self, side: str, rows: np.ndarray) -> list:
-        """(row, kind) for degenerate base rows of the side, in the given order.
-
-        kind is "line" where L(base, .) != 0, else "conic", or "plane" if
-        Q(base, .) = 0.
-        """
-        if not len(rows):
-            return []
-        bases = self.table.pts[rows]
-        line = self.line_coeffs(side, bases).any(axis=1).tolist()
-        conic = self.quad_coeffs(side, self.table.monomials(bases)).any(axis=1).tolist()
-        return [(row, "line" if l else "conic" if q else "plane")
-                for row, l, q in zip(rows.tolist(), line, conic)]
+        return degenerate_rows(lrows[None], qrows[None], self.p)[0]
 
     def analyze(self, side: str):
         """`fiber_pairs` as (N, 6) coordinates [x | y], and `degenerate_bases`."""

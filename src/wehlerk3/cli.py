@@ -13,7 +13,7 @@ import os
 import sys
 
 from .dynamics import asymmetric_pairing, cycle_decomposition, lift_pair, orbit
-from .errors import WehlerError
+from .errors import SingularSurface, WehlerError
 from .field import is_prime
 from .fixtures import (
     W1_DEGENERATE_X,
@@ -32,6 +32,7 @@ from .stats import (
 )
 from .surface import (
     degenerate_fibers,
+    is_smooth_rational,
     parse_surface,
     point_count,
     serialize_surface,
@@ -109,6 +110,10 @@ def cmd_points(args) -> int:
 def cmd_cycles(args) -> int:
     s = _load_surface(args.surface, args.prime)
     p = s.domain.p
+    smooth = is_smooth_rational(s)
+    if not smooth:
+        listed = ", ".join(f"({a}, {b})" for a, b in smooth.singular_points)
+        raise SingularSurface(f"surface has rational singular points: {listed}")
     census = cycle_decomposition(s)
     pairing = asymmetric_pairing(census)
     windows = sanity_windows(s, census)

@@ -28,7 +28,7 @@ from .blowup import (
 from .errors import NonBijective, NotOnSurface, PairingFailure
 from .geometry import ProjectivePoint1, ProjectivePoint2, point2
 from .involution import _cor1_partner
-from .surface import WehlerSurface, _degenerate_rows, degenerate_fibers, pair_rows, table_points
+from .surface import WehlerSurface, _degenerate_record, pair_rows, table_points
 
 __all__ = [
     "PhasePoint",
@@ -81,12 +81,6 @@ class PhasePoint:
         return f"PhasePoint({self.a}, {self.b}{extra})"
 
 
-def _centers(s: WehlerSurface) -> dict:
-    """{side: set of the raw degenerate bases of that side}, built once per surface."""
-    return s.cached(("centers",), lambda: {
-        side: {info.base.raw for info in degenerate_fibers(s, side)} for side in SIDES})
-
-
 # -- standalone scalar stepping (orbits, public phi/psi) -------------------------
 
 
@@ -103,9 +97,8 @@ def lift_pair(s: WehlerSurface, a, b) -> PhasePoint:
         b = point2(s.domain, *b)
     if not s.contains(a.coords, b.coords):
         raise NotOnSurface(f"({a}, {b}) does not satisfy L = Q = 0")
-    centers = _centers(s)
-    sx = resolve_s(chart_for(s, "x", a), b) if a.raw in centers["x"] else None
-    sy = resolve_s(chart_for(s, "y", b), a) if b.raw in centers["y"] else None
+    sx = resolve_s(chart_for(s, "x", a), b) if a.raw in _degenerate_record(s, "x") else None
+    sy = resolve_s(chart_for(s, "y", b), a) if b.raw in _degenerate_record(s, "y") else None
     return PhasePoint(a, b, sx, sy)
 
 
@@ -129,7 +122,7 @@ def phase_step(s: WehlerSurface, P: PhasePoint, side: str) -> PhasePoint:
     if new != moving:
         other = SIDES[1 - own]
         params[1 - own] = (resolve_s(chart_for(s, other, new), base)
-                           if new.raw in _centers(s)[other] else None)
+                           if new.raw in _degenerate_record(s, other) else None)
     pts[1 - own] = new
     return PhasePoint(*pts, *params)
 
@@ -185,17 +178,17 @@ class PhaseSpace:
     def _chart_lines(self, side: str):
         """(center rows, line id, moving row) of the boundary points of a side's charts.
 
-        The centers are the side's degenerate bases in table order; a boundary
-        point's line id is its center's position there times p + 1 plus the
-        code of its line.
+        One pass over the side's `_degenerate_record` gives the centers, in
+        table order, and their charts; a boundary point's line id is its
+        center's position there times p + 1 plus the code of its line.
         """
         s = self.surface
-        line, moving = [], []
-        for j, info in enumerate(degenerate_fibers(s, side)):
+        centers, line, moving = [], [], []
+        for j, (raw, info) in enumerate(_degenerate_record(s, side).items()):
+            centers.append(self._tbl.index_of(raw))
             for bp in exceptional_points(chart_for(s, side, info.base)):
                 line.append(j * (self.p + 1) + self._scode(bp.s))
                 moving.append(self._tbl.index_of(bp.moving.raw))
-        centers = [row for row, _ in _degenerate_rows(s, side)]
         return tuple(np.array(v, dtype=np.int64) for v in (centers, line, moving))
 
     def _build_points(self):

@@ -49,6 +49,10 @@ class ExhaustedAttempts(WehlerError):
     """Rejection sampling hit its draw cap without an acceptable surface."""
 
 
+class SingularSurface(WehlerError):
+    """The surface has rational singular points, where the involutions are undefined."""
+
+
 # -- involutions ----------------------------------------------------------
 
 class DegenerateFiber(WehlerError):

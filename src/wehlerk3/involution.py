@@ -53,7 +53,7 @@ def _cor1_partner(s: WehlerSurface, side: str, base, moving):
     A, B, C = G_k, H_kl, G_l are formed.  No such m means l = 0, which makes
     every G and H vanish (they have degree 2 in l).  Otherwise G_k, G_l and
     H_kl are Q and its polar form at e_k x l and e_l x l, which span the
-    line l.x = 0 (`SurfaceEngine.degenerate_bases`), so A = B = C = 0
+    line l.x = 0 (`_engine.degenerate_rows`), so A = B = C = 0
     exactly when Q vanishes on the whole line: every G and H vanishes.  On
     that line x_k = x_l = 0 forces x_m = 0, so moving's (x_k, x_l) is
     nonzero; a later triple is tried only for a moving off the line.

@@ -23,7 +23,6 @@ import numpy as np
 from ._engine import (
     PAIR_INDEX,
     PAIRS,
-    SIDES,
     SWAP_PAIRS,
     SurfaceEngine,
     degenerate_rows,
@@ -76,9 +75,9 @@ class WehlerSurface:
 
         Keys are tuples (name, *args).  The names are "L", "Q", "engine",
         "raw" (the coefficient rows of `_raw_rows`), "coeff", "gh",
-        "sextic", "degenerate" and "pairs" (this module; the plane-table rows
-        of the rational points, see `pair_rows`),
-        "centers" (`dynamics`; the raw degenerate bases of each side) and
+        "sextic", "degenerate" (both sides' rows of `_degenerate_scan`),
+        "fibers" (one side's `_degenerate_record`) and "pairs" (this module;
+        the plane-table rows of the rational points, see `pair_rows`),
         "phase_space" (`dynamics`), "chart" and "ram_prime" (`blowup`).
         """
         if key not in self._cache:
@@ -456,38 +455,53 @@ def _qq_candidates():
 def degenerate_fibers(s: WehlerSurface, side: str):
     """Base points with positive-dimensional fiber and vanishing G/H system.
 
-    Over F_p the list is exhaustive: `SurfaceEngine.degenerate_bases` finds
-    every rational common zero of G and H.  Over QQ candidates are searched up to
-    naive height QQ_SEARCH_HEIGHT; the returned list is complete only within
-    that box (the worked example's centers have height 1).
+    A new list of the side's `_degenerate_record`, in base order.  It is
+    exhaustive over F_p; over QQ it is complete only up to naive height
+    QQ_SEARCH_HEIGHT (the worked example's centers have height 1).
     """
-    if s.is_finite():
-        found = _degenerate_rows(s, side)
-        bases = table_points(s, [row for row, _ in found])
-        return [DegenerateFiberInfo(base, kind) for base, (_, kind) in zip(bases, found)]
-    # A non-finite fiber has Q = 0 on its line or L = 0, and every
-    # G and H has degree 2 in L, so the G/H system vanishes there too.
-    found = [(point2(QQ, *cand), kind) for cand in _qq_candidates()
-             if (kind := _fiber_restriction(s, side, cand)[0]) != "finite"]
-    return sorted((DegenerateFiberInfo(*f) for f in found), key=lambda d: d.base.raw)
+    return list(_degenerate_record(s, side).values())
 
 
-def _degenerate_rows(s: WehlerSurface, side: str) -> list:
-    """The engine's (base row, kind) list of one side, in table order, computed once.
+def _degenerate_record(s: WehlerSurface, side: str) -> dict:
+    """{raw base: DegenerateFiberInfo} of one side, in base order, built once.
 
-    The first call for either side scans both sides with one stacked
-    `degenerate_rows` call, as `_meeting_mode` does for a draw, and caches
-    the other side's list too.
+    `_fiber_restriction` classifies the bases of `_degenerate_scan` over F_p
+    and the height box over QQ.  A fiber that is not finite has Q = 0 on its
+    line or L = 0, and every G and H has degree 2 in L, so the G/H system
+    vanishes there.  A scanned base with a finite fiber is an internal
+    error, raised rather than dropped: the record lists exactly the scanned rows.
     """
-    def scan():
-        eng = s.engine()
-        found = degenerate_rows(*stack_sides(eng.amat[None], eng.bmat[None]), eng.p)
-        for other, rows in zip(SIDES, found):
-            if other != side:
-                s.cached(("degenerate", other), lambda: eng.fiber_kinds(other, rows))
-        return eng.fiber_kinds(side, found[side_index(side)])
+    def build():
+        finite = s.is_finite()
+        cands = (s.engine().table.pts[_degenerate_scan(s)[side_index(side)]].tolist()
+                 if finite else _qq_candidates())
+        found = []
+        for c in cands:
+            kind = _fiber_restriction(s, side, c)[0]
+            if kind != "finite":
+                found.append(DegenerateFiberInfo(point2(s.domain, *c), kind))
+            elif finite:
+                raise AssertionError(
+                    f"scanned degenerate {side}-base {tuple(c)} has a finite fiber")
+        found.sort(key=lambda d: d.base.raw)
+        return {d.base.raw: d for d in found}
 
-    return s.cached(("degenerate", side), scan)
+    return s.cached(("fibers", side), build)
+
+
+def _degenerate_scan(s: WehlerSurface) -> tuple:
+    """(x rows, y rows): the table rows, ascending, of each side's degenerate bases.
+
+    A surface from `random_surface` carries its draw's rows; any other scans
+    both sides with one stacked call on first use.
+    """
+    return s.cached(("degenerate",), lambda: _scan_draws([(s.a, s.b)], s.p)[0])
+
+
+def _scan_draws(block: list, p: int) -> list:
+    """(x rows, y rows) of each draw (a, b) of the block, by one `degenerate_rows` call."""
+    found = degenerate_rows(*stack_sides(*(np.array(m, dtype=np.int64) for m in zip(*block))), p)
+    return list(zip(found[::2], found[1::2]))
 
 
 # -- rational points --------------------------------------------------------------
@@ -622,7 +636,7 @@ def random_surface(
     max_draws that accepts it is the same; the rest of the accepting block
     is drawn and scanned for nothing.  A `WehlerSurface` is made only for a
     draw that meets the mode, with a `SurfaceEngine` and the degenerate
-    lists of both sides in its cache.
+    rows of both sides in its cache.
     """
     if p < 5:
         raise BadModulus(f"random surfaces need p >= 5, got {p}")
@@ -650,8 +664,8 @@ def _meeting_mode(field, block: list, mode: str):
     """The block's draws (a, b) that meet the mode, as surfaces, in draw order.
 
     Outside mode "any" both sides of every draw are scanned by one
-    `degenerate_rows` call, and each surface yielded carries its engine and
-    degenerate lists.
+    `_scan_draws` call, and each surface yielded carries its engine and
+    degenerate rows (`_degenerate_scan`).
     """
     if mode == "any":
         yield from (WehlerSurface(field, a, b) for a, b in block)
@@ -659,16 +673,11 @@ def _meeting_mode(field, block: list, mode: str):
     if not block:
         return
     p = field.p
-    stacks = (np.array(m, dtype=np.int64) for m in zip(*block))
-    found = degenerate_rows(*stack_sides(*stacks), p)
-    for n, (a, b) in enumerate(block):
-        rows = dict(zip(SIDES, found[2 * n:2 * n + 2]))
+    for (a, b), rows in zip(block, _scan_draws(block, p)):
         # "degenerate" needs a degenerate fiber, "nondegenerate" none.
-        if any(map(len, rows.values())) != (mode == "degenerate"):
+        if any(map(len, rows)) != (mode == "degenerate"):
             continue
-        eng = SurfaceEngine(a, b, p)
         cand = WehlerSurface(field, a, b)
-        cand.cached(("engine",), lambda: eng)
-        for side, r in rows.items():
-            cand.cached(("degenerate", side), lambda: eng.fiber_kinds(side, r))
+        cand.cached(("engine",), lambda: SurfaceEngine(a, b, p))
+        cand.cached(("degenerate",), lambda: rows)
         yield cand

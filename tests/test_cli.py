@@ -3,7 +3,8 @@ import json
 
 import pytest
 
-from wehlerk3.cli import main
+from wehlerk3.cli import build_parser, cmd_cycles, main
+from wehlerk3.errors import SingularSurface
 from wehlerk3.fixtures import w1_surface
 from wehlerk3.surface import parse_surface, serialize_surface
 
@@ -58,6 +59,19 @@ def test_cycles_command(surface_file, tmp_path, capsys):
     assert "degenerate x-side fibers" in out
     rows = (tmp_path / "cycles_p29.csv").read_text().splitlines()
     assert rows[0] == "length,symmetric,count"
+
+
+def test_cycles_refuses_a_surface_with_rational_singular_points(surface_file, capsys):
+    # W1 mod 3 has two rational singular points; the census would end in
+    # NonBijective, so the command stops before it with the points listed.
+    rc = main(["cycles", "--surface", surface_file, "--prime", "3"])
+    captured = capsys.readouterr()
+    assert rc == 1 and captured.out == ""
+    assert captured.err == ("error: surface has rational singular points: "
+                            "((1 : 1 : 1), (1 : 1 : 1)), ((1 : 1 : 2), (1 : 1 : 2))\n")
+    with pytest.raises(SingularSurface):
+        cmd_cycles(build_parser().parse_args(["cycles", "--surface", surface_file,
+                                              "--prime", "3"]))
 
 
 def test_experiment_command(tmp_path, capsys):

@@ -122,6 +122,45 @@ def test_orbit_trivial_and_reverse(w1_29):
     assert [P.key() for P in backward] == [P.key() for P in forward[::-1]]
 
 
+# The worked example's phi has order 4 on the whole phase space at every
+# prime below; what causes it is not known.  Per prime, the multisets of
+# symmetric and of asymmetric cycle lengths.
+W1_CYCLE_PINS = {
+    5: ({2: 2, 4: 4}, {4: 10}),
+    7: ({2: 2, 4: 6}, {4: 16}),
+    11: ({2: 2, 4: 10}, {4: 36}),
+    13: ({2: 2, 4: 12}, {4: 58}),
+    17: ({1: 4, 2: 2, 4: 24}, {4: 124}),
+    19: ({2: 2, 4: 18}, {4: 100}),
+    23: ({2: 2, 4: 22}, {4: 144}),
+    29: ({2: 2, 4: 28}, {4: 250}),
+    31: ({2: 2, 4: 30}, {4: 256}),
+    41: ({1: 4, 2: 2, 4: 24}, {4: 604}),
+    101: ({2: 2, 4: 100}, {4: 2602}),
+}
+
+
+@pytest.mark.parametrize("p", sorted(W1_CYCLE_PINS))
+def test_w1_phi_has_order_4(p):
+    # phi^4 = id and phi^2 != id on every record, chart records included;
+    # fix_x = fix_y = p + 1 except at p = 17 and 41, and each side has 8, 4
+    # or 2 degenerate fibers, all lines, as p is 1, 5, or 3 or 7 mod 8.
+    s = w1_surface(p)
+    census = cycle_decomposition(s)
+    phi = census.space.perm_phi()
+    phi2 = phi[phi]
+    ident = np.arange(len(phi))
+    assert np.array_equal(phi2[phi2], ident) and not np.array_equal(phi2, ident)
+    sym, asym = W1_CYCLE_PINS[p]
+    assert Counter(census.lengths(True)) == sym and Counter(census.lengths(False)) == asym
+    assert set(sym) | set(asym) <= {1, 2, 4}
+    fix = 30 if p in (17, 41) else p + 1
+    assert (census.fix_x, census.fix_y) == (fix, fix)
+    count = {1: 8, 5: 4, 3: 2, 7: 2}[p % 8]
+    for side in ("x", "y"):
+        assert [d.kind for d in degenerate_fibers(s, side)] == ["line"] * count
+
+
 def test_phi_step_composes_the_involutions(w1_29):
     space = build_phase_space(w1_29)
     rng = random.Random(0)

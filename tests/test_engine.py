@@ -11,7 +11,6 @@ from wehlerk3._engine import (
     _ENUM_P_CAP,
     PAIRS,
     PlaneTable,
-    SurfaceEngine,
     _gh_zeros,
     _mod,
     _resultant,
@@ -29,6 +28,7 @@ from wehlerk3.surface import (
     VARS6,
     WehlerSurface,
     _fiber_restriction,
+    degenerate_fibers,
     gh_system,
     gh_values,
     parse_surface,
@@ -145,11 +145,13 @@ def test_resultant_filter_int64_headroom():
     for _ in range(3):
         a = [[rng.choice((1, p - 2, p - 1)) for _ in range(3)] for _ in range(3)]
         b = [[rng.choice((1, p - 2, p - 1)) for _ in range(6)] for _ in range(6)]
-        eng = SurfaceEngine(a, b, p)
+        s = WehlerSurface(PrimeField(p), a, b)
+        eng = s.engine()
         for side in ("x", "y"):
             lrows, qrows = eng.rows(side)
             assert _resultant_scan(lrows[None], qrows[None], p)[0] is not None
-            assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
+            assert (_with_kinds(s, side, eng.degenerate_bases(side))
+                    == _reference_degenerate_bases(eng, side))
 
 
 def test_mod_equals_remainder_on_every_stated_bound():
@@ -426,6 +428,16 @@ def _reference_degenerate_bases(eng, side):
             for row, l, q in zip(found.tolist(), line, conic)]
 
 
+def _with_kinds(s, side, rows):
+    """Degenerate table rows of a side as (row, kind), the kinds from `degenerate_fibers`.
+
+    The record's bases must be exactly those rows, in the same order.
+    """
+    infos = degenerate_fibers(s, side)
+    assert [s.engine().table.index_of(d.base.raw) for d in infos] == rows.tolist()
+    return [(row, d.kind) for row, d in zip(rows.tolist(), infos)]
+
+
 def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
     # The resultant filter, the interpolation kernel it replaced, the scalar
     # restriction at every base and the reference root solver agree on the
@@ -439,7 +451,7 @@ def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
     for s in surfaces:
         eng = s.engine()
         for side in ("x", "y"):
-            fast = eng.degenerate_bases(side)
+            fast = _with_kinds(s, side, eng.degenerate_bases(side))
             scalar = [(row, _fiber_restriction(s, side, base)[0])
                       for row, base in enumerate(eng.table.pts.tolist())]
             scalar = [r for r in scalar if r[1] != "finite"]
@@ -452,7 +464,7 @@ def test_gh_kernel_lists_the_root_pass_degenerate_fibers(w1_29):
 
 
 def _raw_draw(rng, p, a_kind):
-    """An engine of 45 residues from rng, as random_surface draws them.
+    """A surface of 45 residues from rng, as random_surface draws them.
 
     a_kind "random" keeps L's matrix as drawn, "zero column" zeroes one of
     its columns, so that side x's G_0 and G_1 (or another pair) share a
@@ -468,11 +480,11 @@ def _raw_draw(rng, p, a_kind):
     elif a_kind == "rank 1":
         u, w = ([rng.randrange(1, p) for _ in range(3)] for _ in range(2))
         a = [[ui * wj % p for wj in w] for ui in u]
-    return SurfaceEngine(a, b, p)
+    return WehlerSurface(PrimeField(p), a, b)
 
 
 def _scan_path(eng, side, monkeypatch):
-    """How the resultant scan treats one side scanned alone, and its list."""
+    """How the resultant scan treats one side scanned alone, and its rows."""
     calls = []
     resultant = _engine._resultant
 
@@ -516,9 +528,11 @@ def test_resultant_filter_matches_the_interpolation_kernel_on_raw_draws(monkeypa
     for p in (17, 19, 23, 29):
         rng = random.Random(p)
         for a_kind in ("random",) * (150 if p == 17 else 40) + ("zero column", "rank 1") * 3:
-            eng = _raw_draw(rng, p, a_kind)
+            s = _raw_draw(rng, p, a_kind)
+            eng = s.engine()
             for side in ("x", "y"):
-                path, fast = _scan_path(eng, side, monkeypatch)
+                path, rows = _scan_path(eng, side, monkeypatch)
+                fast = _with_kinds(s, side, rows)
                 assert fast == _reference_degenerate_bases(eng, side)
                 found += bool(fast)
                 paths[path] += 1
@@ -529,12 +543,14 @@ def test_resultant_scan_matches_the_exhaustive_scan():
     # On degenerate surfaces at larger p, the scan finds what all six forms
     # on every table row and the reference kernel find.
     for p, seed in ((101, 3), (101, 6), (503, 2)):
-        eng = random_surface(p, seed, mode="degenerate").engine()
+        s = random_surface(p, seed, mode="degenerate")
+        eng = s.engine()
         for side in ("x", "y"):
             lrows, qrows = eng.rows(side)
             rows = _resultant_scan(lrows[None], qrows[None], p)[0]
             assert rows.tolist() == _gh_zeros(lrows, qrows, p).tolist()
-            assert eng.degenerate_bases(side) == _reference_degenerate_bases(eng, side)
+            assert (_with_kinds(s, side, eng.degenerate_bases(side))
+                    == _reference_degenerate_bases(eng, side))
     eng = _sparse_surface(13, 0).engine()
     assert _resultant_scan(*(r[None] for r in eng.rows("x")), 13) == [None]
 
@@ -572,17 +588,18 @@ def test_block_kernel_scans_a_mixed_stack_side_by_side(monkeypatch):
     rank_1 = [[u * w % p for w in a[1]] for u in a[0]]
     s = random_surface(p, 16, mode="degenerate")
     draws = [(a, b), (s.a, s.b), (zero_column, b), (rank_1, b)]
-    engines = [SurfaceEngine(a, b, p) for a, b in draws]
+    surfaces = [WehlerSurface(PrimeField(p), a, b) for a, b in draws]
+    engines = [s.engine() for s in surfaces]
     assert [[_scan_path(eng, side, monkeypatch)[0] for side in ("x", "y")] for eng in engines] == [
         ["degree 4", "degree 4"], ["degree 4", "degree 4"],
         ["other pair", "lower degree"], ["every row", "every row"]]
     rows, full = _block_scan(draws, p, monkeypatch)
     assert full == [engines[3].rows(side)[0].tolist() for side in ("x", "y")]
-    for n, eng in enumerate(engines):
+    for n, s in enumerate(surfaces):
         for k, side in enumerate(("x", "y")):
-            want = _reference_degenerate_bases(eng, side)
+            want = _reference_degenerate_bases(s.engine(), side)
             assert rows[2 * n + k].tolist() == [row for row, _ in want]
-            assert eng.fiber_kinds(side, rows[2 * n + k]) == want
+            assert _with_kinds(s, side, rows[2 * n + k]) == want
     assert not any(map(len, rows[:2])) and any(map(len, rows[2:4]))
     assert all(map(len, rows[4:]))
 
@@ -719,7 +736,8 @@ def test_root_pass_matches_the_reference_solver(p):
     for s in _root_pass_surfaces(p):
         eng = s.engine()
         for side in ("x", "y"):
-            rows, degenerate = eng.fiber_pairs(side), eng.degenerate_bases(side)
+            rows = eng.fiber_pairs(side)
+            degenerate = _with_kinds(s, side, eng.degenerate_bases(side))
             ref_pairs, ref_rows, ref_degenerate = _reference_fiber_pairs(eng, side)
             pairs = eng.table.coords(*rows)
             assert pairs.dtype == ref_pairs.dtype and np.array_equal(pairs, ref_pairs)
@@ -745,9 +763,10 @@ def test_root_pass_is_the_same_in_any_block_size(p, monkeypatch):
     def result(eng, side):
         return [(rows.dtype, rows.tolist()) for rows in eng.fiber_pairs(side)]
 
-    engines = [s.engine() for s in _root_pass_surfaces(p)]
+    surfaces = _root_pass_surfaces(p)
+    engines = [s.engine() for s in surfaces]
     assert len(PlaneTable(p).pts) <= _engine._ROOT_BLOCK
-    kinds = {kind for eng in engines for side in ("x", "y") for _, kind in eng.degenerate_bases(side)}
+    kinds = {d.kind for s in surfaces for side in ("x", "y") for d in degenerate_fibers(s, side)}
     assert kinds == {"line", "conic", "plane"}
     want = [result(eng, side) for eng in engines for side in ("x", "y")]
     for block in (1, 7, 97) if p == 13 else (7, 97):

@@ -21,6 +21,7 @@ from wehlerk3.involution import (
 from wehlerk3.surface import (
     WehlerSurface,
     _fiber_restriction,
+    degenerate_fibers,
     enumerate_points,
     gh_values,
     ramification_sextic,
@@ -255,8 +256,7 @@ def test_scalar_swap_reports_a_conic_fiber_for_every_moving_point():
     # every moving point, on the surface or not, raises DegenerateFiber.
     s = _sparse_surface(7, 4)
     tbl = s.engine().table
-    row = next(r for r, kind in s.engine().degenerate_bases("x") if kind == "conic")
-    base = tuple(tbl.pts[row].tolist())
+    base = next(d.base.coords for d in degenerate_fibers(s, "x") if d.kind == "conic")
     assert s.line_values("x", base) == (0, 0, 0)
     movers = [tuple(pt) for pt in tbl.pts.tolist()]
     assert any(s.contains(base, b) for b in movers)

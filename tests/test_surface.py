@@ -7,6 +7,7 @@ import numpy as np
 import pytest
 from test_engine import _count_block_scans
 
+from wehlerk3 import surface
 from wehlerk3.dynamics import lift_pair, phase_step
 from wehlerk3.errors import (
     BadModulus,
@@ -26,6 +27,9 @@ from wehlerk3.surface import (
     SmoothnessReport,
     YVARS,
     WehlerSurface,
+    _degenerate_scan,
+    _fiber_restriction,
+    _qq_candidates,
     branch_quotient,
     coefficient_polys,
     degenerate_fibers,
@@ -375,6 +379,50 @@ def test_degenerate_fibers_random_nondegenerate():
     assert degenerate_fibers(s, "y") == []
 
 
+def test_degenerate_fibers_classify_the_qq_box_once(monkeypatch):
+    # The record is built once per side: the first call classifies every
+    # candidate of the height box, the second none.
+    calls = []
+    restrict = surface._fiber_restriction
+
+    def counted(s, side, base):
+        calls.append(side)
+        return restrict(s, side, base)
+
+    monkeypatch.setattr(surface, "_fiber_restriction", counted)
+    s = w1_surface()
+    first = degenerate_fibers(s, "x")
+    assert len(calls) == sum(1 for _ in _qq_candidates())
+    assert degenerate_fibers(s, "x") == first
+    assert len(calls) == sum(1 for _ in _qq_candidates())
+
+
+def test_degenerate_fibers_returns_a_new_list_on_each_call(w1_29):
+    got = degenerate_fibers(w1_29, "x")
+    want = list(got)
+    got.clear()
+    assert degenerate_fibers(w1_29, "x") == want and len(want) == 4
+
+
+def test_degenerate_record_refuses_a_scanned_row_with_a_finite_fiber(monkeypatch):
+    # The record lists exactly the scanned rows, so a kernel that reports a
+    # base whose fiber is finite, here (0 : 0 : 1) of W1's x side, is an
+    # internal error rather than a row to drop.
+    scan = surface.degenerate_rows
+
+    def one_extra(lrows, qrows, p):
+        found = scan(lrows, qrows, p)
+        found[0] = np.union1d(found[0], [0])
+        return found
+
+    monkeypatch.setattr(surface, "degenerate_rows", one_extra)
+    s = w1_surface(29)
+    assert _fiber_restriction(s, "x", (0, 0, 1))[0] == "finite"
+    with pytest.raises(AssertionError, match=r"x-base \(0, 0, 1\) has a finite fiber"):
+        degenerate_fibers(s, "x")
+    assert degenerate_fibers(s, "y") == degenerate_fibers(w1_surface(29), "y")
+
+
 def test_enumerate_points_small_prime_brute_force():
     s = w1_surface(3)
     F = s.domain
@@ -611,11 +659,15 @@ def test_random_surface_pinned_outputs(p, seed, mode, draws, digest):
 @pytest.mark.parametrize("mode", ["nondegenerate", "degenerate", "any"])
 def test_random_surface_caches_what_a_fresh_surface_builds(mode):
     # The accepted surface carries the engine (and, outside mode "any", the
-    # degenerate lists) of its raw draw; a fresh copy builds the same.
+    # degenerate rows of both sides) of its raw draw, but no degenerate
+    # record until one is asked for; a fresh copy builds the same.
     for p, seed in ((13, 21), (29, 36), (11, 133)):
         s = random_surface(p, seed, mode=mode)
         fresh = parse_surface(serialize_surface(s))
-        assert (("degenerate", "x") in s._cache) == (mode != "any")
+        assert (("degenerate",) in s._cache) == (mode != "any")
+        assert not any(key[0] == "fibers" for key in s._cache)
+        for got, want in zip(_degenerate_scan(s), _degenerate_scan(fresh)):
+            assert np.array_equal(got, want)
         for side in ("x", "y"):
             for got, want in zip(s.engine().rows(side), fresh.engine().rows(side)):
                 assert np.array_equal(got, want)
